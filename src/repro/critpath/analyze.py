@@ -61,34 +61,34 @@ def critical_path(
 
     ``dist[v] = max over incoming edges (dist[src] + cost)``, computed one
     Kahn level at a time with ``np.maximum.reduceat`` over the pre-gathered
-    predecessor spans.  A second reduceat pass propagates the maximum
-    L-term count among the edges that achieve ``dist[v]`` (exact float
-    comparison — candidates achieving the max are bit-equal by
-    definition), so ties resolve toward the latency-sensitive path and the
-    algebraic dT/dL matches the forward finite difference.
+    predecessor spans.  Each node carries ``dist + 1j * lcnt`` as one
+    ``complex128``: NumPy orders complex values lexicographically, so the
+    single reduction picks the longest distance and, among bit-equal
+    distances, the largest L-term count.  Ties thus resolve toward the
+    latency-sensitive path and the algebraic dT/dL matches the forward
+    finite difference.  The real part is the same single float add as a
+    real-valued DP, so the makespan equals that DP's to the bit.
     """
     schedule = dag.level_schedule()
     if dag.num_nodes == 0:
         return CriticalPath(0.0, 0)
-    dist = np.zeros(dag.num_nodes, dtype=np.float64)
-    lcnt = np.zeros(dag.num_nodes, dtype=np.int64)
-    edge_src = dag.edge_src
+    z = np.zeros(dag.num_nodes, dtype=np.complex128)
+    eidx = schedule.pred_eidx
+    src = dag.edge_src[eidx]
+    weight = np.empty(len(eidx), dtype=np.complex128)
+    weight.real = cost[eidx]
+    weight.imag = lterm[eidx]
+    order, starts = schedule.order, schedule.starts
+    level_ptr = schedule.level_ptr.tolist()
+    edge_ptr = schedule.edge_ptr.tolist()
     for lvl in range(1, schedule.num_levels):
-        nodes = schedule.levels[lvl]
-        eidx = schedule.pred_eidx[lvl]
-        starts = schedule.starts[lvl]
-        counts = schedule.counts[lvl]
-        src = edge_src[eidx]
-        cand = dist[src] + cost[eidx]
-        best = np.maximum.reduceat(cand, starts)
-        cand_l = lcnt[src] + lterm[eidx]
-        on_max = cand == np.repeat(best, counts)
-        best_l = np.maximum.reduceat(np.where(on_max, cand_l, -1), starts)
-        dist[nodes] = best
-        lcnt[nodes] = best_l
-    makespan = float(dist.max())
-    l_terms = int(lcnt[dist == makespan].max())
-    return CriticalPath(makespan, l_terms)
+        a, b = level_ptr[lvl], level_ptr[lvl + 1]
+        e0, e1 = edge_ptr[lvl], edge_ptr[lvl + 1]
+        z[order[a:b]] = np.maximum.reduceat(
+            z[src[e0:e1]] + weight[e0:e1], starts[a:b]
+        )
+    top = z.max()
+    return CriticalPath(float(top.real), int(top.imag))
 
 
 @dataclass(frozen=True)

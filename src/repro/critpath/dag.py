@@ -20,7 +20,7 @@ Edge families:
   fan-in/fan-out edges from the collective→p2p translation.
 
 The DAG stores a flat edge list plus lazily built predecessor/successor
-CSR indexes and a level schedule (Kahn frontiers with pre-gathered
+CSR indexes and a flat level schedule (Kahn levels with pre-gathered
 predecessor-edge spans) that the longest-path DP replays once per cost
 vector — so a finite-difference sensitivity check pays for the schedule
 once, not per evaluation.
@@ -28,6 +28,7 @@ once, not per evaluation.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,38 +57,29 @@ class CycleError(ValueError):
 
 @dataclass
 class LevelSchedule:
-    """Kahn frontiers with pre-gathered predecessor-edge spans.
+    """Kahn levels stored flat, as CSR-of-levels.
 
-    ``levels[i]`` are the nodes whose dependencies complete at level i;
-    for i >= 1, ``pred_eidx[i]`` concatenates their incoming edge IDs and
-    ``starts[i]``/``counts[i]`` delimit the per-node groups (every node
-    past level 0 has at least one predecessor, so ``np.maximum.reduceat``
-    over the groups is always well-formed).
+    ``order`` lists the nodes level by level, ascending within a level;
+    level i is ``order[level_ptr[i]:level_ptr[i+1]]``.  ``pred_eidx``
+    concatenates the incoming edge IDs of the nodes in ``order``, each
+    node's span in predecessor-CSR order; level i owns
+    ``pred_eidx[edge_ptr[i]:edge_ptr[i+1]]``.  ``starts``/``counts`` are
+    parallel to ``order``: a node's group offset within its level's edge
+    slice and its in-degree.  Every node past level 0 has at least one
+    predecessor, so ``np.maximum.reduceat`` over a level's groups is
+    always well-formed.
     """
 
-    levels: list[np.ndarray]
-    pred_eidx: list[np.ndarray]
-    starts: list[np.ndarray]
-    counts: list[np.ndarray]
+    order: np.ndarray  # int64[num_nodes]
+    level_ptr: np.ndarray  # int64[num_levels + 1]
+    edge_ptr: np.ndarray  # int64[num_levels + 1]
+    pred_eidx: np.ndarray  # int64[num_edges]
+    starts: np.ndarray  # int64[num_nodes]
+    counts: np.ndarray  # int64[num_nodes]
 
     @property
     def num_levels(self) -> int:
-        return len(self.levels)
-
-
-def _span_gather(
-    indptr: np.ndarray, order: np.ndarray, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate CSR spans of ``nodes``: (edge ids, group starts, counts)."""
-    counts = indptr[nodes + 1] - indptr[nodes]
-    total = int(counts.sum())
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1])) if len(counts) else counts
-    if total == 0:
-        return np.empty(0, dtype=np.int64), starts, counts
-    idx = np.repeat(indptr[nodes] - starts, counts) + np.arange(
-        total, dtype=np.int64
-    )
-    return order[idx], starts, counts
+        return len(self.level_ptr) - 1
 
 
 @dataclass
@@ -151,43 +143,61 @@ class HappensBeforeDag:
         return self._succ
 
     def level_schedule(self) -> LevelSchedule:
-        """Kahn level decomposition; raises :class:`CycleError` on a cycle."""
+        """Kahn level decomposition; raises :class:`CycleError` on a cycle.
+
+        One sequential Kahn pass over the successor CSR assigns
+        ``level[v] = 1 + max(level of preds)``, the frontier index at which
+        ``v`` becomes ready.  Counters and levels are Python lists; the
+        successor targets are read through a memoryview and the ready
+        queue is an ``array``, so neither holds one int object per edge or
+        node.  The nodes are then grouped once: a stable argsort by level,
+        and one gather of every predecessor span.
+        """
         if self._schedule is not None:
             return self._schedule
         pred_indptr, pred_order = self.pred_csr()
         succ_indptr, succ_order = self.succ_csr()
-        indeg = np.diff(pred_indptr).astype(np.int64)
-        frontier = np.flatnonzero(indeg == 0)
-        levels: list[np.ndarray] = []
-        pred_eidx: list[np.ndarray] = []
-        starts_l: list[np.ndarray] = []
-        counts_l: list[np.ndarray] = []
-        processed = 0
-        while frontier.size:
-            processed += frontier.size
-            eidx, starts, counts = _span_gather(
-                pred_indptr, pred_order, frontier
-            )
-            levels.append(frontier)
-            pred_eidx.append(eidx)
-            starts_l.append(starts)
-            counts_l.append(counts)
-            out_eidx, _, _ = _span_gather(succ_indptr, succ_order, frontier)
-            if out_eidx.size == 0:
-                break
-            dsts = self.edge_dst[out_eidx]
-            uniq, cnt = np.unique(dsts, return_counts=True)
-            indeg[uniq] -= cnt
-            frontier = uniq[indeg[uniq] == 0]
-        if processed < self.num_nodes:
-            stuck = np.flatnonzero(indeg > 0)[:5]
+        indeg_arr = np.diff(pred_indptr)
+        indeg = indeg_arr.tolist()
+        succ_ptr = succ_indptr.tolist()
+        succ_dst = memoryview(self.edge_dst[succ_order])
+        level = [0] * self.num_nodes
+        ready = array("q", np.flatnonzero(indeg_arr == 0).tolist())
+        for v in ready:  # grows while iterated: a FIFO without pops
+            lv = level[v] + 1
+            for w in succ_dst[succ_ptr[v] : succ_ptr[v + 1]]:
+                if level[w] < lv:
+                    level[w] = lv
+                indeg[w] -= 1
+                if not indeg[w]:
+                    ready.append(w)
+        if len(ready) < self.num_nodes:
+            stuck = np.flatnonzero(np.asarray(indeg) > 0)[:5]
             raise CycleError(
                 f"happens-before graph contains a cycle: "
-                f"{self.num_nodes - processed} of {self.num_nodes} nodes "
+                f"{self.num_nodes - len(ready)} of {self.num_nodes} nodes "
                 f"never become ready under Kahn elimination "
                 f"(e.g. nodes {stuck.tolist()})"
             )
-        self._schedule = LevelSchedule(levels, pred_eidx, starts_l, counts_l)
+        level_arr = np.asarray(level, dtype=np.int64)
+        order = np.argsort(level_arr, kind="stable")
+        level_ptr = np.concatenate(([0], np.cumsum(np.bincount(level_arr))))
+        counts = indeg_arr[order]
+        node_ptr = np.concatenate(([0], np.cumsum(counts)))
+        first = node_ptr[:-1]
+        gather = np.repeat(pred_indptr[order] - first, counts) + np.arange(
+            node_ptr[-1], dtype=np.int64
+        )
+        edge_ptr = node_ptr[level_ptr]
+        starts = first - np.repeat(edge_ptr[:-1], np.diff(level_ptr))
+        self._schedule = LevelSchedule(
+            order=order,
+            level_ptr=level_ptr,
+            edge_ptr=edge_ptr,
+            pred_eidx=pred_order[gather],
+            starts=starts,
+            counts=counts,
+        )
         return self._schedule
 
     def assert_acyclic(self) -> None:
