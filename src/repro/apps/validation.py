@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..comm.matrix import matrix_from_trace
 from ..comm.stats import trace_stats
 from ..metrics.peers import peers
@@ -115,6 +117,11 @@ def validate_app(
     def issue(kind: str, message: str) -> None:
         result.issues.append(ValidationIssue(label, kind, message))
 
+    # determinism, checked before any analysis below resolves opaque
+    # datatype names into the registry (which ``==`` compares)
+    if app.generate(ranks, variant=variant, seed=seed) != trace:
+        issue("structure", "generator is not deterministic for a fixed seed")
+
     # -- calibration contracts ------------------------------------------------
     stats = trace_stats(trace)
     if not math.isclose(stats.total_mb, point.volume_mb, rel_tol=0.03):
@@ -136,7 +143,11 @@ def validate_app(
     if not trace.uses_only_global_communicators:
         issue("structure", "paper requires global communicators only (§4.3)")
     if app.uses_derived_types:
-        dtypes = {ev.dtype for ev in trace.events}
+        dtypes = {
+            block.dtype_names[i]
+            for block in trace.blocks()
+            for i in np.unique(block.dtype_id).tolist()
+        }
         if dtypes != {app.dtype_name}:
             issue("structure", f"derived-type app uses datatypes {sorted(dtypes)}")
 
@@ -159,11 +170,6 @@ def validate_app(
         sel = selectivity(matrix)
         if not math.isnan(sel) and sel > ranks:
             issue("structure", f"selectivity {sel:.1f} exceeds rank count")
-
-    # determinism
-    again = app.generate(ranks, variant=variant, seed=seed)
-    if again.events != trace.events:
-        issue("structure", "generator is not deterministic for a fixed seed")
 
     return result
 

@@ -1,9 +1,10 @@
 """Performance benchmarks behind ``repro bench`` (pipeline and routing).
 
 Times the cold trace-generation and matrix-construction stages of the
-largest study configurations on both front-end paths — the legacy per-event
-implementation (``columnar=False``) and the columnar EventBlock path — and
-records the results in ``BENCH_pipeline.json``.  Stage attribution reuses
+largest study configurations on both front-end paths — the legacy leg
+(per-event *generation*, ``columnar=False``, whose event list the matrix
+builder converts to one block on first read) and the columnar EventBlock
+path — and records the results in ``BENCH_pipeline.json``.  Stage attribution reuses
 :mod:`repro.timings`: ``generate_trace`` charges the ``trace`` stage and
 ``matrix_from_trace`` the ``matrix`` stage, so the numbers here are exactly
 what ``repro --timings`` reports.

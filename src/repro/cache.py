@@ -101,7 +101,10 @@ __all__ = [
 #: expansion fixed its subtree-size conservation bugs (scatterv remainder
 #: truncation, mismatched tree orientation), so tree-expanded artifacts
 #: from v7 must never be read back.
-CACHE_VERSION = 8
+#: v9: foreign-trace content keys digest the decoded record columns plus
+#: the referenced datatype sizes and the communicator table (v8 pickled the
+#: events only, so traces differing in derived-type sizes aliased).
+CACHE_VERSION = 9
 
 
 @dataclass
@@ -264,18 +267,33 @@ def trace_content_key(trace: Any) -> tuple:
 
     Traces produced by :func:`cached_trace` carry their generation key as
     provenance (``_repro_cache_key``), making this free.  Foreign traces
-    (e.g. converted dumpi recordings) fall back to a digest of the pickled
-    event stream — exact but O(events).
+    (e.g. converted dumpi recordings) fall back to a digest of everything
+    that decides their bytes — exact but O(records): the decoded record
+    columns (insensitive to block partitioning; names hashed as UTF-8
+    text), the size of every datatype the records reference, and every
+    communicator's members.
     """
+    from .core.blocks import decoded_columns
+
     key = getattr(trace, "_repro_cache_key", None)
     if key is not None:
         return key
     meta = trace.meta
-    digest = hashlib.blake2b(
-        pickle.dumps(trace.events, protocol=pickle.HIGHEST_PROTOCOL),
-        digest_size=16,
-    ).hexdigest()
-    return ("trace-content", meta.app, meta.num_ranks, meta.variant, digest)
+    columns = decoded_columns(trace.blocks())
+    h = hashlib.blake2b(digest_size=16)
+    for name, column in columns.items():
+        if column.dtype == object:
+            payload = "\0".join(column.tolist()).encode("utf-8")
+        else:
+            payload = array_digest(column).encode()
+        h.update(f"{name}:{len(payload)}:".encode())
+        h.update(payload)
+    for dtype in sorted(set(columns["dtype"].tolist())):
+        h.update(f"dtype:{dtype}={trace.datatypes.size_of(dtype)}\0".encode())
+    for comm in trace.communicators.names():
+        members = np.asarray(trace.communicators.get(comm).members, np.int64)
+        h.update(f"comm:{comm}={array_digest(members)}\0".encode())
+    return ("trace-content", meta.app, meta.num_ranks, meta.variant, h.hexdigest())
 
 
 def matrix_content_key(matrix: Any) -> tuple:
@@ -360,15 +378,15 @@ def _disk_store_pickle(path: Path | None, value: Any) -> None:
 
 
 def _disk_store_trace_spill(path: Path | None, trace) -> bool:
-    """Persist a block-native trace as a chunked spill directory.
+    """Persist a trace's blocks as a chunked spill directory.
 
     Delegates to :func:`repro.core.stream.write_spill` after re-slicing the
     trace's blocks to the default chunk budget, so every segment file stays
     bounded regardless of trace size.  Returns ``False`` when the trace is
-    not spill-representable (event-object traces, committed derived
-    layouts, sub-communicators — the caller falls back to pickle).
+    not spill-representable (committed derived layouts, sub-communicators —
+    the caller falls back to pickle).
     """
-    if path is None or not trace.has_native_blocks:
+    if path is None:
         return False
     from .core.stream import BlockStream, write_spill
 

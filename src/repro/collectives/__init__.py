@@ -36,7 +36,6 @@ from .translate import (
     collective_volume,
     iter_send_batches,
     iter_send_groups,
-    iter_stream_send_batches,
 )
 from .tree import expand_collective_tree
 
@@ -62,5 +61,4 @@ __all__ = [
     "collective_volume",
     "iter_send_batches",
     "iter_send_groups",
-    "iter_stream_send_batches",
 ]

@@ -4,13 +4,18 @@ Walks a trace and expands every collective record into point-to-point
 messages through a pluggable :class:`~repro.collectives.base.CollectiveAlgorithm`
 engine (default ``flat``, the paper's §4.4 expansion).  Two forms:
 
-- :func:`iter_send_groups` — the per-event iterator: one
-  :class:`SendGroup` per p2p send, one or two per collective record.
-- :func:`iter_send_batches` — the columnar iterator: whole
-  :class:`~repro.core.blocks.EventBlock` runs expand into a handful of
-  fused :class:`SendBatch` arrays (one per block and traffic class /
+- :func:`iter_send_batches` — the columnar iterator every consumer uses:
+  whole :class:`~repro.core.blocks.EventBlock` runs expand into a handful
+  of fused :class:`SendBatch` arrays (one per block and traffic class /
   collective group), which the traffic-matrix builder consumes without
-  per-message allocation.
+  per-message allocation.  It reads any block source — a
+  :class:`~repro.core.trace.Trace` or a
+  :class:`~repro.core.stream.BlockStream`.
+- :func:`iter_send_groups` — the independent per-event reference: one
+  :class:`SendGroup` per p2p send, one or two per collective record,
+  expanded through :meth:`CollectiveAlgorithm.expand`.  The
+  ``repro bench collectives`` identity gate, ``repro fuzz`` and the
+  equivalence tests rebuild matrices through it.
 
 Both produce the same multiset of messages; the equivalence suite pins the
 resulting matrices bit-for-bit.
@@ -26,6 +31,7 @@ import numpy as np
 
 from ..core.blocks import KIND_COLLECTIVE, KIND_P2P_SEND, OPS, EventBlock
 from ..core.events import CollectiveEvent, P2PEvent
+from ..core.stream import BlockStream
 from ..core.trace import Trace
 from .base import CollectiveAlgorithm
 from .patterns import SendGroup
@@ -37,7 +43,6 @@ __all__ = [
     "SendBatch",
     "iter_send_groups",
     "iter_send_batches",
-    "iter_stream_send_batches",
     "collective_volume",
 ]
 
@@ -149,25 +154,20 @@ def _block_batches(
     include_collectives: bool,
     engine: CollectiveAlgorithm,
 ) -> Iterator[SendBatch]:
-    """Expand one block's rows against explicit datatype/communicator tables.
+    """Expand one block's rows against the source's datatype/communicator tables.
 
-    Taking the tables instead of a :class:`Trace` lets the same expansion
-    serve both whole traces and :class:`~repro.core.stream.BlockStream`
-    chunks; each block is self-contained (its name tables intern everything
-    its rows reference), so expansion is chunk-local and the translated
-    message multiset is independent of where chunk boundaries fall.
+    Each block is self-contained (its name tables intern everything its
+    rows reference), so expansion is block-local and the translated
+    message multiset is independent of where block boundaries fall.
     """
-    sizes = np.array(
-        [datatypes.size_of(name) for name in block.dtype_names],
-        dtype=np.int64,
-    )
+    row_bytes = block.row_bytes(datatypes)
     if include_p2p:
         mask = block.kind == KIND_P2P_SEND
         if mask.any():
             yield SendBatch(
                 src=block.caller[mask],
                 dst=block.peer[mask],
-                bytes_per_msg=block.count[mask] * sizes[block.dtype_id[mask]],
+                bytes_per_msg=row_bytes[mask],
                 calls=block.repeat[mask],
                 traffic_class=TrafficClass.P2P,
             )
@@ -176,7 +176,7 @@ def _block_batches(
         if not mask.any():
             return
         callers = block.caller[mask]
-        nbytes = block.count[mask] * sizes[block.dtype_id[mask]]
+        nbytes = row_bytes[mask]
         roots = block.root[mask]
         calls = block.repeat[mask]
         ops = block.op[mask].astype(np.int64)
@@ -197,49 +197,25 @@ def _block_batches(
 
 
 def iter_send_batches(
-    trace: Trace,
+    source: Trace | BlockStream,
     include_p2p: bool = True,
     include_collectives: bool = True,
     collective: str | CollectiveAlgorithm = "flat",
 ) -> Iterator[SendBatch]:
-    """Columnar counterpart of :func:`iter_send_groups`.
+    """Expand a trace's or stream's blocks into fused message batches.
 
-    Expands the trace's :class:`~repro.core.blocks.EventBlock` columns into
-    fused message batches.  Works for any trace (an event-object trace is
-    blockified first); block-native traces pay no per-event cost at all.
-    """
-    assert trace.communicators is not None
-    engine = get_algorithm(collective)
-    for block in trace.blocks():
-        yield from _block_batches(
-            trace.datatypes,
-            trace.communicators,
-            block,
-            include_p2p,
-            include_collectives,
-            engine,
-        )
-
-
-def iter_stream_send_batches(
-    stream,
-    include_p2p: bool = True,
-    include_collectives: bool = True,
-    collective: str | CollectiveAlgorithm = "flat",
-) -> Iterator[SendBatch]:
-    """Chunked collective expansion over a :class:`~repro.core.stream.BlockStream`.
-
-    One chunk is expanded at a time, so peak memory is bounded by the chunk
-    size plus its fan-out, never the whole trace.  Yields the same message
-    multiset as :func:`iter_send_batches` over the materialized trace
-    (collective expansion is per-caller-row independent, so a phase
-    spanning a chunk boundary expands identically).
+    One block is expanded at a time, so over a
+    :class:`~repro.core.stream.BlockStream` peak memory is bounded by the
+    chunk size plus its fan-out, never the whole trace.  Yields the same
+    message multiset as :func:`iter_send_groups` (collective expansion is
+    per-caller-row independent, so a phase spanning a block boundary
+    expands identically).
     """
     engine = get_algorithm(collective)
-    for block in stream:
+    for block in source.blocks():
         yield from _block_batches(
-            stream.datatypes,
-            stream.communicators,
+            source.datatypes,
+            source.communicators,
             block,
             include_p2p,
             include_collectives,
@@ -251,16 +227,9 @@ def collective_volume(
     trace: Trace, collective: str | CollectiveAlgorithm = "flat"
 ) -> int:
     """Total bytes the trace's collectives put on the network once expanded."""
-    if trace.has_native_blocks:
-        return sum(
-            batch.total_bytes
-            for batch in iter_send_batches(
-                trace, include_p2p=False, collective=collective
-            )
+    return sum(
+        batch.total_bytes
+        for batch in iter_send_batches(
+            trace, include_p2p=False, collective=collective
         )
-    total = 0
-    for classified in iter_send_groups(
-        trace, include_p2p=False, collective=collective
-    ):
-        total += classified.group.total_bytes
-    return total
+    )

@@ -6,9 +6,10 @@ number of **packets** (4 kB max payload, paper §4.2.1).  It is the single
 input of every static analysis in this library: MPI-level metrics consume it
 directly; topology models consume it after rank→node mapping.
 
-Matrices are built incrementally from :class:`SendGroup` fan-outs and then
+Matrices are built incrementally from :class:`SendBatch` message arrays
+(or, on the per-event reference path, :class:`SendGroup` fan-outs) and then
 *finalized* into sorted columnar NumPy arrays (``src``, ``dst``, ``nbytes``,
-``messages``, ``packets``).  Accumulation is vectorized per fan-out; the
+``messages``, ``packets``).  Accumulation is vectorized per batch; the
 finalize step merges duplicate pairs with ``np.add.at`` so no Python-level
 loop ever touches individual messages.
 """
@@ -21,13 +22,9 @@ import numpy as np
 
 from .. import timings
 from ..collectives.patterns import SendGroup
-from ..collectives.translate import (
-    SendBatch,
-    iter_send_batches,
-    iter_send_groups,
-    iter_stream_send_batches,
-)
+from ..collectives.translate import SendBatch, iter_send_batches
 from ..core.packets import MAX_PAYLOAD_BYTES, packets_for_bytes_array
+from ..core.stream import BlockStream
 from ..core.trace import Trace
 
 __all__ = [
@@ -346,51 +343,15 @@ def matrix_from_trace(
     """
     with timings.stage("matrix"):
         builder = CommMatrixBuilder(trace.meta.num_ranks, payload=payload)
-
-        # Columnar fast path: block-native traces expand straight from their
-        # arrays — no event objects, no per-message allocation.
-        if trace.has_native_blocks:
-            for batch in iter_send_batches(
-                trace, include_p2p, include_collectives, collective=collective
-            ):
-                builder.add_batch(batch)
-            return builder.finalize()
-
-        # Fast path: point-to-point sends are by far the most numerous records
-        # (hundreds of thousands at the largest scales); gather them into
-        # columnar arrays in one pass instead of one SendGroup per event.
-        if include_p2p:
-            src: list[int] = []
-            dst: list[int] = []
-            per_msg: list[int] = []
-            calls: list[int] = []
-            size_of = trace.datatypes.size_of
-            for ev in trace.iter_p2p_sends():
-                src.append(ev.caller)
-                dst.append(ev.peer)
-                per_msg.append(ev.count * size_of(ev.dtype))
-                calls.append(ev.repeat)
-            if src:
-                per_msg_arr = np.array(per_msg, dtype=np.int64)
-                calls_arr = np.array(calls, dtype=np.int64)
-                builder.add_arrays(
-                    np.array(src, dtype=np.int64),
-                    np.array(dst, dtype=np.int64),
-                    per_msg_arr * calls_arr,
-                    calls_arr,
-                    packets_for_bytes_array(per_msg_arr, payload) * calls_arr,
-                )
-
-        if include_collectives:
-            for classified in iter_send_groups(
-                trace, include_p2p=False, collective=collective
-            ):
-                builder.add_group(classified.group)
+        for batch in iter_send_batches(
+            trace, include_p2p, include_collectives, collective=collective
+        ):
+            builder.add_batch(batch)
         return builder.finalize()
 
 
 def matrix_from_stream(
-    stream,
+    stream: BlockStream,
     include_p2p: bool = True,
     include_collectives: bool = True,
     payload: int = MAX_PAYLOAD_BYTES,
@@ -412,7 +373,7 @@ def matrix_from_stream(
         # distinct-pair count exceeds the threshold still amortizes
         # (never recompacts until the pending set doubles).
         next_compact = compact_rows
-        for batch in iter_stream_send_batches(
+        for batch in iter_send_batches(
             stream, include_p2p, include_collectives, collective=collective
         ):
             builder.add_batch(batch)

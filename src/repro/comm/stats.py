@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..collectives.translate import TrafficClass, iter_send_batches, iter_send_groups
-from ..core.blocks import KIND_COLLECTIVE
+from ..collectives.translate import TrafficClass, iter_send_batches
 from ..core.trace import Trace
 
 __all__ = ["TraceStats", "trace_stats"]
@@ -90,37 +87,16 @@ def trace_stats(trace: Trace) -> TraceStats:
     """Compute the Table-1 row of one trace."""
     p2p = 0
     wire = 0
+    for batch in iter_send_batches(trace):
+        if batch.traffic_class is TrafficClass.P2P:
+            p2p += batch.total_bytes
+        else:
+            wire += batch.total_bytes
     logical = 0
-    if trace.has_native_blocks:
-        for batch in iter_send_batches(trace):
-            if batch.traffic_class is TrafficClass.P2P:
-                p2p += batch.total_bytes
-            else:
-                wire += batch.total_bytes
-        for block in trace.blocks():
-            mask = block.kind == KIND_COLLECTIVE
-            if not mask.any():
-                continue
-            sizes = np.array(
-                [trace.datatypes.size_of(n) for n in block.dtype_names],
-                dtype=np.int64,
-            )
-            logical += int(
-                (
-                    block.count[mask]
-                    * sizes[block.dtype_id[mask]]
-                    * block.repeat[mask]
-                ).sum()
-            )
-    else:
-        for classified in iter_send_groups(trace):
-            if classified.traffic_class is TrafficClass.P2P:
-                p2p += classified.group.total_bytes
-            else:
-                wire += classified.group.total_bytes
-        for ev in trace.iter_collectives():
-            elem = trace.datatypes.size_of(ev.dtype)
-            logical += ev.count * elem * ev.repeat
+    for block in trace.blocks():
+        mask = block.collective_mask()
+        nbytes = block.row_bytes(trace.datatypes)[mask] * block.repeat[mask]
+        logical += int(nbytes.sum())
 
     return TraceStats(
         app=trace.meta.app,

@@ -34,6 +34,7 @@ interned per block: the integer columns ``dtype_id`` / ``comm_id`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -52,6 +53,8 @@ __all__ = [
     "OPS",
     "OP_CODE",
     "EventBlock",
+    "decoded_columns",
+    "same_records",
 ]
 
 #: ``kind`` column values.
@@ -167,6 +170,19 @@ class EventBlock:
 
     def collective_mask(self) -> np.ndarray:
         return self.kind == KIND_COLLECTIVE
+
+    def row_bytes(self, datatypes) -> np.ndarray:
+        """Payload bytes of one call of each row: ``count * element size``.
+
+        ``datatypes`` is the owning trace's
+        :class:`~repro.core.datatypes.DatatypeRegistry`; derived types it
+        does not know resolve to the paper's one-byte convention (§4.3).
+        """
+        sizes = np.array(
+            [datatypes.size_of(name) for name in self.dtype_names],
+            dtype=np.int64,
+        )
+        return self.count * sizes[self.dtype_id]
 
     # -- validation ---------------------------------------------------------
 
@@ -334,3 +350,41 @@ class EventBlock:
             np.zeros(0), np.zeros(0),
             func_names=(),
         )
+
+
+def decoded_columns(blocks: Iterable[EventBlock]) -> dict[str, np.ndarray]:
+    """Concatenated per-record columns with interned ids decoded to names.
+
+    Block *partitioning* is an emitter detail (the columnar front-end emits
+    p2p and collective records as separate blocks; an event-built trace
+    holds one block), and interned name ids are block-local — so records
+    are compared and digested on their decoded values, concatenated across
+    blocks in record order.  The ``dtype``/``comm``/``func`` columns are
+    object arrays of names (``""`` where a row has no function name).
+    """
+    numeric = [c for c in EventBlock._COLUMN_DTYPES if not c.endswith("_id")]
+    parts: dict[str, list[np.ndarray]] = {
+        c: [] for c in numeric + ["dtype", "comm", "func"]
+    }
+    for block in blocks:
+        for column in numeric:
+            parts[column].append(getattr(block, column))
+        for column, ids, names in (
+            ("dtype", block.dtype_id, block.dtype_names),
+            ("comm", block.comm_id, block.comm_names),
+            ("func", block.func_id, block.func_names),
+        ):
+            decoded = np.full(len(ids), "", dtype=object)
+            mask = ids >= 0
+            if mask.any():
+                decoded[mask] = np.asarray(names, dtype=object)[ids[mask]]
+            parts[column].append(decoded)
+    return {
+        c: np.concatenate(v) if v else np.empty(0) for c, v in parts.items()
+    }
+
+
+def same_records(a: Iterable[EventBlock], b: Iterable[EventBlock]) -> bool:
+    """True when two block sequences hold the same records in the same order."""
+    ca, cb = decoded_columns(a), decoded_columns(b)
+    return all(np.array_equal(ca[c], cb[c]) for c in ca)

@@ -117,6 +117,9 @@ class BlockStream:
     ``blocks_factory`` is called anew on every iteration, so the stream can
     be consumed multiple times (each pass regenerates or re-reads the
     chunks); nothing obliges the factory to keep more than one chunk alive.
+    Like a :class:`Trace` it offers ``meta``, ``datatypes``,
+    ``communicators`` and :meth:`blocks`, so block consumers such as
+    :func:`~repro.collectives.translate.iter_send_batches` read either.
     """
 
     def __init__(
@@ -135,10 +138,14 @@ class BlockStream:
         )
         self._factory = blocks_factory
 
-    def __iter__(self) -> Iterator[EventBlock]:
+    def blocks(self) -> Iterator[EventBlock]:
+        """One pass over the non-empty blocks (the :class:`Trace` protocol)."""
         for block in self._factory():
             if len(block):
                 yield block
+
+    def __iter__(self) -> Iterator[EventBlock]:
+        return self.blocks()
 
     # -- construction -------------------------------------------------------
 

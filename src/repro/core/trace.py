@@ -5,17 +5,17 @@ A :class:`Trace` bundles everything one analyzed run contributes:
 - metadata (application name, rank count, traced execution time),
 - the datatype registry used to resolve element sizes,
 - the communicator table,
-- the MPI call records, stored either as a flat list of
-  :class:`~repro.core.events.TraceEvent` objects or as columnar
-  :class:`~repro.core.blocks.EventBlock` arrays.
+- the MPI call records.
 
-The two storages are interchangeable: :meth:`Trace.blocks` converts an
-event-object trace to columns on demand, and the :attr:`Trace.events`
-property lazily materializes event objects from native blocks.  Synthetic
-generators and the dumpi loader produce block-native traces; all existing
-per-event call sites keep working through the lazy view, while the hot
-consumers (traffic matrix, collective translation, statistics) read the
-columns directly.
+Records have one representation: columnar
+:class:`~repro.core.blocks.EventBlock` arrays, read through
+:meth:`Trace.blocks`.  Synthetic generators and the dumpi loader build
+traces straight from blocks; builders that append
+:class:`~repro.core.events.TraceEvent` objects (:meth:`Trace.add`, the
+per-event reference generator, tests) have them converted to one block on
+first read.  :attr:`Trace.events` is a derived view, materialized lazily
+from the blocks for code that wants one object per record; every summary
+and every consumer in the library reads the blocks.
 
 Execution time is taken from trace timestamps, exactly as the paper takes it
 from dumpi wall-clock records; synthetic generators stamp it from their
@@ -30,10 +30,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .blocks import KIND_COLLECTIVE, KIND_P2P_SEND, EventBlock
+from .blocks import KIND_COLLECTIVE, EventBlock, same_records
 from .communicator import CommunicatorTable
 from .datatypes import DatatypeRegistry
-from .events import CollectiveEvent, Direction, P2PEvent, TraceEvent
+from .events import P2PEvent, TraceEvent
 
 __all__ = ["TraceMetadata", "Trace"]
 
@@ -104,13 +104,8 @@ class Trace:
 
     # -- storage ----------------------------------------------------------
 
-    @property
-    def has_native_blocks(self) -> bool:
-        """True when columnar storage is authoritative (fast paths apply)."""
-        return self._blocks is not None
-
     def blocks(self) -> list[EventBlock]:
-        """Columnar view of the trace; converts from events on first use."""
+        """The records as columnar blocks; added events are converted once."""
         if self._blocks is None:
             assert self._events is not None
             self._blocks = (
@@ -120,7 +115,7 @@ class Trace:
 
     @property
     def events(self) -> list[TraceEvent]:
-        """Legacy flat event list; materialized lazily from native blocks.
+        """Per-record event objects, materialized lazily from the blocks.
 
         Treat the returned list as read-only — use :meth:`add` /
         :meth:`extend` to append records so the columnar view stays in sync.
@@ -162,90 +157,48 @@ class Trace:
     # -- iteration --------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._events is None:
-            assert self._blocks is not None
-            return sum(len(b) for b in self._blocks)
-        return len(self._events)
+        return sum(len(b) for b in self.blocks())
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
     def __eq__(self, other: object) -> bool:
+        """Same metadata, tables and records; block partitioning is ignored."""
         if not isinstance(other, Trace):
             return NotImplemented
         return (
             self.meta == other.meta
             and self.datatypes == other.datatypes
             and self.communicators == other.communicators
-            and self.events == other.events
+            and same_records(self.blocks(), other.blocks())
         )
 
     def __repr__(self) -> str:
         return f"Trace(meta={self.meta!r}, records={len(self)})"
-
-    def iter_p2p_sends(self) -> Iterator[P2PEvent]:
-        """All point-to-point records that inject traffic."""
-        for ev in self.events:
-            if isinstance(ev, P2PEvent) and ev.direction is Direction.SEND:
-                yield ev
-
-    def iter_collectives(self) -> Iterator[CollectiveEvent]:
-        for ev in self.events:
-            if isinstance(ev, CollectiveEvent):
-                yield ev
 
     # -- summary properties ------------------------------------------------
 
     @property
     def num_calls(self) -> int:
         """Total MPI calls represented (repeat-expanded count)."""
-        if self._events is None:
-            assert self._blocks is not None
-            return sum(b.num_calls for b in self._blocks)
-        return sum(ev.repeat for ev in self._events)
+        return sum(b.num_calls for b in self.blocks())
 
     def p2p_bytes(self) -> int:
         """Total bytes injected by point-to-point sends (repeat-expanded)."""
-        if self._events is None:
-            assert self._blocks is not None
-            total = 0
-            for block in self._blocks:
-                mask = block.kind == KIND_P2P_SEND
-                if not mask.any():
-                    continue
-                sizes = np.array(
-                    [self.datatypes.size_of(n) for n in block.dtype_names],
-                    dtype=np.int64,
-                )
-                total += int(
-                    (
-                        block.count[mask]
-                        * sizes[block.dtype_id[mask]]
-                        * block.repeat[mask]
-                    ).sum()
-                )
-            return total
         total = 0
-        for ev in self.iter_p2p_sends():
-            total += ev.total_bytes(self.datatypes.size_of(ev.dtype))
+        for block in self.blocks():
+            mask = block.p2p_send_mask()
+            nbytes = block.row_bytes(self.datatypes)[mask] * block.repeat[mask]
+            total += int(nbytes.sum())
         return total
 
     def active_ranks(self) -> set[int]:
         """Ranks that appear as caller or peer of any record."""
-        if self._events is None:
-            assert self._blocks is not None
-            ranks: set[int] = set()
-            for block in self._blocks:
-                ranks.update(np.unique(block.caller).tolist())
-                p2p = block.kind != KIND_COLLECTIVE
-                if p2p.any():
-                    ranks.update(np.unique(block.peer[p2p]).tolist())
-            return ranks
-        ranks = set()
-        for ev in self._events:
-            ranks.add(ev.caller)
-            if isinstance(ev, P2PEvent):
-                ranks.add(ev.peer)
+        ranks: set[int] = set()
+        for block in self.blocks():
+            ranks.update(np.unique(block.caller).tolist())
+            p2p = block.kind != KIND_COLLECTIVE
+            ranks.update(np.unique(block.peer[p2p]).tolist())
         return ranks
 
     @property

@@ -106,16 +106,12 @@ def expand_events(trace: Trace, max_repeat: int | None = None) -> EventTable:
     """
     if max_repeat is not None and max_repeat < 1:
         raise ValueError("max_repeat must be >= 1")
-    size_of = trace.datatypes.size_of
     comm_gids: dict[str, int] = {}
     parts: dict[str, list[np.ndarray]] = {
         name: []
         for name in ("rank", "kind", "peer", "nbytes", "comm", "tag", "op", "root")
     }
     for block in trace.blocks():
-        sizes = np.array(
-            [size_of(name) for name in block.dtype_names], dtype=np.int64
-        )
         gids = np.array(
             [comm_gids.setdefault(name, len(comm_gids)) for name in block.comm_names],
             dtype=np.int64,
@@ -127,7 +123,7 @@ def expand_events(trace: Trace, max_repeat: int | None = None) -> EventTable:
         parts["rank"].append(block.caller[idx])
         parts["kind"].append(block.kind[idx])
         parts["peer"].append(block.peer[idx])
-        parts["nbytes"].append((block.count * sizes[block.dtype_id])[idx])
+        parts["nbytes"].append(block.row_bytes(trace.datatypes)[idx])
         parts["comm"].append(gids[block.comm_id.astype(np.int64)][idx])
         parts["tag"].append(block.tag[idx])
         parts["op"].append(block.op[idx])
@@ -260,13 +256,10 @@ class ChannelAudit:
 
 def channel_audit(trace: Trace) -> ChannelAudit:
     """Aggregate a trace's p2p rows into per-channel send/recv totals."""
-    size_of = trace.datatypes.size_of
     comm_gids: dict[str, int] = {}
     srcs, dsts, comms, tags, sides, calls, nbytes = ([] for _ in range(7))
     for block in trace.blocks():
-        sizes = np.array(
-            [size_of(name) for name in block.dtype_names], dtype=np.int64
-        )
+        row_bytes = block.row_bytes(trace.datatypes)
         gids = np.array(
             [comm_gids.setdefault(name, len(comm_gids)) for name in block.comm_names],
             dtype=np.int64,
@@ -284,7 +277,7 @@ def channel_audit(trace: Trace) -> ChannelAudit:
             rep = block.repeat[mask]
             sides.append(np.full(len(rep), is_send, dtype=bool))
             calls.append(rep)
-            nbytes.append(rep * block.count[mask] * sizes[block.dtype_id[mask]])
+            nbytes.append(rep * row_bytes[mask])
     names = [""] * len(comm_gids)
     for name, gid in comm_gids.items():
         names[gid] = name

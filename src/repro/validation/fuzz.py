@@ -5,7 +5,9 @@ routing) configuration from the small end of the study grid — and drives it
 through each pair of interchangeable implementations the repo maintains:
 
 - **trace front-ends**: columnar (EventBlock) vs per-event generation must
-  be bit-identical (traces and the matrices built from them);
+  be bit-identical, and the columnar matrix must equal one rebuilt from
+  the per-event trace through the independent per-event expansion
+  (``iter_send_groups`` feeding ``CommMatrixBuilder.add_group``);
 - **simulation engines**: batched NumPy kernel vs reference heap loop must
   agree on every observable and produce bitwise-equal telemetry;
 - **cache tiers**: a cold compute vs a disk-cache reload must return the
@@ -28,7 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..apps.registry import get_app, iter_configurations
-from ..comm.matrix import matrix_from_trace
+from ..collectives.translate import iter_send_groups
+from ..comm.matrix import CommMatrixBuilder, matrix_from_trace
 from ..mapping.base import Mapping
 from ..routing import ROUTINGS
 from ..telemetry import TelemetryConfig, reports_equal
@@ -208,11 +211,12 @@ def run_case(
         outcome.discrepancies.append(
             "columnar and per-event trace generation differ"
         )
-    if not matrices_identical(
-        matrix_from_trace(trace), matrix_from_trace(legacy)
-    ):
+    per_event = CommMatrixBuilder(legacy.meta.num_ranks)
+    for classified in iter_send_groups(legacy):
+        per_event.add_group(classified.group)
+    if not matrices_identical(matrix_from_trace(trace), per_event.finalize()):
         outcome.discrepancies.append(
-            "matrices built from columnar vs per-event traces differ"
+            "columnar matrix differs from the per-event expansion"
         )
 
     topology = build_topology(case.topology, case.ranks)

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core.blocks import KIND_P2P_SEND
+from ..core.blocks import same_records
 from ..routing.validate import walks_are_valid
 from ..topology.base import RouteIncidence
 from .base import REL_TOL, CheckContext, Violation, invariant
@@ -52,50 +52,15 @@ def _close(a: float, b: float, rel: float = REL_TOL) -> bool:
 # ------------------------------------------------------------- equality helpers
 
 
-def _decoded_columns(trace) -> dict[str, np.ndarray]:
-    """Concatenated per-record columns with interned ids decoded to names.
-
-    Block *partitioning* is an emitter detail (the columnar front-end emits
-    p2p and collective records as separate blocks; the per-event path
-    materializes one block), and interned name ids are block-local — so
-    records are compared on their decoded values, concatenated across
-    blocks in record order.
-    """
-    from ..core.blocks import EventBlock
-
-    numeric = [c for c in EventBlock._COLUMN_DTYPES if not c.endswith("_id")]
-    parts: dict[str, list[np.ndarray]] = {
-        c: [] for c in numeric + ["dtype", "comm", "func"]
-    }
-    for block in trace.blocks():
-        for column in numeric:
-            parts[column].append(getattr(block, column))
-        for column, ids, names in (
-            ("dtype", block.dtype_id, block.dtype_names),
-            ("comm", block.comm_id, block.comm_names),
-            ("func", block.func_id, block.func_names),
-        ):
-            decoded = np.full(len(ids), "", dtype=object)
-            mask = ids >= 0
-            if mask.any():
-                decoded[mask] = np.asarray(names, dtype=object)[ids[mask]]
-            parts[column].append(decoded)
-    return {
-        c: np.concatenate(v) if v else np.empty(0) for c, v in parts.items()
-    }
-
-
 def traces_identical(a, b) -> bool:
     """Bit-exact trace equality via columnar blocks (no event objects).
 
-    Equivalent to ``a == b`` (same metadata, same record stream) but
-    without materializing per-event objects, so it is usable on the
-    largest configurations.  Insensitive to block partitioning.
+    Same metadata and same record stream; insensitive to block
+    partitioning.  Unlike ``a == b`` it ignores the datatype registry and
+    communicator table, and it accepts a
+    :class:`~repro.core.stream.BlockStream` on either side.
     """
-    if a.meta != b.meta:
-        return False
-    ca, cb = _decoded_columns(a), _decoded_columns(b)
-    return all(np.array_equal(ca[c], cb[c]) for c in ca)
+    return a.meta == b.meta and same_records(a.blocks(), b.blocks())
 
 
 def matrices_identical(a, b) -> bool:
@@ -119,15 +84,8 @@ def _p2p_sent_bytes_per_rank(trace) -> np.ndarray:
     """Bytes injected by each rank's point-to-point sends (from blocks)."""
     sent = np.zeros(trace.meta.num_ranks, dtype=np.int64)
     for block in trace.blocks():
-        mask = block.kind == KIND_P2P_SEND
-        if not mask.any():
-            continue
-        sizes = np.array(
-            [trace.datatypes.size_of(n) for n in block.dtype_names],
-            dtype=np.int64,
-        )
-        nbytes = block.count[mask] * sizes[block.dtype_id[mask]]
-        nbytes *= block.repeat[mask]
+        mask = block.p2p_send_mask()
+        nbytes = block.row_bytes(trace.datatypes)[mask] * block.repeat[mask]
         np.add.at(sent, block.caller[mask], nbytes)
     return sent
 

@@ -78,9 +78,9 @@ class TestRoundTrip:
         block = EventBlock.from_events(events)
         meta = TraceMetadata(app="X", num_ranks=16, execution_time=1.0)
         trace = Trace.from_blocks(meta, [block])
-        assert trace.has_native_blocks
         assert trace.events == events
         assert len(trace) == len(events)
+        assert trace.blocks()[0] is block
 
     def test_trace_blocks_view_of_event_list(self):
         rng = np.random.default_rng(8)
@@ -88,7 +88,8 @@ class TestRoundTrip:
         trace = make_trace(16)
         for ev in events:
             trace.add(ev)
-        assert not trace.has_native_blocks
+        assert len(trace) == len(events)
+        assert trace.num_calls == sum(ev.repeat for ev in events)
         blocks = trace.blocks()
         assert len(blocks) == 1
         assert blocks[0].to_events() == events

@@ -13,10 +13,18 @@ from repro.cache import (
     cached_trace,
     trace_content_key,
 )
+from repro.apps import generate_trace
 from repro.comm.matrix import matrix_from_trace
+from repro.core.communicator import Communicator
+from repro.core.datatypes import MPIDatatype
+from repro.core.events import CollectiveEvent, CollectiveOp, P2PEvent
+from repro.core.stream import ROW_BYTES, BlockStream
+from repro.core.trace import Trace
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.fattree import FatTree
 from repro.topology.torus import Torus3D
+
+from helpers import make_trace
 
 
 def _corrupt_entries(root, junk: bytes) -> None:
@@ -227,6 +235,39 @@ class TestKeys:
         assert k1 == k2
         assert k1[0] == "trace-content"
 
+    @staticmethod
+    def _foreign_trace(row_size: int, sub_members: tuple[int, ...]) -> Trace:
+        """Identical records; only the tables the records resolve against vary."""
+        trace = make_trace(4)
+        trace.datatypes.commit(MPIDatatype("ROW_T", row_size, derived=True))
+        trace.communicators.add(Communicator("SUB", sub_members))
+        trace.add(P2PEvent(caller=0, peer=1, count=10, dtype="ROW_T"))
+        trace.add(
+            CollectiveEvent(
+                caller=0, op=CollectiveOp.BCAST, count=100, dtype="MPI_BYTE",
+                comm="SUB",
+            )
+        )
+        return trace
+
+    def test_foreign_trace_key_sees_datatype_and_communicator_tables(self):
+        small = self._foreign_trace(8, (0, 1))
+        large = self._foreign_trace(64, (0, 2, 3))
+        assert trace_content_key(small) != trace_content_key(large)
+        assert cached_matrix(small).total_bytes == 80 + 2 * 100
+        assert cached_matrix(large).total_bytes == 640 + 3 * 100
+        assert cached_matrix(large).total_bytes == matrix_from_trace(large).total_bytes
+
+    def test_foreign_trace_key_ignores_block_partitioning(self):
+        trace = generate_trace("CMC_2D", 64)
+        one_block = Trace(
+            trace.meta, trace.datatypes, trace.communicators, events=trace.events
+        )
+        rechunked = BlockStream.from_trace(trace).rechunk(7 * ROW_BYTES).to_trace()
+        assert len(one_block.blocks()) == 1 < len(rechunked.blocks())
+        assert trace_content_key(one_block) == trace_content_key(rechunked)
+        assert trace_content_key(one_block) == trace_content_key(trace)
+
     def test_unfingerprinted_topology_bypasses_cache(self):
         class Opaque(Torus3D):
             """A subclass without its own fingerprint is treated as opaque
@@ -248,13 +289,12 @@ class TestKeys:
             "disk_hits": 0,
         }
 
-    def test_cache_version_is_8(self):
-        """v8 added the collective-algorithm engines (v7: critical-path
-        engine) — matrices and happens-before DAGs key on the engine's
-        ``cache_token()``, and a version bump cold-starts the disk tier
-        so no v7 entry expanded under the implicit flat default can
-        alias a tree-engine artifact."""
-        assert cache.CACHE_VERSION == 8
+    def test_cache_version_is_9(self):
+        """v9 re-keyed foreign traces on their datatype sizes and
+        communicator members (v8: collective-algorithm engines) — a
+        version bump cold-starts the disk tier so no v8 matrix keyed on
+        records alone can alias a trace with different tables."""
+        assert cache.CACHE_VERSION == 9
 
     def test_policies_never_share_entries(self):
         """Different routing policies must never alias one cache entry —

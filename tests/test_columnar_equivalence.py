@@ -4,9 +4,13 @@ Every registered application is generated twice — ``columnar=True`` (native
 EventBlock arrays) and ``columnar=False`` (the original per-event loop) — at
 its two smallest calibrated scales, and every downstream artifact is compared
 exactly: event streams, traffic matrices (both collective settings), the §5
-MPI-level metrics, Table-1 statistics, and optimized mappings.  The
-vectorized mapping kernels are additionally pinned against their reference
-implementations on the same matrices.
+MPI-level metrics, Table-1 statistics, and optimized mappings.  Every
+consumer reads blocks, so the reference artifacts are rebuilt from the
+per-event trace through independent per-event code: matrices through
+``iter_send_groups`` → ``CommMatrixBuilder.add_group`` and Table-1 rows
+through ``tests/oracles/stats.py``.  The vectorized mapping kernels are
+additionally pinned against their reference implementations on the same
+matrices.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.collectives.translate import (
     iter_send_batches,
     iter_send_groups,
 )
-from repro.comm.matrix import matrix_from_trace
+from repro.comm.matrix import CommMatrixBuilder, matrix_from_trace
 from repro.comm.stats import trace_stats
 from repro.mapping.base import Mapping
 from repro.mapping.optimized import (
@@ -41,6 +45,8 @@ from repro.metrics.peers import peers_per_rank
 from repro.metrics.selectivity import per_rank_selectivity
 from repro.topology.fattree import FatTree
 from repro.topology.torus import Torus3D
+
+from oracles.stats import trace_stats_per_event
 
 
 def _two_smallest_scales() -> list[tuple[str, int]]:
@@ -63,6 +69,18 @@ def _pair(name: str, ranks: int, emit_receives: bool = False):
     return legacy, columnar
 
 
+@lru_cache(maxsize=None)
+def _per_event_matrix(name: str, ranks: int, include_collectives: bool = True):
+    """The legacy trace's matrix through the per-event expansion."""
+    legacy, _ = _pair(name, ranks)
+    builder = CommMatrixBuilder(legacy.meta.num_ranks)
+    for classified in iter_send_groups(
+        legacy, include_collectives=include_collectives
+    ):
+        builder.add_group(classified.group)
+    return builder.finalize()
+
+
 def _assert_matrices_identical(a, b):
     assert a.num_ranks == b.num_ranks
     for col in ("src", "dst", "nbytes", "messages", "packets"):
@@ -73,7 +91,6 @@ class TestGeneratorEquivalence:
     @pytest.mark.parametrize("name,ranks", CONFIGS)
     def test_event_streams_identical(self, name, ranks):
         legacy, columnar = _pair(name, ranks)
-        assert columnar.has_native_blocks and not legacy.has_native_blocks
         assert columnar.meta == legacy.meta
         assert columnar.events == legacy.events
 
@@ -88,9 +105,10 @@ class TestMatrixEquivalence:
     @pytest.mark.parametrize("name,ranks", CONFIGS)
     @pytest.mark.parametrize("include_collectives", [True, False])
     def test_matrices_bit_identical(self, name, ranks, include_collectives):
-        legacy, columnar = _pair(name, ranks)
-        a = matrix_from_trace(legacy, include_collectives=include_collectives)
-        b = matrix_from_trace(columnar, include_collectives=include_collectives)
+        a = _per_event_matrix(name, ranks, include_collectives)
+        b = matrix_from_trace(
+            _pair(name, ranks)[1], include_collectives=include_collectives
+        )
         _assert_matrices_identical(a, b)
 
     @pytest.mark.parametrize("name,ranks", SMALLEST)
@@ -125,9 +143,8 @@ class TestMatrixEquivalence:
 class TestMetricEquivalence:
     @pytest.mark.parametrize("name,ranks", SMALLEST)
     def test_locality_selectivity_peers_identical(self, name, ranks):
-        legacy, columnar = _pair(name, ranks)
-        a = matrix_from_trace(legacy, include_collectives=False)
-        b = matrix_from_trace(columnar, include_collectives=False)
+        a = _per_event_matrix(name, ranks, include_collectives=False)
+        b = matrix_from_trace(_pair(name, ranks)[1], include_collectives=False)
         # equal_nan: all-collective apps (BigFFT) have empty p2p matrices,
         # whose locality metrics are NaN on both paths
         assert np.isclose(
@@ -142,16 +159,18 @@ class TestMetricEquivalence:
     @pytest.mark.parametrize("name,ranks", SMALLEST)
     def test_trace_stats_identical(self, name, ranks):
         legacy, columnar = _pair(name, ranks)
-        assert trace_stats(legacy) == trace_stats(columnar)
-        assert collective_volume(legacy) == collective_volume(columnar)
+        assert trace_stats(columnar) == trace_stats_per_event(legacy)
+        assert collective_volume(columnar) == sum(
+            c.group.total_bytes
+            for c in iter_send_groups(legacy, include_p2p=False)
+        )
 
 
 class TestMappingEquivalence:
     @pytest.mark.parametrize("name,ranks", SMALLEST)
     def test_optimized_mapping_identical_across_storage(self, name, ranks):
-        legacy, columnar = _pair(name, ranks)
-        a = matrix_from_trace(legacy)
-        b = matrix_from_trace(columnar)
+        a = _per_event_matrix(name, ranks)
+        b = matrix_from_trace(_pair(name, ranks)[1])
         topo = Torus3D((16, 8, 8))
         for method in ("greedy", "bisection"):
             ma = optimize_mapping(a, topo, method=method, ranks_per_node=2, refine=True)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.apps import SCALE_APPS, app_names, get_app, stream_trace
-from repro.collectives.translate import iter_send_batches, iter_stream_send_batches
+from repro.collectives.translate import iter_send_batches
 from repro.comm.matrix import matrix_from_stream, matrix_from_trace
 from repro.core.blocks import KIND_P2P_RECV, KIND_P2P_SEND
 from repro.core.stream import (
@@ -115,7 +115,7 @@ class TestChunking:
         ]
         streamed = [
             (b.src, b.dst, b.bytes_per_msg, b.calls)
-            for b in iter_stream_send_batches(stream)
+            for b in iter_send_batches(stream)
         ]
 
         def cat(parts, i):

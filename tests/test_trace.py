@@ -1,9 +1,14 @@
 """Unit tests for the trace container."""
 
+import numpy as np
 import pytest
 
+from repro.apps import generate_trace
+from repro.comm.matrix import matrix_from_trace
+from repro.comm.stats import trace_stats
 from repro.core.communicator import Communicator
 from repro.core.events import CollectiveEvent, CollectiveOp, Direction, P2PEvent
+from repro.core.stream import ROW_BYTES, BlockStream
 from repro.core.trace import Trace, TraceMetadata
 
 from helpers import make_trace
@@ -51,18 +56,22 @@ class TestTrace:
                 P2PEvent(caller=0, peer=1, count=1, dtype="MPI_BYTE", comm="NOPE")
             )
 
-    def test_iter_p2p_sends_skips_recvs_and_collectives(self):
+    def test_p2p_bytes_skips_recvs_and_collectives(self):
         trace = make_trace(2)
-        trace.add(P2PEvent(caller=0, peer=1, count=1, dtype="MPI_BYTE"))
+        trace.add(P2PEvent(caller=0, peer=1, count=3, dtype="MPI_BYTE"))
         trace.add(
             P2PEvent(
-                caller=1, peer=0, count=1, dtype="MPI_BYTE",
+                caller=1, peer=0, count=5, dtype="MPI_BYTE",
                 direction=Direction.RECV, func="MPI_Recv",
             )
         )
         trace.add(CollectiveEvent(caller=0, op=CollectiveOp.BARRIER))
-        assert len(list(trace.iter_p2p_sends())) == 1
-        assert len(list(trace.iter_collectives())) == 1
+        sends = [
+            ev for ev in trace.events if isinstance(ev, P2PEvent) and ev.is_send
+        ]
+        collectives = [ev for ev in trace.events if isinstance(ev, CollectiveEvent)]
+        assert len(sends) == 1 and len(collectives) == 1
+        assert trace.p2p_bytes() == 3
 
     def test_p2p_bytes_uses_datatype_size(self):
         trace = make_trace(2)
@@ -91,3 +100,55 @@ class TestTrace:
             for r in range(3)
         )
         assert len(trace) == 3
+
+
+def _storage_copies(trace: Trace) -> dict[str, Trace]:
+    """One trace's records in three storages sharing its tables."""
+    return {
+        "native": trace,
+        "events": Trace(
+            trace.meta, trace.datatypes, trace.communicators, events=trace.events
+        ),
+        "rechunked": BlockStream.from_trace(trace).rechunk(97 * ROW_BYTES).to_trace(),
+    }
+
+
+class TestStorageIndependence:
+    """Every summary and consumer sees records, never how they are stored."""
+
+    @pytest.mark.parametrize("storage", ["events", "rechunked"])
+    @pytest.mark.parametrize(
+        "app,ranks",
+        # MOCFE uses derived datatypes (one-byte convention, paper §4.3)
+        [("AMG", 27), ("CMC_2D", 64), ("MOCFE", 64)],
+    )
+    def test_results_bit_identical_across_storage(self, app, ranks, storage):
+        copies = _storage_copies(generate_trace(app, ranks))
+        native, other = copies["native"], copies[storage]
+        if storage == "rechunked":
+            assert len(other.blocks()) > len(native.blocks())
+        else:
+            assert len(other.blocks()) == 1
+        assert other == native and native == other
+        assert len(other) == len(native)
+        assert other.num_calls == native.num_calls
+        assert other.p2p_bytes() == native.p2p_bytes()
+        assert other.active_ranks() == native.active_ranks()
+        assert trace_stats(other) == trace_stats(native)
+        for include_collectives in (True, False):
+            a = matrix_from_trace(other, include_collectives=include_collectives)
+            b = matrix_from_trace(native, include_collectives=include_collectives)
+            for col in ("src", "dst", "nbytes", "messages", "packets"):
+                assert np.array_equal(getattr(a, col), getattr(b, col)), col
+
+    def test_equality_sees_record_changes(self):
+        native = generate_trace("CMC_2D", 64)
+        events = list(native.events)
+        events[-1] = CollectiveEvent(
+            caller=events[-1].caller, op=CollectiveOp.BARRIER,
+            t_enter=events[-1].t_enter, t_leave=events[-1].t_leave,
+        )
+        changed = Trace(
+            native.meta, native.datatypes, native.communicators, events=events
+        )
+        assert changed != native
