@@ -15,7 +15,10 @@ module gives the three hot producers a shared cache:
   matrix content key, the topology fingerprint, and ``(method, seed)``
   (a sweep evaluates the same mapping against several routings and
   bandwidths; spectral/bisection optimization dwarfs everything else at
-  scale, so recomputing it per cell dominated sweep time);
+  scale, so recomputing it per cell dominated sweep time).  The expensive
+  part, the topology-independent rank→slot assignment, is shared: it is
+  keyed on the matrix content key and ``method`` only, and each
+  topology's entry is just its placement;
 - :func:`cached_route_incidence` — route incidences, keyed on the topology
   fingerprint (:meth:`repro.topology.base.Topology.fingerprint`), the
   routing policy's :meth:`~repro.routing.base.RoutingPolicy.cache_token`
@@ -513,8 +516,11 @@ def cached_mapping(matrix, topology, method: str = "greedy", seed: int = 0):
     *within* a single sweep.  ``consecutive`` mappings are returned directly
     (an ``arange`` is cheaper than a cache probe); topologies without a
     structural fingerprint bypass the cache like route incidences do.
+
+    A miss places the matrix's slot assignment (:func:`_cached_slots`),
+    which every topology and seed of one ``(matrix, method)`` shares.
     """
-    from .mapping.optimized import optimize_mapping
+    from .mapping.optimized import optimize_mapping, place_slots
 
     if method == "consecutive":
         value = optimize_mapping(matrix, topology, method=method, seed=seed)
@@ -539,9 +545,34 @@ def cached_mapping(matrix, topology, method: str = "greedy", seed: int = 0):
         region.stats.disk_hits += 1
     else:
         with timings.stage("mapping"):
-            value = optimize_mapping(matrix, topology, method=method, seed=seed)
+            value = place_slots(_cached_slots(matrix, method), topology)
         _disk_store_pickle(path, value)
     _set_provenance(value, key)
+    region.put(key, value)
+    return value
+
+
+def _cached_slots(matrix, method: str) -> np.ndarray:
+    """Memoized :func:`repro.mapping.optimized.optimized_slots`.
+
+    Slot assignments never depend on the topology or the seed, so the key
+    is ``(matrix content key, method)``; entries share the ``mapping``
+    region and its disk tier with the placed mappings.
+    """
+    from .mapping.optimized import optimized_slots
+
+    key = ("mapping-slots", matrix_content_key(matrix), method)
+    region = _regions["mapping"]
+    value = region.get(key)
+    if value is not _MISS:
+        return value
+    path = _disk_path("mapping", key, ".pkl")
+    value = _disk_load_pickle(path)
+    if value is not _MISS:
+        region.stats.disk_hits += 1
+    else:
+        value = optimized_slots(matrix, method)
+        _disk_store_pickle(path, value)
     region.put(key, value)
     return value
 

@@ -3,10 +3,11 @@
 from .base import Mapping
 from .multicore import DEFAULT_CORES, MulticorePoint, inter_node_bytes, multicore_sweep
 from .optimized import (
-    bisection_mapping,
+    bisection_slots,
     greedy_ordering,
     optimize_mapping,
-    place_ordering,
+    optimized_slots,
+    place_slots,
     refine_mapping,
     spectral_ordering,
     weighted_hop_cost,
@@ -14,14 +15,15 @@ from .optimized import (
 
 __all__ = [
     "Mapping",
-    "bisection_mapping",
+    "bisection_slots",
     "DEFAULT_CORES",
     "MulticorePoint",
     "inter_node_bytes",
     "multicore_sweep",
     "greedy_ordering",
     "optimize_mapping",
-    "place_ordering",
+    "optimized_slots",
+    "place_slots",
     "refine_mapping",
     "spectral_ordering",
     "weighted_hop_cost",

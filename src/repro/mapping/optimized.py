@@ -11,6 +11,8 @@ benchmark):
   unplaced rank most strongly connected to the already-placed prefix.
 - :func:`spectral_ordering` — Fiedler-vector ordering of the symmetrized
   traffic graph (a classic 1D locality embedding).
+- :func:`bisection_slots` — recursive spectral bisection of the traffic
+  graph onto contiguous halves of the slot range (the strongest).
 - :func:`refine_mapping` — pairwise-swap hill climbing on the byte-weighted
   hop objective.
 - :func:`optimize_mapping` — the composed entry point.
@@ -19,14 +21,17 @@ The kernels run on a CSR adjacency of the symmetrized traffic graph built
 with array operations; the original dict-of-lists/heap implementations are
 kept as module-private ``*_reference`` functions because they define the
 semantics — the vectorized kernels are pinned against them output-for-output
-by the equivalence suite (identical orderings, identical swap decisions,
-identical splits).
+by the equivalence suite (identical orderings, identical swap decisions).
 
-Orderings are placed on physical nodes via :func:`place_ordering`: on fat
-trees and dragonflies consecutive node numbering is already
-locality-friendly (leaves/groups are contiguous), while on a 3D torus the
-ordering follows a boustrophedon (snake) traversal so that 1D-adjacent ranks
-land on physically adjacent nodes in *every* dimension.
+Every optimized mapping is a topology-independent **node-slot assignment**
+(:func:`optimized_slots`: one slot per rank, ``ranks_per_node`` ranks per
+slot) followed by one placement, :func:`place_slots`, which maps slot ``s``
+to ``sequence[s]``: on fat trees and dragonflies consecutive node numbering
+is already locality-friendly (leaves/groups are contiguous), while on a 3D
+torus the sequence is a boustrophedon (snake) traversal so that adjacent
+slots land on physically adjacent nodes in *every* dimension.  The slot
+assignment is the expensive part, so one is computed per matrix and shared
+by every topology (see :func:`repro.cache.cached_mapping`).
 """
 
 from __future__ import annotations
@@ -46,8 +51,9 @@ __all__ = [
     "weighted_hop_cost",
     "refine_mapping",
     "optimize_mapping",
-    "place_ordering",
-    "bisection_mapping",
+    "optimized_slots",
+    "bisection_slots",
+    "place_slots",
 ]
 
 
@@ -333,36 +339,106 @@ def _refine_mapping_reference(
     return Mapping(nodes, mapping.num_nodes)
 
 
-def place_ordering(
-    order: np.ndarray,
-    topology: Topology,
-    ranks_per_node: int = 1,
-) -> Mapping:
-    """Place a rank ordering onto physical nodes, locality-preserving.
+def _positions(order: np.ndarray) -> np.ndarray:
+    """Inverse permutation: ``_positions(order)[order[i]] == i``."""
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order), dtype=np.int64)
+    return position
 
-    ``order[i]`` is the rank at slot ``i``; slots fill nodes
-    ``ranks_per_node`` at a time.  On a :class:`Torus3D` slots follow the
-    snake traversal (consecutive slots physically adjacent); on other
-    topologies they follow node numbering, which is already contiguous per
-    leaf switch / dragonfly group.
+
+def bisection_slots(matrix: CommMatrix, ranks_per_node: int = 1) -> np.ndarray:
+    """Recursive spectral bisection: the node slot of every rank.
+
+    Both sides are halved recursively: the rank graph by a cut-minimizing
+    Fiedler split of the induced subgraph, the slot range by contiguous
+    halves.  :func:`place_slots` turns contiguous slot ranges into compact
+    machine regions, so unlike a single 1D ordering the recursion preserves
+    *multidimensional* structure: each communicating cluster lands in a
+    compact region.
+
+    Each frame carries its own subgraph's edges in frame-local indices and
+    partitions them between its two children after the split, so no split
+    rescans the whole graph.  A part of at most two ranks, or with no
+    internal edges, keeps its given order all the way down, so its ranks
+    fill its slots in order in one step.
     """
-    order = np.asarray(order, dtype=np.int64)
-    n = len(order)
-    if not np.array_equal(np.sort(order), np.arange(n)):
-        raise ValueError("ordering must be a bijection on rank IDs")
+    n = matrix.num_ranks
+    uu, vv, ww = _symmetric_coo(matrix)
     slots = np.empty(n, dtype=np.int64)
-    slots[order] = np.arange(n, dtype=np.int64)
-    node_index = slots // ranks_per_node
+    stack = [(np.arange(n, dtype=np.int64), 0, -(-n // ranks_per_node), uu, vv, ww)]
+    while stack:
+        ranks, slot_lo, slot_hi, u, v, w = stack.pop()
+        k = len(ranks)
+        width = slot_hi - slot_lo
+        # left halves always get full slots, so a part that keeps its order
+        # puts its i-th rank in slot slot_lo + i // ranks_per_node, and a
+        # one-slot part has k <= ranks_per_node
+        if k <= max(2, ranks_per_node) or not len(w):
+            slots[ranks] = slot_lo + np.arange(k, dtype=np.int64) // ranks_per_node
+            continue
+        left_slots = width // 2
+        left_size = min(k, left_slots * ranks_per_node)
+        W = np.zeros((k, k), dtype=np.float64)
+        # symmetric COO entries are unique per (u, v), so assignment == accumulate
+        W[u, v] = w
+        W /= W.max()
+        L = np.diag(W.sum(axis=1)) - W
+        # deterministic dense solve; parts shrink geometrically so this is the
+        # dominant cost only at the first level
+        _, vecs = np.linalg.eigh(L)
+        order = np.argsort(vecs[:, 1], kind="stable")
+        position = _positions(order)
+        pu, pv = position[u], position[v]
+        left = (pu < left_size) & (pv < left_size)
+        right = (pu >= left_size) & (pv >= left_size)
+        ordered = ranks[order]
+        stack.append(
+            (ordered[:left_size], slot_lo, slot_lo + left_slots,
+             pu[left], pv[left], w[left])
+        )
+        stack.append(
+            (ordered[left_size:], slot_lo + left_slots, slot_hi,
+             pu[right] - left_size, pv[right] - left_size, w[right])
+        )
+    return slots
+
+
+def optimized_slots(
+    matrix: CommMatrix, method: str, ranks_per_node: int = 1
+) -> np.ndarray:
+    """The topology-independent node slot of every rank under ``method``.
+
+    ``"greedy"`` and ``"spectral"`` fill slots in ordering position;
+    ``"bisection"`` assigns them by :func:`bisection_slots`.  No producer
+    reads a seed, so one assignment serves every topology and seed.
+    """
+    if method == "greedy":
+        return _positions(greedy_ordering(matrix)) // ranks_per_node
+    if method == "spectral":
+        return _positions(spectral_ordering(matrix)) // ranks_per_node
+    if method == "bisection":
+        return bisection_slots(matrix, ranks_per_node)
+    raise ValueError(f"unknown mapping method {method!r}")
+
+
+def place_slots(slots: np.ndarray, topology: Topology) -> Mapping:
+    """Place node slots onto physical nodes, locality-preserving.
+
+    On a :class:`Torus3D` slots follow the snake traversal (consecutive
+    slots physically adjacent, contiguous slot ranges geometrically
+    compact); on other topologies they follow node numbering, which is
+    already contiguous per leaf switch / dragonfly group.
+    """
     if isinstance(topology, Torus3D):
         sequence = topology.snake_order()
     else:
         sequence = np.arange(topology.num_nodes, dtype=np.int64)
-    if int(node_index.max()) >= len(sequence):
+    if int(slots.max()) >= len(sequence):
         raise ValueError(
-            f"{n} ranks at {ranks_per_node}/node exceed "
+            f"{len(slots)} ranks on {int(slots.max()) + 1} node slots exceed "
             f"{topology.num_nodes} nodes"
         )
-    return Mapping(sequence[node_index], topology.num_nodes)
+    return Mapping(sequence[slots], topology.num_nodes)
 
 
 def optimize_mapping(
@@ -375,6 +451,10 @@ def optimize_mapping(
     fallback: bool = False,
 ) -> Mapping:
     """Build a locality-optimized mapping.
+
+    The rank→slot assignment (:func:`optimized_slots`) does not depend on
+    the topology; :func:`place_slots` places it, then ``refine`` and
+    ``fallback`` work on the placed mapping.
 
     Parameters
     ----------
@@ -394,14 +474,9 @@ def optimize_mapping(
     n = matrix.num_ranks
     if method == "consecutive":
         mapping = Mapping.consecutive(n, topology.num_nodes, ranks_per_node)
-    elif method == "greedy":
-        mapping = place_ordering(greedy_ordering(matrix), topology, ranks_per_node)
-    elif method == "spectral":
-        mapping = place_ordering(spectral_ordering(matrix), topology, ranks_per_node)
-    elif method == "bisection":
-        mapping = bisection_mapping(matrix, topology, ranks_per_node, seed=seed)
     else:
-        raise ValueError(f"unknown mapping method {method!r}")
+        slots = optimized_slots(matrix, method, ranks_per_node)
+        mapping = place_slots(slots, topology)
     if refine:
         mapping = refine_mapping(matrix, topology, mapping, seed=seed)
     if fallback and method != "consecutive":
@@ -411,83 +486,3 @@ def optimize_mapping(
         ):
             return baseline
     return mapping
-
-
-def _fiedler_split(
-    ranks: np.ndarray,
-    coo: tuple[np.ndarray, np.ndarray, np.ndarray],
-    num_ranks: int,
-    left_size: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``ranks`` into (left, right) with ``left_size`` on the left,
-    minimizing the byte-weighted cut via a Fiedler-vector ordering of the
-    induced subgraph.  Falls back to the given order for tiny or
-    disconnected parts."""
-    n = len(ranks)
-    uu, vv, ww = coo
-    index = np.full(num_ranks, -1, dtype=np.int64)
-    index[ranks] = np.arange(n, dtype=np.int64)
-    sel = (index[uu] >= 0) & (index[vv] >= 0)
-    W = np.zeros((n, n), dtype=np.float64)
-    # symmetric COO entries are unique per (u, v), so assignment == accumulate
-    W[index[uu[sel]], index[vv[sel]]] = ww[sel]
-    total = W.sum()
-    if total == 0 or n <= 2:
-        return ranks[:left_size], ranks[left_size:]
-    W /= W.max()
-    L = np.diag(W.sum(axis=1)) - W
-    # deterministic dense solve; parts shrink geometrically so this is the
-    # dominant cost only at the first level
-    _, vecs = np.linalg.eigh(L)
-    fiedler = vecs[:, 1]
-    order = np.argsort(fiedler, kind="stable")
-    ordered = ranks[order]
-    return ordered[:left_size], ordered[left_size:]
-
-
-def bisection_mapping(
-    matrix: CommMatrix,
-    topology: Topology,
-    ranks_per_node: int = 1,
-    seed: int = 0,
-) -> Mapping:
-    """Recursive spectral-bisection co-mapping (the classic 'smart mapping').
-
-    Both sides are halved recursively: the rank graph by a cut-minimizing
-    Fiedler split, the machine by contiguous halves of its hierarchical
-    placement sequence (snake curve on tori — geometric halves; numeric
-    order on fat trees/dragonflies — pod/leaf/group halves).  Unlike a
-    single 1D ordering, the recursion preserves *multidimensional*
-    structure: each communicating cluster lands in a compact machine region.
-    """
-    n = matrix.num_ranks
-    coo = _symmetric_coo(matrix)
-    rng = np.random.default_rng(seed)
-    if isinstance(topology, Torus3D):
-        sequence = topology.snake_order()
-    else:
-        sequence = np.arange(topology.num_nodes, dtype=np.int64)
-    num_slots = -(-n // ranks_per_node)
-    if num_slots > len(sequence):
-        raise ValueError(
-            f"{n} ranks at {ranks_per_node}/node exceed {topology.num_nodes} nodes"
-        )
-
-    nodes = np.empty(n, dtype=np.int64)
-    stack: list[tuple[np.ndarray, int, int]] = [
-        (np.arange(n, dtype=np.int64), 0, num_slots)
-    ]
-    while stack:
-        ranks, slot_lo, slot_hi = stack.pop()
-        width = slot_hi - slot_lo
-        if width == 1 or len(ranks) <= ranks_per_node:
-            nodes[ranks] = sequence[slot_lo]
-            continue
-        left_slots = width // 2
-        left_size = min(len(ranks), left_slots * ranks_per_node)
-        left, right = _fiedler_split(ranks, coo, n, left_size, rng)
-        stack.append((left, slot_lo, slot_lo + left_slots))
-        if len(right):
-            stack.append((right, slot_lo + left_slots, slot_hi))
-    return Mapping(nodes, topology.num_nodes)

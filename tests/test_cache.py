@@ -8,6 +8,7 @@ import pytest
 from repro import cache
 from repro.cache import (
     array_digest,
+    cached_mapping,
     cached_matrix,
     cached_route_incidence,
     cached_trace,
@@ -20,6 +21,8 @@ from repro.core.datatypes import MPIDatatype
 from repro.core.events import CollectiveEvent, CollectiveOp, P2PEvent
 from repro.core.stream import ROW_BYTES, BlockStream
 from repro.core.trace import Trace
+from repro.mapping import optimized
+from repro.mapping.optimized import optimize_mapping
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.fattree import FatTree
 from repro.topology.torus import Torus3D
@@ -409,3 +412,56 @@ class TestCorruptionEviction:
         cache.clear(memory=True)
         cached_trace("LULESH", 64)
         assert cache.stats()["trace"]["disk_hits"] == 1
+
+
+class TestSharedSlots:
+    """One slot assignment per (matrix, method), placed once per topology."""
+
+    TOPOLOGIES = (Torus3D((4, 4, 4)), FatTree(radix=16, stages=2), Dragonfly(4, 2, 2))
+
+    @pytest.fixture
+    def slot_calls(self, monkeypatch):
+        calls: dict[str, int] = {}
+        produce = optimized.optimized_slots
+
+        def counting(matrix, method, ranks_per_node=1):
+            calls[method] = calls.get(method, 0) + 1
+            return produce(matrix, method, ranks_per_node)
+
+        monkeypatch.setattr(optimized, "optimized_slots", counting)
+        return calls
+
+    @pytest.fixture
+    def matrix(self):
+        return cached_matrix(cached_trace("LULESH", 64))
+
+    # spectral is left out: ARPACK starts from a random vector, so two
+    # spectral orderings of one matrix need not agree
+    def test_cold_topologies_share_one_slot_computation(self, matrix, slot_calls):
+        for method in ("greedy", "bisection"):
+            mappings = [cached_mapping(matrix, t, method=method) for t in self.TOPOLOGIES]
+            assert slot_calls[method] == 1
+            for topo, mapping in zip(self.TOPOLOGIES, mappings):
+                expected = optimize_mapping(matrix, topo, method=method).nodes
+                assert np.array_equal(mapping.nodes, expected), (method, topo)
+
+    def test_seeds_share_one_slot_computation(self, matrix, slot_calls):
+        topo = self.TOPOLOGIES[0]
+        a = cached_mapping(matrix, topo, method="bisection", seed=0)
+        b = cached_mapping(matrix, topo, method="bisection", seed=1)
+        assert a is not b  # per-seed entries, as before
+        assert np.array_equal(a.nodes, b.nodes)
+        assert slot_calls == {"bisection": 1}
+
+    def test_slot_entry_round_trips_disk(self, tmp_path, matrix, slot_calls):
+        cache.configure(disk_dir=tmp_path)
+        for topo in self.TOPOLOGIES:
+            cached_mapping(matrix, topo, method="bisection")
+        cache.clear(memory=True)
+        fourth = Torus3D((8, 4, 4))
+        nodes = cached_mapping(matrix, fourth, method="bisection").nodes
+        assert slot_calls == {"bisection": 1}
+        assert cache.stats()["mapping"]["disk_hits"] == 1
+        assert np.array_equal(
+            nodes, optimize_mapping(matrix, fourth, method="bisection").nodes
+        )

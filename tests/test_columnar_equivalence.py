@@ -10,7 +10,8 @@ per-event trace through independent per-event code: matrices through
 ``iter_send_groups`` → ``CommMatrixBuilder.add_group`` and Table-1 rows
 through ``tests/oracles/stats.py``.  The vectorized mapping kernels are
 additionally pinned against their reference implementations on the same
-matrices.
+matrices, and greedy mappings through the slot path against the reference
+ordering placed by ``tests/oracles/mapping.py``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.metrics.selectivity import per_rank_selectivity
 from repro.topology.fattree import FatTree
 from repro.topology.torus import Torus3D
 
+from oracles.mapping import place_ordering
 from oracles.stats import trace_stats_per_event
 
 
@@ -191,9 +193,18 @@ class TestMappingEquivalence:
                 == adj.get(u, [])
             )
 
-        assert np.array_equal(greedy_ordering(m), _greedy_ordering_reference(m))
+        reference_order = _greedy_ordering_reference(m)
+        assert np.array_equal(greedy_ordering(m), reference_order)
 
         topo = FatTree(radix=48, stages=2)
+        for placed_on in (topo, Torus3D((16, 8, 8))):
+            for ranks_per_node in (1, 2):
+                slot_path = optimize_mapping(
+                    m, placed_on, method="greedy", ranks_per_node=ranks_per_node
+                )
+                expected = place_ordering(reference_order, placed_on, ranks_per_node)
+                assert np.array_equal(slot_path.nodes, expected.nodes)
+
         base = Mapping.consecutive(m.num_ranks, topo.num_nodes, 1)
         fast = refine_mapping(m, topo, base, seed=0)
         slow = _refine_mapping_reference(m, topo, base, seed=0)

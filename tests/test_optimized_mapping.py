@@ -1,8 +1,11 @@
 """Tests for locality-aware mapping optimization (the paper's §7 suggestion)."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from repro.apps import app_names, get_app, generate_trace
 from repro.comm.matrix import matrix_from_trace
 from repro.mapping.base import Mapping
 from repro.mapping.optimized import (
@@ -12,9 +15,13 @@ from repro.mapping.optimized import (
     spectral_ordering,
     weighted_hop_cost,
 )
+from repro.topology.dragonfly import Dragonfly
+from repro.topology.fattree import FatTree
 from repro.topology.torus import Torus3D
+from repro.validation.suite import build_topology
 
 from helpers import make_matrix
+from oracles.mapping import bisection_mapping
 
 
 def scrambled_ring(n: int, seed: int = 3):
@@ -137,3 +144,56 @@ class TestFallbackGuard:
         for method in ("greedy", "spectral", "bisection"):
             guarded = optimize_mapping(matrix, topo, method=method, fallback=True)
             assert weighted_hop_cost(matrix, topo, guarded) <= base
+
+
+@lru_cache(maxsize=None)
+def _smallest_matrix(name: str):
+    return matrix_from_trace(generate_trace(name, get_app(name).scales()[0]))
+
+
+def _ring(ranks: list[int], nbytes: int = 1000) -> list[tuple[int, int, int]]:
+    return [(a, b, nbytes) for a, b in zip(ranks, ranks[1:] + ranks[:1])]
+
+
+class TestBisectionOracle:
+    """Slot bisection + one placement == the whole-graph per-topology pass."""
+
+    @pytest.mark.parametrize("ranks_per_node", [1, 2])
+    @pytest.mark.parametrize("kind", ["torus3d", "fattree", "dragonfly"])
+    @pytest.mark.parametrize("name", app_names())
+    def test_registry_apps_match_oracle(self, name, kind, ranks_per_node):
+        matrix = _smallest_matrix(name)
+        topo = build_topology(kind, matrix.num_ranks)
+        fast = optimize_mapping(
+            matrix, topo, method="bisection", ranks_per_node=ranks_per_node
+        )
+        slow = bisection_mapping(matrix, topo, ranks_per_node)
+        assert np.array_equal(fast.nodes, slow.nodes)
+
+    @pytest.mark.parametrize(
+        "num_ranks,pairs",
+        [
+            # odd rank count: uneven halves at every level
+            (27, _ring([int(r) for r in np.random.default_rng(3).permutation(27)])),
+            # isolated ranks 9..15 never communicate
+            (16, _ring(list(range(9))) + [(0, 4, 50_000)]),
+            # two disconnected components, interleaved rank IDs
+            (20, _ring(list(range(0, 20, 2))) + _ring(list(range(1, 20, 2)), 7)),
+            # no traffic at all
+            (11, []),
+        ],
+        ids=["odd", "isolated", "two-components", "silent"],
+    )
+    @pytest.mark.parametrize("ranks_per_node", [1, 2, 3])
+    def test_hand_built_graphs_match_oracle(self, num_ranks, pairs, ranks_per_node):
+        matrix = make_matrix(num_ranks, pairs)
+        for topo in (Torus3D((3, 3, 3)), FatTree(radix=12, stages=2), Dragonfly(4, 2, 2)):
+            fast = optimize_mapping(
+                matrix, topo, method="bisection", ranks_per_node=ranks_per_node
+            )
+            slow = bisection_mapping(matrix, topo, ranks_per_node)
+            assert np.array_equal(fast.nodes, slow.nodes), topo
+
+    def test_capacity_checked_at_placement(self):
+        with pytest.raises(ValueError, match="exceed 8 nodes"):
+            optimize_mapping(scrambled_ring(27), Torus3D((2, 2, 2)), method="bisection")
