@@ -18,7 +18,7 @@ from ..metrics.heatmap import heatmap_summary
 from ..metrics.summary import mpi_level_metrics
 from ..model.energy import EnergyModel
 from ..model.engine import analyze_network
-from ..topology.configs import config_for
+from ..topology.configs import TOPOLOGY_KINDS, build_topology
 from ..util import fmt_float
 
 __all__ = [
@@ -68,17 +68,11 @@ def build_report(
         heat = heatmap_summary(p2p)
 
         full = cached_matrix(trace)
-        cfg = config_for(point.ranks)
         analyses = {
-            "torus3d": analyze_network(
-                full, cfg.build_torus(), execution_time=point.time_s
-            ),
-            "fattree": analyze_network(
-                full, cfg.build_fat_tree(), execution_time=point.time_s
-            ),
-            "dragonfly": analyze_network(
-                full, cfg.build_dragonfly(), execution_time=point.time_s
-            ),
+            kind: analyze_network(
+                full, build_topology(kind, point.ranks), execution_time=point.time_s
+            )
+            for kind in TOPOLOGY_KINDS
         }
         best = min(analyses, key=lambda k: analyses[k].avg_hops)
         max_util = max(a.utilization for a in analyses.values())
@@ -148,7 +142,7 @@ class CollectiveDeltaRow:
 def build_collective_deltas(
     max_ranks: int | None = None,
     seed: int = 0,
-    topologies: tuple[str, ...] = ("torus3d", "fattree", "dragonfly"),
+    topologies: tuple[str, ...] = TOPOLOGY_KINDS,
     routings: tuple[str, ...] = ("minimal", "valiant"),
     collectives: tuple[str, ...] | None = None,
 ) -> list[CollectiveDeltaRow]:
@@ -176,12 +170,6 @@ def build_collective_deltas(
         trace = cached_trace(name, ranks, seed=seed)
         if collective_volume(trace) == 0:
             continue
-        cfg = config_for(ranks)
-        builders = {
-            "torus3d": cfg.build_torus,
-            "fattree": cfg.build_fat_tree,
-            "dragonfly": cfg.build_dragonfly,
-        }
         matrices = {
             algo: cached_matrix(trace, collective=algo) for algo in collectives
         }
@@ -190,7 +178,7 @@ def build_collective_deltas(
             for algo in collectives
         }
         for kind in topologies:
-            topology = builders[kind]()
+            topology = build_topology(kind, ranks)
             for routing in routings:
                 base_hops: float | None = None
                 for algo in collectives:

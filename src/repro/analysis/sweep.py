@@ -26,9 +26,12 @@ so each worker's process-local cache still gets within-app hits.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 from ..cache import cached_mapping, cached_matrix, cached_trace
@@ -36,110 +39,240 @@ from ..collectives.registry import COLLECTIVES
 from ..mapping.base import Mapping
 from ..model.engine import BANDWIDTH_BYTES_PER_S, analyze_network
 from ..routing import ROUTINGS
-from ..topology.configs import config_for
+from ..topology.configs import TOPOLOGY_KINDS, build_topology
 
-__all__ = ["SweepSpec", "run_sweep", "unique_points"]
+__all__ = [
+    "AXES",
+    "Axis",
+    "MAPPING_METHODS",
+    "POINT_NAMES",
+    "SweepSpec",
+    "axis",
+    "run_sweep",
+    "unique_points",
+]
 
 _log = logging.getLogger("repro.sweep")
 
-_TOPOLOGY_BUILDERS = {
-    "torus3d": lambda cfg: cfg.build_torus(),
-    "fattree": lambda cfg: cfg.build_fat_tree(),
-    "dragonfly": lambda cfg: cfg.build_dragonfly(),
-}
+MAPPING_METHODS = ("consecutive", "random", "greedy", "spectral", "bisection")
 
-_MAPPING_METHODS = ("consecutive", "random", "greedy", "spectral", "bisection")
+
+# ------------------------------------------------------------ converters
+# Each returns the canonical form of one value or raises ValueError.  They
+# are strict on purpose: a JSON "false" or "48" is an error, not a truthy
+# flag or a string that fails later.
+
+
+def _bool(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _int(minimum: int) -> Callable[[Any], int]:
+    def convert(value: Any) -> int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {value}")
+        return int(value)
+
+    return convert
+
+
+def _float(ok: Callable[[float], bool], expected: str) -> Callable[[Any], float]:
+    def convert(value: Any) -> float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"must be a number, got {value!r}")
+        if not ok(float(value)):
+            raise ValueError(f"must be {expected}, got {value!r}")
+        return float(value)
+
+    return convert
+
+
+def _one_of(registry: tuple[str, ...], what: str) -> Callable[[Any], str]:
+    def convert(value: Any) -> str:
+        if not isinstance(value, str) or value not in registry:
+            raise ValueError(f"unknown {what} {value!r}; known: {list(registry)}")
+        return value
+
+    return convert
+
+
+def _app(value: Any) -> tuple[str, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"entries are (name, ranks) pairs, got {value!r}")
+    name, ranks = value
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"app name must be a non-empty string, got {name!r}")
+    try:
+        return (name, _int(1)(ranks))
+    except ValueError as exc:
+        raise ValueError(f"ranks of {name} {exc}") from None
+
+
+def _parse_app(text: str) -> tuple[str, int]:
+    name, _, ranks = text.partition(":")
+    if not name or not ranks.isdigit():
+        raise ValueError(f"entries are NAME:RANKS, got {text!r}")
+    return (name, int(ranks))
+
+
+_positive = _float(lambda v: 0.0 < v < math.inf, "positive and finite")
+
+
+# ------------------------------------------------------------ declaration
+
+
+@dataclass(frozen=True)
+class Axis:
+    """How one :class:`SweepSpec` field is checked, keyed, and exposed.
+
+    ``point`` names the slots a point axis fills in every grid point (and
+    record); a field with no point names is *shared* by every cell.  A
+    shared field with a ``gate`` shapes records only while that boolean
+    field is on, so it enters the cell key only then.  ``flag`` (with
+    ``help`` and the text parser ``parse``) exposes the field on the
+    ``sweep`` and ``submit`` commands.
+    """
+
+    default: Any
+    convert: Callable[[Any], Any]
+    point: tuple[str, ...] = ()
+    gate: str | None = None
+    flag: str | None = None
+    help: str = ""
+    parse: Callable[[str], Any] = str
+
+    @property
+    def many(self) -> bool:
+        """A tuple of values, each checked by ``convert``."""
+        return isinstance(self.default, tuple)
+
+
+def axis(default: Any, convert: Callable[[Any], Any], **kwargs: Any) -> Any:
+    """Declare one spec field; see :class:`Axis` for the keywords."""
+    if isinstance(kwargs.get("point"), str):
+        kwargs["point"] = (kwargs["point"],)
+    return field(default=default, metadata={"axis": Axis(default, convert, **kwargs)})
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """The axes of one sweep.
 
-    ``apps`` are (name, ranks) pairs; the other axes cross-product against
-    them.  ``include_collectives`` mirrors the §5 (False) vs §6 (True)
-    analysis modes.
+    Every field is declared once, through :func:`axis`; validation, the
+    grid, the wire format (``repro.service.cells``), cell keys, and the
+    ``sweep``/``submit`` flags are all derived from those declarations.
+    Point axes come first, in grid order (outermost first); every tuple
+    field multiplies the record count, bandwidths looping innermost.
+    ``include_collectives`` mirrors the §5 (False) vs §6 (True) analysis
+    modes.
     """
 
-    apps: tuple[tuple[str, int], ...] = (("LULESH", 64),)
-    topologies: tuple[str, ...] = ("torus3d", "fattree", "dragonfly")
-    mappings: tuple[str, ...] = ("consecutive",)
-    payloads: tuple[int, ...] = (4096,)
-    bandwidths: tuple[float, ...] = (BANDWIDTH_BYTES_PER_S,)
-    routings: tuple[str, ...] = ("minimal",)
-    #: Collective-algorithm engines to cross (``repro.collectives``
-    #: registry names); ``flat`` is the paper's expansion.
-    collectives: tuple[str, ...] = ("flat",)
-    include_collectives: bool = True
-    seed: int = 0
-    #: Opt-in telemetry axis: when True every point also runs the dynamic
-    #: simulator with a windowed collector and merges a compact congestion
-    #: summary (peak occupancy, hot windows, region stats) into its records.
-    telemetry: bool = False
-    telemetry_windows: int = 48
-    telemetry_threshold: float = 0.7
-    sim_volume_scale: float = 1.0
-    #: Opt-in critical-path axis: when True every point also builds the
-    #: happens-before DAG under the LogGP cost model and merges the modelled
-    #: makespan and network-latency sensitivity (dT/dL) into its records.
-    critpath: bool = False
-    critpath_max_repeat: int = 64
+    apps: tuple[tuple[str, int], ...] = axis(
+        (("LULESH", 64),), _app, point=("app", "ranks"), flag="--apps",
+        parse=_parse_app,
+        help="comma-separated NAME:RANKS pairs, e.g. LULESH:64,AMG:216",
+    )
+    payloads: tuple[int, ...] = axis(
+        (4096,), _int(1), point="payload", flag="--payloads", parse=int,
+        help="comma-separated packet payloads",
+    )
+    topologies: tuple[str, ...] = axis(
+        TOPOLOGY_KINDS, _one_of(TOPOLOGY_KINDS, "topology"), point="topology",
+        flag="--topologies",
+        help=f"comma-separated topology kinds ({', '.join(TOPOLOGY_KINDS)})",
+    )
+    mappings: tuple[str, ...] = axis(
+        ("consecutive",), _one_of(MAPPING_METHODS, "mapping method"),
+        point="mapping", flag="--mappings",
+        help=f"comma-separated mapping methods ({', '.join(MAPPING_METHODS)})",
+    )
+    routings: tuple[str, ...] = axis(
+        ("minimal",), _one_of(ROUTINGS, "routing policy"), point="routing",
+        flag="--routings",
+        help=f"comma-separated routing policies ({', '.join(ROUTINGS)})",
+    )
+    collectives: tuple[str, ...] = axis(
+        ("flat",), _one_of(COLLECTIVES, "collective algorithm"),
+        point="collective", flag="--collectives",
+        help="comma-separated collective-algorithm engines "
+        f"({', '.join(COLLECTIVES)}; flat is the paper's expansion)",
+    )
+    bandwidths: tuple[float, ...] = axis((BANDWIDTH_BYTES_PER_S,), _positive)
+    include_collectives: bool = axis(True, _bool)
+    seed: int = axis(
+        0, _int(0), flag="--seed", parse=int,
+        help="seed of traces, random mappings and randomized routings",
+    )
+    telemetry: bool = axis(
+        False, _bool, flag="--telemetry",
+        help="also simulate each point with a windowed collector and merge "
+        "a compact congestion summary into the records",
+    )
+    telemetry_windows: int = axis(48, _int(1), gate="telemetry")
+    telemetry_threshold: float = axis(
+        0.7, _float(lambda v: 0.0 < v <= 1.0, "in (0, 1]"), gate="telemetry"
+    )
+    sim_volume_scale: float = axis(1.0, _positive, gate="telemetry")
+    critpath: bool = axis(
+        False, _bool, flag="--critpath",
+        help="also build each point's happens-before DAG and merge the "
+        "LogGP critical path and latency sensitivity into the records",
+    )
+    critpath_max_repeat: int = axis(64, _int(1), gate="critpath")
 
     def __post_init__(self) -> None:
-        if not self.apps:
-            raise ValueError("sweep needs at least one (app, ranks) pair")
-        if self.telemetry_windows < 1:
-            raise ValueError("telemetry_windows must be >= 1")
-        if not 0.0 < self.telemetry_threshold <= 1.0:
-            raise ValueError("telemetry_threshold must be in (0, 1]")
-        if self.sim_volume_scale <= 0:
-            raise ValueError("sim_volume_scale must be positive")
-        if self.critpath_max_repeat < 1:
-            raise ValueError("critpath_max_repeat must be >= 1")
-        unknown = set(self.topologies) - set(_TOPOLOGY_BUILDERS)
-        if unknown:
-            raise ValueError(f"unknown topologies {sorted(unknown)}")
-        unknown = set(self.mappings) - set(_MAPPING_METHODS)
-        if unknown:
-            raise ValueError(f"unknown mapping methods {sorted(unknown)}")
-        unknown = set(self.routings) - set(ROUTINGS)
-        if unknown:
-            raise ValueError(f"unknown routing policies {sorted(unknown)}")
-        unknown = set(self.collectives) - set(COLLECTIVES)
-        if unknown:
-            raise ValueError(f"unknown collective algorithms {sorted(unknown)}")
-        if any(p <= 0 for p in self.payloads):
-            raise ValueError("payloads must be positive")
-        if any(b <= 0 for b in self.bandwidths):
-            raise ValueError("bandwidths must be positive")
+        for name, decl in AXES.items():
+            value = getattr(self, name)
+            try:
+                if not decl.many:
+                    value = decl.convert(value)
+                elif not isinstance(value, (list, tuple)):
+                    raise ValueError(f"must be a list of values, got {value!r}")
+                elif not value:
+                    raise ValueError("needs at least one value")
+                else:
+                    value = tuple(decl.convert(v) for v in value)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+            object.__setattr__(self, name, value)
 
     @property
     def num_points(self) -> int:
-        return (
-            len(self.apps)
-            * len(self.topologies)
-            * len(self.mappings)
-            * len(self.payloads)
-            * len(self.routings)
-            * len(self.collectives)
-            * len(self.bandwidths)
+        """Records the sweep yields: the product of every tuple field."""
+        return math.prod(
+            len(getattr(self, name)) for name, decl in AXES.items() if decl.many
         )
 
-    def points(self) -> list[tuple[str, int, int, str, str, str, str]]:
-        """The grid in canonical evaluation order (bandwidths loop inside)."""
-        return [
-            (app, ranks, payload, topo_kind, mapping_method, routing, collective)
-            for app, ranks in self.apps
-            for payload in self.payloads
-            for topo_kind in self.topologies
-            for mapping_method in self.mappings
-            for routing in self.routings
-            for collective in self.collectives
-        ]
+    def points(self) -> list[tuple]:
+        """The grid in canonical evaluation order (bandwidths loop inside).
+
+        Each point is a flat tuple named by :data:`POINT_NAMES`.
+        """
+        grid = (
+            [v if len(decl.point) > 1 else (v,) for v in getattr(self, name)]
+            for name, decl in AXES.items()
+            if decl.point
+        )
+        return [sum(combo, ()) for combo in itertools.product(*grid)]
 
 
-def unique_points(
-    spec: SweepSpec,
-) -> tuple[list[tuple[str, int, int, str, str, str, str]], int]:
+#: Every spec field's declaration, in field order.
+AXES: dict[str, Axis] = {f.name: f.metadata["axis"] for f in fields(SweepSpec)}
+
+#: The slots of a grid point: ``(app, ranks, payload, topology, mapping,
+#: routing, collective)``.
+POINT_NAMES: tuple[str, ...] = tuple(
+    slot for decl in AXES.values() for slot in decl.point
+)
+
+
+def unique_points(spec: SweepSpec) -> tuple[list[tuple], int]:
     """The grid with duplicate cells collapsed, plus the collapsed count.
 
     Duplicate axis values (``apps=(("LULESH", 64), ("LULESH", 64))``) used
@@ -200,8 +333,7 @@ def _eval_point(
         payload=payload,
         collective=collective,
     )
-    cfg = config_for(ranks)
-    topology = _TOPOLOGY_BUILDERS[topo_kind](cfg)
+    topology = build_topology(topo_kind, ranks)
     mapping = _build_mapping(mapping_method, matrix, topology, spec.seed)
     critpath_fields: dict[str, Any] = {}
     if spec.critpath:

@@ -18,7 +18,7 @@ from ..core.trace import Trace
 from ..metrics.dimensionality import locality_by_dimension
 from ..metrics.summary import MPILevelMetrics, mpi_level_metrics
 from ..model.engine import NetworkAnalysis, analyze_network
-from ..topology.configs import TABLE2, TopologyConfig, config_for
+from ..topology.configs import TABLE2, TOPOLOGY_KINDS, TopologyConfig, build_all
 from ..util import fmt_float
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "build_latency_rows",
     "render_latency_table",
 ]
-
-TOPOLOGY_ORDER = ("torus3d", "fattree", "dragonfly")
 
 
 # ---------------------------------------------------------------- Table 1
@@ -123,17 +121,11 @@ def build_table3_row(trace: Trace, p2p_matrix: CommMatrix | None = None) -> Tabl
         p2p_matrix = cached_matrix(trace, include_collectives=False)
     metrics = mpi_level_metrics(trace, p2p_matrix)
     full_matrix = cached_matrix(trace)
-    cfg = config_for(trace.meta.num_ranks)
-    topologies = {
-        "torus3d": cfg.build_torus(),
-        "fattree": cfg.build_fat_tree(),
-        "dragonfly": cfg.build_dragonfly(),
-    }
     network = {
         kind: analyze_network(
             full_matrix, topo, execution_time=trace.meta.execution_time
         )
-        for kind, topo in topologies.items()
+        for kind, topo in build_all(trace.meta.num_ranks).items()
     }
     return Table3Row(metrics=metrics, network=network)
 
@@ -167,7 +159,7 @@ def render_table3(rows: list[Table3Row]) -> str:
         else:
             left = f"{m.label:<28} {'N/A':>6} {'N/A':>8} {'N/A':>6} |"
         cells = ""
-        for kind in TOPOLOGY_ORDER:
+        for kind in TOPOLOGY_KINDS:
             net = row.network[kind]
             cells += (
                 f" {net.packet_hops:>9.2e} "

@@ -300,14 +300,9 @@ def run_routing_bench(
     """
     from . import cache
     from .routing import ROUTINGS, get_policy
-    from .topology.configs import config_for
+    from .topology.configs import build_all
 
-    cfg = config_for(ranks)
-    topologies = {
-        "torus3d": cfg.build_torus(),
-        "fattree": cfg.build_fat_tree(),
-        "dragonfly": cfg.build_dragonfly(),
-    }
+    topologies = build_all(ranks)
     rng = np.random.default_rng(seed)
     per_topology: dict[str, Any] = {}
     slowdowns: dict[str, list[float]] = {name: [] for name in ROUTINGS}

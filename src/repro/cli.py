@@ -19,7 +19,7 @@ Usage::
     python -m repro compose --jobs LULESH:64,CMC_2D:64 [--noise HotspotNoise:64] [--allocation round_robin]
     python -m repro critpath --app LULESH --ranks 64 [--topology torus3d] [--routing ugal] [--collective-algo binomial]
     python -m repro critpath --table [--max-ranks N] [--topology torus3d]
-    python -m repro sweep   --app LULESH --ranks 64 [--routings minimal,valiant,ugal] [--collectives flat,binomial] [--critpath]
+    python -m repro sweep   --apps LULESH:64,AMG:216 [--routings minimal,valiant,ugal] [--collectives flat,binomial] [--critpath]
     python -m repro serve   --state DIR [--workers N] [--scheduler affinity|random]
     python -m repro submit  --state DIR --app LULESH --ranks 64 [--wait]
     python -m repro jobs    --state DIR [--stats | --cancel JOB | --shutdown]
@@ -63,18 +63,54 @@ __all__ = ["main", "build_parser"]
 #: files, and invalid parameter combinations.
 _USER_ERRORS = (ValueError, KeyError, FileNotFoundError, NotADirectoryError)
 
-#: Kept literal (matching repro.routing.ROUTINGS) so --help needs no imports.
-_ROUTING_CHOICES = (
-    "minimal", "ecmp", "valiant", "dmodk", "ugal", "interference_aware"
-)
 
-#: Kept literal (matching repro.collectives.COLLECTIVES) for the same reason.
-_COLLECTIVE_CHOICES = (
-    "flat", "binomial", "ring", "recursive_doubling", "bine"
-)
+def _split(value: str) -> tuple[str, ...]:
+    """The non-empty items of a comma-separated flag value."""
+    return tuple(s.strip() for s in value.split(",") if s.strip())
+
+
+def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
+    """The sweep-grid flags, one per flagged ``SweepSpec`` field."""
+    from .analysis.sweep import AXES
+
+    (app, ranks), = AXES["apps"].default
+    p.add_argument("--app", default=app, help="one app (--apps overrides)")
+    p.add_argument("--ranks", type=int, default=ranks, help="its rank count")
+    for name, axis in AXES.items():
+        if axis.flag is None:
+            continue
+        action = "store_true" if isinstance(axis.default, bool) else "store"
+        p.add_argument(
+            axis.flag, dest=name, action=action, default=None, help=axis.help
+        )
+
+
+def _spec_from_args(args):
+    """The ``SweepSpec`` the flags of :func:`_add_spec_arguments` describe."""
+    from .analysis.sweep import AXES, SweepSpec
+
+    kwargs = {"apps": ((args.app, args.ranks),)}
+    for name, axis in AXES.items():
+        value = getattr(args, name, None)
+        if axis.flag is None or value is None:
+            continue
+        if isinstance(value, str):
+            try:
+                if axis.many:
+                    value = tuple(axis.parse(v) for v in _split(value))
+                else:
+                    value = axis.parse(value)
+            except ValueError as exc:
+                raise ValueError(f"{axis.flag}: {exc}") from None
+        kwargs[name] = value
+    return SweepSpec(**kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .collectives.registry import COLLECTIVES
+    from .routing import ROUTINGS
+    from .topology.configs import TOPOLOGY_KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro-locality",
         description=(
@@ -163,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_routing(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--routing", default="minimal", choices=_ROUTING_CHOICES,
+            "--routing", default="minimal", choices=ROUTINGS,
             help="routing policy carrying the traffic (default: minimal)",
         )
         p.add_argument(
@@ -173,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_collective(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--collective-algo", default="flat", choices=_COLLECTIVE_CHOICES,
+            "--collective-algo", default="flat", choices=COLLECTIVES,
             help="collective-algorithm engine expanding collectives to "
             "point-to-point traffic (default: flat, the paper's expansion)",
         )
@@ -182,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--app", required=True)
     sl.add_argument("--ranks", type=int, required=True)
     sl.add_argument(
-        "--topology", default="torus3d",
-        choices=("torus3d", "fattree", "dragonfly"),
+        "--topology", default="torus3d", choices=TOPOLOGY_KINDS,
     )
     add_routing(sl)
     add_collective(sl)
@@ -194,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--app", required=True)
     sm.add_argument("--ranks", type=int, required=True)
     sm.add_argument(
-        "--topology", default="torus3d",
-        choices=("torus3d", "fattree", "dragonfly"),
+        "--topology", default="torus3d", choices=TOPOLOGY_KINDS,
     )
     sm.add_argument(
         "--volume-scale", type=float, default=1.0,
@@ -215,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     tm.add_argument("--app", required=True)
     tm.add_argument("--ranks", type=int, required=True)
     tm.add_argument(
-        "--topology", default="torus3d",
-        choices=("torus3d", "fattree", "dragonfly"),
+        "--topology", default="torus3d", choices=TOPOLOGY_KINDS,
     )
     tm.add_argument(
         "--windows", type=int, default=48,
@@ -268,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the random allocation policy",
     )
     cm.add_argument(
-        "--topology", default="torus3d",
-        choices=("torus3d", "fattree", "dragonfly"),
+        "--topology", default="torus3d", choices=TOPOLOGY_KINDS,
     )
     cm.add_argument(
         "--windows", type=int, default=48,
@@ -306,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_max_ranks(cp)
     cp.add_argument(
-        "--topology", default="torus3d",
-        choices=("torus3d", "fattree", "dragonfly", "none"),
+        "--topology", default="torus3d", choices=(*TOPOLOGY_KINDS, "none"),
         help="'none' models a zero-diameter network (no per-hop term)",
     )
     cp.add_argument(
@@ -341,43 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser(
         "sweep", help="cross a custom parameter grid (incl. routing policies)"
     )
-    sw.add_argument("--app", default="LULESH")
-    sw.add_argument("--ranks", type=int, default=64)
-    sw.add_argument(
-        "--topologies", default="torus3d,fattree,dragonfly",
-        help="comma-separated topology kinds",
-    )
-    sw.add_argument(
-        "--mappings", default="consecutive",
-        help="comma-separated mapping methods",
-    )
-    sw.add_argument(
-        "--routings", default="minimal",
-        help=f"comma-separated routing policies ({', '.join(_ROUTING_CHOICES)})",
-    )
-    sw.add_argument(
-        "--payloads", default="4096", help="comma-separated packet payloads"
-    )
-    sw.add_argument(
-        "--collectives", default="flat",
-        help="comma-separated collective-algorithm engines "
-        f"({', '.join(_COLLECTIVE_CHOICES)})",
-    )
+    _add_spec_arguments(sw)
     sw.add_argument(
         "--workers", type=int, default=1,
         help="evaluate grid points in this many processes",
     )
-    sw.add_argument(
-        "--telemetry", action="store_true",
-        help="also simulate each point with a windowed collector and merge "
-        "a compact congestion summary into the records",
-    )
-    sw.add_argument(
-        "--critpath", action="store_true",
-        help="also build each point's happens-before DAG and merge the "
-        "LogGP critical path and latency sensitivity into the records",
-    )
-    sw.add_argument("--seed", type=int, default=0)
     add_format(sw)
 
     def add_service(p: argparse.ArgumentParser) -> None:
@@ -411,33 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a sweep grid to a running service"
     )
     add_service(sb)
-    sb.add_argument("--app", default="LULESH")
-    sb.add_argument("--ranks", type=int, default=64)
-    sb.add_argument(
-        "--apps", default=None, metavar="NAME:RANKS,...",
-        help="multi-app grid, e.g. LULESH:64,AMG:216 (overrides --app/--ranks)",
-    )
-    sb.add_argument(
-        "--topologies", default="torus3d,fattree,dragonfly",
-        help="comma-separated topology kinds",
-    )
-    sb.add_argument(
-        "--mappings", default="consecutive",
-        help="comma-separated mapping methods",
-    )
-    sb.add_argument(
-        "--routings", default="minimal",
-        help=f"comma-separated routing policies ({', '.join(_ROUTING_CHOICES)})",
-    )
-    sb.add_argument(
-        "--payloads", default="4096", help="comma-separated packet payloads"
-    )
-    sb.add_argument(
-        "--collectives", default="flat",
-        help="comma-separated collective-algorithm engines "
-        f"({', '.join(_COLLECTIVE_CHOICES)})",
-    )
-    sb.add_argument("--seed", type=int, default=0)
+    _add_spec_arguments(sb)
     sb.add_argument(
         "--wait", action="store_true",
         help="stream progress until done, then print the records",
@@ -502,18 +475,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated application names to check (default: all)",
     )
     ck.add_argument(
-        "--topologies", default="torus3d,fattree,dragonfly",
+        "--topologies", default=",".join(TOPOLOGY_KINDS),
         help="comma-separated topology kinds to check",
     )
     ck.add_argument(
         "--routings", default=None,
         help=f"comma-separated routing policies (default: all of "
-        f"{', '.join(_ROUTING_CHOICES)})",
+        f"{', '.join(ROUTINGS)})",
     )
     ck.add_argument(
         "--collectives", default="flat",
         help="comma-separated collective-algorithm engines to cross the "
-        f"grid with ({', '.join(_COLLECTIVE_CHOICES)})",
+        f"grid with ({', '.join(COLLECTIVES)})",
     )
     ck.add_argument(
         "--no-sim", action="store_true",
@@ -740,16 +713,11 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
     elif args.command == "slack":
         from .comm.matrix import matrix_from_trace
         from .model.slack import bandwidth_slack
-        from .topology.configs import config_for
+        from .topology.configs import build_topology
 
         trace = generate_trace(args.app, args.ranks)
         matrix = matrix_from_trace(trace, collective=args.collective_algo)
-        cfg = config_for(args.ranks)
-        topo = {
-            "torus3d": cfg.build_torus,
-            "fattree": cfg.build_fat_tree,
-            "dragonfly": cfg.build_dragonfly,
-        }[args.topology]()
+        topo = build_topology(args.topology, args.ranks)
         report = bandwidth_slack(
             matrix,
             topo,
@@ -778,16 +746,11 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
         from .comm.matrix import matrix_from_trace
         from .model.engine import analyze_network
         from .sim.engine import simulate_network
-        from .topology.configs import config_for
+        from .topology.configs import build_topology
 
         trace = generate_trace(args.app, args.ranks)
         matrix = matrix_from_trace(trace, collective=args.collective_algo)
-        cfg = config_for(args.ranks)
-        topo = {
-            "torus3d": cfg.build_torus,
-            "fattree": cfg.build_fat_tree,
-            "dragonfly": cfg.build_dragonfly,
-        }[args.topology]()
+        topo = build_topology(args.topology, args.ranks)
         t = trace.meta.execution_time
         static = analyze_network(
             matrix,
@@ -827,20 +790,13 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
             report_to_json_dict,
             save_report_npz,
         )
-        from .topology.configs import config_for
+        from .topology.configs import build_topology
 
         trace = generate_trace(args.app, args.ranks)
         matrix = matrix_from_trace(trace, collective=args.collective_algo)
-        cfg = config_for(args.ranks)
-        topo = {
-            "torus3d": cfg.build_torus,
-            "fattree": cfg.build_fat_tree,
-            "dragonfly": cfg.build_dragonfly,
-        }[args.topology]()
+        topo = build_topology(args.topology, args.ranks)
         if args.compare:
-            policies = tuple(
-                s.strip() for s in args.compare.split(",") if s.strip()
-            )
+            policies = _split(args.compare)
             records = congestion_by_routing(
                 matrix,
                 topo,
@@ -910,7 +866,7 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
             interference_report,
             render_interference_report,
         )
-        from .topology.configs import config_for
+        from .topology.configs import build_topology
 
         def parse_specs(value: str) -> list:
             specs = []
@@ -933,12 +889,7 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
             allocation=args.allocation,
             alloc_seed=args.alloc_seed,
         )
-        cfg = config_for(workload.num_ranks)
-        topo = {
-            "torus3d": cfg.build_torus,
-            "fattree": cfg.build_fat_tree,
-            "dragonfly": cfg.build_dragonfly,
-        }[args.topology]()
+        topo = build_topology(args.topology, workload.num_ranks)
         print(
             f"composed {workload.trace.meta.label} "
             f"({workload.num_jobs} jobs, {args.allocation} allocation) "
@@ -998,7 +949,7 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
             print(analysis.render_latency_table(rows))
         else:
             from .cache import cached_trace
-            from .validation.suite import build_topology
+            from .topology.configs import build_topology
 
             trace = cached_trace(args.app, args.ranks, seed=args.seed)
             topo = None
@@ -1045,22 +996,10 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
                 "(+1% critical path)"
             )
     elif args.command == "sweep":
-        from .analysis.sweep import SweepSpec, run_sweep
+        from .analysis.sweep import run_sweep
 
-        def split(value: str) -> tuple[str, ...]:
-            return tuple(s.strip() for s in value.split(",") if s.strip())
+        spec = _spec_from_args(args)
 
-        spec = SweepSpec(
-            apps=((args.app, args.ranks),),
-            topologies=split(args.topologies),
-            mappings=split(args.mappings),
-            routings=split(args.routings),
-            payloads=tuple(int(p) for p in split(args.payloads)),
-            collectives=split(args.collectives),
-            seed=args.seed,
-            telemetry=args.telemetry,
-            critpath=args.critpath,
-        )
         def cells_done(done: int, total: int) -> None:
             print(f"  {done}/{total} cells done", file=sys.stderr)
 
@@ -1079,23 +1018,7 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
                 file=sys.stderr,
             )
             return 1
-        if getattr(args, "format", "text") == "text":
-            header = (
-                f"{'topology':<10} {'mapping':<12} {'routing':<8} "
-                f"{'collective':<10} {'payload':>7} {'avg hops':>9} "
-                f"{'util %':>10} {'links':>7}"
-            )
-            print(f"# {args.app}@{args.ranks}: {len(records)} records")
-            print(header)
-            for r in records:
-                print(
-                    f"{r['topology']:<10} {r['mapping']:<12} {r['routing']:<8} "
-                    f"{r['collective']:<10} {r['payload']:>7} "
-                    f"{r['avg_hops']:>9.3f} "
-                    f"{r['utilization_percent']:>10.5f} {r['used_links']:>7}"
-                )
-        else:
-            emit(records, "")
+        _print_job_records(args, analysis, records)
     elif args.command == "serve":
         from pathlib import Path
 
@@ -1165,15 +1088,12 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
     elif args.command == "check":
         from .validation import run_check_suite
 
-        def split(value: str) -> tuple[str, ...]:
-            return tuple(s.strip() for s in value.split(",") if s.strip())
-
         report = run_check_suite(
             max_ranks=args.max_ranks,
-            apps=split(args.apps) if args.apps else None,
-            topologies=split(args.topologies),
-            routings=split(args.routings) if args.routings else None,
-            collectives=split(args.collectives),
+            apps=_split(args.apps) if args.apps else None,
+            topologies=_split(args.topologies),
+            routings=_split(args.routings) if args.routings else None,
+            collectives=_split(args.collectives),
             sim=not args.no_sim,
             target_packets=args.target_packets,
             seed=args.seed,
@@ -1360,35 +1280,11 @@ def _run_service_client(args, analysis) -> int:
     socket_path = args.socket or str(Path(args.state) / "service.sock")
     client = SweepClient(socket_path)
 
-    def split(value: str) -> tuple[str, ...]:
-        return tuple(s.strip() for s in value.split(",") if s.strip())
-
     try:
         if args.command == "submit":
-            from .analysis.sweep import SweepSpec
             from .service.cells import spec_to_dict
 
-            if args.apps:
-                apps = []
-                for part in split(args.apps):
-                    name, _, ranks = part.partition(":")
-                    if not name or not ranks.isdigit():
-                        raise ValueError(
-                            f"--apps entries are NAME:RANKS, got {part!r}"
-                        )
-                    apps.append((name, int(ranks)))
-                app_axis = tuple(apps)
-            else:
-                app_axis = ((args.app, args.ranks),)
-            spec = SweepSpec(
-                apps=app_axis,
-                topologies=split(args.topologies),
-                mappings=split(args.mappings),
-                routings=split(args.routings),
-                payloads=tuple(int(p) for p in split(args.payloads)),
-                collectives=split(args.collectives),
-                seed=args.seed,
-            )
+            spec = _spec_from_args(args)
             resp = client.submit(spec_to_dict(spec))
             print(
                 f"{resp['job']}: {resp['cells']} cells "

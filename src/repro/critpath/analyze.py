@@ -245,7 +245,7 @@ def latency_table(
     """
     from ..apps.registry import iter_configurations
     from ..cache import cached_trace
-    from ..validation.suite import build_topology
+    from ..topology.configs import build_topology
 
     smallest: dict[str, int] = {}
     for app, point in iter_configurations(max_ranks):

@@ -8,6 +8,15 @@ bit-identical records no matter which job, worker, or server lifetime
 computes them — the property the journal, the in-flight dedup table, and
 the record cache all rest on.
 
+Everything here is derived from the spec's field declarations
+(:data:`~repro.analysis.sweep.AXES`).  A *gated* shared field — the
+``telemetry_*`` fields and ``sim_volume_scale`` behind ``telemetry``,
+``critpath_max_repeat`` behind ``critpath`` — enters the key only while
+its gate is on: with the gate off it shapes no record, so it must not split
+one computation over several keys.  Values enter the key in the canonical
+form ``SweepSpec`` converts them to, so ``telemetry=True`` from Python and
+``"telemetry": true`` from the wire share one key.
+
 The **affinity token** is the coarser grouping the scheduler routes on: the
 subset of the key that selects the expensive cached artifacts (the trace
 and its matrices).  Cells sharing a token want to land on the same worker,
@@ -22,7 +31,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from ..analysis.sweep import SweepSpec, unique_points
+from ..analysis.sweep import AXES, POINT_NAMES, SweepSpec, unique_points
 
 __all__ = [
     "CELL_KEY_VERSION",
@@ -36,107 +45,48 @@ __all__ = [
 
 #: Bump when record semantics change (new record fields, changed rounding,
 #: changed cell evaluation) — journals and record caches never mix versions.
+#: ``tests/test_service.py`` pins a digest of one cell's records to this
+#: number, so such a change fails there until both move together.
 #: v2: critical-path axis (critpath / critpath_max_repeat spec fields).
 #: v3: collective-algorithm axis (points grew a ``collective`` field).
-CELL_KEY_VERSION = 3
+#: v4: gated shared fields enter the key only while their gate is on.
+CELL_KEY_VERSION = 4
 
-#: Grid-point axes in canonical order (matches ``SweepSpec.points()`` rows).
-_POINT_FIELDS = (
-    "app",
-    "ranks",
-    "payload",
-    "topology",
-    "mapping",
-    "routing",
-    "collective",
-)
 
-#: Spec-level fields that shape every cell's records.
-_SHARED_FIELDS = (
-    "bandwidths",
-    "include_collectives",
-    "seed",
-    "telemetry",
-    "telemetry_windows",
-    "telemetry_threshold",
-    "sim_volume_scale",
-    "critpath",
-    "critpath_max_repeat",
-)
+def _jsonable(value: Any) -> Any:
+    return [_jsonable(v) for v in value] if isinstance(value, tuple) else value
 
 
 def spec_to_dict(spec: SweepSpec) -> dict[str, Any]:
     """A JSON-safe dict that :func:`spec_from_dict` inverts exactly."""
-    return {
-        "apps": [[name, ranks] for name, ranks in spec.apps],
-        "topologies": list(spec.topologies),
-        "mappings": list(spec.mappings),
-        "payloads": list(spec.payloads),
-        "bandwidths": list(spec.bandwidths),
-        "routings": list(spec.routings),
-        "collectives": list(spec.collectives),
-        "include_collectives": spec.include_collectives,
-        "seed": spec.seed,
-        "telemetry": spec.telemetry,
-        "telemetry_windows": spec.telemetry_windows,
-        "telemetry_threshold": spec.telemetry_threshold,
-        "sim_volume_scale": spec.sim_volume_scale,
-        "critpath": spec.critpath,
-        "critpath_max_repeat": spec.critpath_max_repeat,
-    }
+    return {name: _jsonable(getattr(spec, name)) for name in AXES}
 
 
 def spec_from_dict(data: dict[str, Any]) -> SweepSpec:
     """Rebuild a :class:`SweepSpec` from :func:`spec_to_dict` output.
 
-    Validation happens in ``SweepSpec.__post_init__``; unknown keys raise
-    so a stale client cannot silently submit fields the server ignores.
+    Missing fields take their declared defaults; ``SweepSpec`` validates
+    the rest with the same strict converters the Python API and the CLI
+    use.  Unknown keys raise so a stale client cannot silently submit
+    fields the server ignores.
     """
-    data = dict(data)
-    apps = data.pop("apps", None)
-    if not apps:
-        raise ValueError("sweep spec needs a non-empty 'apps' list")
-    kwargs: dict[str, Any] = {
-        "apps": tuple((str(name), int(ranks)) for name, ranks in apps)
-    }
-    for field, convert in (
-        ("topologies", str),
-        ("mappings", str),
-        ("routings", str),
-        ("collectives", str),
-        ("payloads", int),
-        ("bandwidths", float),
-    ):
-        if field in data:
-            kwargs[field] = tuple(convert(v) for v in data.pop(field))
-    for field in (
-        "include_collectives",
-        "seed",
-        "telemetry",
-        "telemetry_windows",
-        "telemetry_threshold",
-        "sim_volume_scale",
-        "critpath",
-        "critpath_max_repeat",
-    ):
-        if field in data:
-            kwargs[field] = data.pop(field)
-    if data:
-        raise ValueError(f"unknown sweep spec fields {sorted(data)}")
-    return SweepSpec(**kwargs)
-
-
-def _shared_fields(spec: SweepSpec) -> dict[str, Any]:
-    fields = spec_to_dict(spec)
-    return {name: fields[name] for name in _SHARED_FIELDS}
+    unknown = set(data) - set(AXES)
+    if unknown:
+        raise ValueError(f"unknown sweep spec fields {sorted(unknown)}")
+    return SweepSpec(**data)
 
 
 def cell_key(spec: SweepSpec, point: tuple) -> str:
     """Content key of one cell: a hex digest over (point, shared fields)."""
+    shared = {
+        name: _jsonable(getattr(spec, name))
+        for name, axis in AXES.items()
+        if not axis.point and (axis.gate is None or getattr(spec, axis.gate))
+    }
     payload = {
         "v": CELL_KEY_VERSION,
-        "point": dict(zip(_POINT_FIELDS, point)),
-        "shared": _shared_fields(spec),
+        "point": dict(zip(POINT_NAMES, point)),
+        "shared": shared,
     }
     raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(raw.encode(), digest_size=16).hexdigest()

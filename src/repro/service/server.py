@@ -554,7 +554,7 @@ class SweepService:
                     response = self._handle_op(op, request)
                 except KeyError as exc:
                     response = {"ok": False, "error": str(exc.args[0])}
-                except (RuntimeError, ValueError) as exc:
+                except (RuntimeError, ValueError, TypeError) as exc:
                     response = {"ok": False, "error": str(exc)}
                 await self._reply(writer, response)
                 if op == "shutdown" and response.get("ok"):

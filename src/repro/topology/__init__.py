@@ -4,8 +4,10 @@ from .base import RouteIncidence, Topology
 from .configs import (
     TABLE2,
     TABLE2_SIZES,
+    TOPOLOGY_KINDS,
     TopologyConfig,
     build_all,
+    build_topology,
     config_for,
     dragonfly_params_for,
     fat_tree_stages_for,
@@ -22,8 +24,10 @@ __all__ = [
     "Topology",
     "TABLE2",
     "TABLE2_SIZES",
+    "TOPOLOGY_KINDS",
     "TopologyConfig",
     "build_all",
+    "build_topology",
     "config_for",
     "dragonfly_params_for",
     "fat_tree_stages_for",

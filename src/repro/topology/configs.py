@@ -30,6 +30,8 @@ __all__ = [
     "fat_tree_stages_for",
     "dragonfly_params_for",
     "config_for",
+    "TOPOLOGY_KINDS",
+    "build_topology",
     "build_all",
 ]
 
@@ -174,11 +176,28 @@ def config_for(num_ranks: int) -> TopologyConfig:
     )
 
 
+#: The one topology kind -> builder map, in the paper's column order.
+_BUILDERS = {
+    "torus3d": TopologyConfig.build_torus,
+    "fattree": TopologyConfig.build_fat_tree,
+    "dragonfly": TopologyConfig.build_dragonfly,
+}
+
+#: Every topology kind a table, sweep, or command can build.
+TOPOLOGY_KINDS: tuple[str, ...] = tuple(_BUILDERS)
+
+
+def build_topology(kind: str, num_ranks: int) -> Torus3D | FatTree | Dragonfly:
+    """The configured topology of ``kind`` sized for ``num_ranks``."""
+    try:
+        builder = _BUILDERS[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown topology {kind!r}; known: {list(TOPOLOGY_KINDS)}"
+        ) from None
+    return builder(config_for(num_ranks))
+
+
 def build_all(num_ranks: int) -> dict[str, Torus3D | FatTree | Dragonfly]:
     """Instantiate all three configured topologies for a problem size."""
-    cfg = config_for(num_ranks)
-    return {
-        "torus3d": cfg.build_torus(),
-        "fattree": cfg.build_fat_tree(),
-        "dragonfly": cfg.build_dragonfly(),
-    }
+    return {kind: build_topology(kind, num_ranks) for kind in TOPOLOGY_KINDS}

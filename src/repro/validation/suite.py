@@ -27,11 +27,12 @@ from ..cache import cached_matrix, cached_route_incidence, cached_trace
 from ..mapping.base import Mapping
 from ..model.engine import _node_pair_aggregate, analyze_network
 from ..routing import ROUTINGS
-from ..topology.configs import config_for
+from ..topology.configs import TOPOLOGY_KINDS, build_topology
 from .base import CheckContext, Violation, all_invariants, run_invariants
 
 __all__ = [
     "TOPOLOGY_KINDS",
+    "build_topology",
     "ScenarioResult",
     "SuiteReport",
     "build_static_context",
@@ -40,25 +41,6 @@ __all__ = [
     "composed_context",
     "run_check_suite",
 ]
-
-TOPOLOGY_KINDS = ("torus3d", "fattree", "dragonfly")
-
-
-def build_topology(kind: str, ranks: int):
-    """Table-2 topology instance of ``kind`` sized for ``ranks``."""
-    cfg = config_for(ranks)
-    try:
-        builder = {
-            "torus3d": cfg.build_torus,
-            "fattree": cfg.build_fat_tree,
-            "dragonfly": cfg.build_dragonfly,
-        }[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown topology {kind!r}; known: {list(TOPOLOGY_KINDS)}"
-        ) from None
-    return builder()
-
 
 @dataclass
 class ScenarioResult:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _spec_from_args, build_parser, main
 
 
 def run(capsys, *argv):
@@ -20,11 +20,34 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
 
+    def test_sweep_and_submit_build_one_spec(self):
+        flags = [
+            "--apps", "LULESH:64,AMG:8", "--topologies", "torus3d",
+            "--mappings", "consecutive,bisection", "--payloads", "1024",
+            "--seed", "2", "--telemetry", "--critpath",
+        ]
+        parser = build_parser()
+        sweep = _spec_from_args(parser.parse_args(["sweep", *flags]))
+        submit = _spec_from_args(
+            parser.parse_args(["submit", "--state", "s", *flags])
+        )
+        assert sweep == submit
+        assert sweep.apps == (("LULESH", 64), ("AMG", 8))
+        assert sweep.telemetry and sweep.critpath and sweep.seed == 2
+
 
 class TestCommands:
     def test_table1(self, capsys):
         out = run(capsys, "table1", "--max-ranks", "30")
         assert "AMG@8" in out and "Vol[MB]" in out
+
+    def test_sweep_text_names_app_and_ranks(self, capsys):
+        out = run(
+            capsys, "sweep", "--apps", "AMG:8,AMG:27", "--topologies", "torus3d"
+        )
+        header, *rows = out.splitlines()
+        assert header.split()[:2] == ["app", "ranks"]
+        assert [row.split()[:2] for row in rows] == [["AMG", "8"], ["AMG", "27"]]
 
     def test_table2(self, capsys):
         out = run(capsys, "table2")
@@ -109,6 +132,13 @@ class TestErrorPaths:
     def test_unknown_routing_in_check(self, capsys):
         msg = self.fail(capsys, "check", "--max-ranks", "8", "--routings", "bogus")
         assert "bogus" in msg
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--payloads", "4096,x"), ("--apps", "LULESH")]
+    )
+    def test_bad_sweep_axis_value(self, capsys, flag, value):
+        msg = self.fail(capsys, "sweep", flag, value)
+        assert msg.startswith(f"error: {flag}: ")
 
     def test_missing_convert_dir(self, capsys, tmp_path):
         msg = self.fail(capsys, "convert", "--dir", str(tmp_path / "nope"), "--app", "X")

@@ -11,10 +11,13 @@ journal in a fresh process.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import hashlib
 import json
 import logging
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -25,6 +28,7 @@ import pytest
 from repro import cache
 from repro.analysis.sweep import SweepSpec, run_sweep
 from repro.service.cells import (
+    CELL_KEY_VERSION,
     affinity_token,
     cell_key,
     expand_cells,
@@ -86,6 +90,24 @@ class TestCells:
             other = dataclasses.replace(SMALL_SPEC, **change)
             assert cell_key(other, point) != base, change
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("include_collectives", "false"),
+            ("telemetry", 1),
+            ("seed", "3"),
+            ("seed", True),
+            ("telemetry_windows", "48"),
+            ("payloads", [4096.5]),
+            ("apps", [["LULESH", "64"]]),
+        ],
+    )
+    def test_wire_decoding_is_strict(self, field, value):
+        data = spec_to_dict(SMALL_SPEC)
+        data[field] = value
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            spec_from_dict(data)
+
     def test_affinity_token_groups_by_trace(self):
         points = SMALL_SPEC.points()
         tokens = {affinity_token(SMALL_SPEC, p) for p in points}
@@ -113,6 +135,93 @@ class TestCells:
         messages = [r for r in caplog.records if "collapsed" in r.message]
         assert len(messages) == 1
         assert len(records) == 1  # evaluated once, recorded once
+
+
+#: One small cell; the identity tests perturb it field by field.  On
+#: MOCFE@64 every field that is active changes the records (on AMG@8, for
+#: one, neither the seed nor include_collectives does); the volume scale
+#: keeps its simulation fast.
+ONE_CELL_SPEC = SweepSpec(
+    apps=(("MOCFE", 64),), topologies=("torus3d",), sim_volume_scale=256.0
+)
+
+#: A value different from ``ONE_CELL_SPEC``'s for every non-boolean field
+#: (booleans are flipped).  A field added to ``SweepSpec`` without an
+#: entry here fails the completeness test.
+PERTURBED = {
+    "apps": (("AMG", 8),),
+    "payloads": (1024,),
+    "topologies": ("fattree",),
+    "mappings": ("bisection",),
+    "routings": ("valiant",),
+    "collectives": ("binomial",),
+    "bandwidths": (6e9,),
+    "seed": 1,
+    "telemetry_windows": 8,
+    "telemetry_threshold": 0.5,
+    "sim_volume_scale": 512.0,
+    "critpath_max_repeat": 2,
+}
+
+
+def _records_json(spec: SweepSpec) -> str:
+    return json.dumps(run_sweep(spec), sort_keys=True)
+
+
+class TestCellIdentity:
+    @pytest.mark.parametrize("telemetry", [False, True])
+    @pytest.mark.parametrize("critpath", [False, True])
+    def test_key_changes_iff_records_change(self, telemetry, critpath):
+        """Records differ => keys differ (no aliasing), and keys differ =>
+        records differ (a field inert under its gate never fragments)."""
+        base = dataclasses.replace(
+            ONE_CELL_SPEC, telemetry=telemetry, critpath=critpath
+        )
+        (point,) = base.points()
+        base_key = cell_key(base, point)
+        base_records = _records_json(base)
+        for field in dataclasses.fields(SweepSpec):
+            value = getattr(base, field.name)
+            changed = dataclasses.replace(
+                base,
+                **{
+                    field.name: not value
+                    if isinstance(value, bool)
+                    else PERTURBED[field.name]
+                },
+            )
+            (changed_point,) = changed.points()
+            key_changed = cell_key(changed, changed_point) != base_key
+            records_changed = _records_json(changed) != base_records
+            assert key_changed == records_changed, field.name
+
+    def test_python_and_wire_specs_share_one_key(self):
+        spec = dataclasses.replace(ONE_CELL_SPEC, telemetry=True)
+        wire = spec_from_dict(
+            {
+                "apps": [["MOCFE", 64]],
+                "topologies": ["torus3d"],
+                "payloads": [4096.0],
+                "sim_volume_scale": 256,
+                "telemetry": True,
+            }
+        )
+        assert wire == spec
+        (point,) = spec.points()
+        assert cell_key(wire, point) == cell_key(spec, point)
+
+    def test_record_schema_is_pinned_to_the_key_version(self):
+        """Changing record fields, rounding, or cell evaluation changes this
+        digest: bump ``CELL_KEY_VERSION`` and re-pin both together."""
+        cache.clear(memory=True)
+        records = run_sweep(
+            dataclasses.replace(ONE_CELL_SPEC, telemetry=True, critpath=True)
+        )
+        raw = json.dumps(
+            {"keys": sorted(records[0]), "records": records}, sort_keys=True
+        )
+        digest = hashlib.blake2b(raw.encode(), digest_size=16).hexdigest()
+        assert {CELL_KEY_VERSION: digest} == {4: "b3eb8557aeabbd57fc0f7c2945409d1c"}
 
 
 # ---------------------------------------------------------------- journal
@@ -434,3 +543,38 @@ class TestSocketApi:
         while socket_path.exists() and time.monotonic() < deadline:
             time.sleep(0.1)
         assert not socket_path.exists()
+
+    def test_malformed_requests_get_an_error_reply(self, tmp_path):
+        """Bad specs and ill-typed fields are answered with ``ok: false`` on
+        the same connection, which stays usable afterwards."""
+        state = tmp_path / "state"
+        socket_path = tmp_path / "svc.sock"
+        server = _spawn_server(state, socket_path)
+        try:
+            client = SweepClient.wait_ready(socket_path, timeout=60.0)
+            bad_specs = [
+                {"include_collectives": "false"},
+                {"telemetry": 1},
+                {"seed": "3"},
+                {"telemetry_windows": "48"},
+                {"apps": [["LULESH", "64"]]},
+            ]
+            requests = [
+                {"op": "submit", "spec": {**spec_to_dict(SMALL_SPEC), **bad}}
+                for bad in bad_specs
+            ]
+            requests.append({"op": "status", "job": ["not", "hashable"]})
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(30)
+                sock.connect(str(socket_path))
+                with sock.makefile("rb") as fh:
+                    for request in requests:
+                        sock.sendall(json.dumps(request).encode() + b"\n")
+                        reply = json.loads(fh.readline())
+                        assert reply["ok"] is False, request
+                        assert reply["error"], request
+                    sock.sendall(b'{"op": "ping"}\n')
+                    assert json.loads(fh.readline())["pong"] is True
+            assert client.jobs() == []
+        finally:
+            _shutdown(client, server)
