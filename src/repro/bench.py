@@ -1,122 +1,184 @@
-"""Performance benchmarks behind ``repro bench`` (pipeline and routing).
+"""Component benchmarks behind ``repro bench``, each declared once.
 
-Times the cold trace-generation and matrix-construction stages of the
-largest study configurations on both front-end paths — the legacy leg
-(per-event *generation*, ``columnar=False``, whose event list the matrix
-builder converts to one block on first read) and the columnar EventBlock
-path — and records the results in ``BENCH_pipeline.json``.  Stage attribution reuses
-:mod:`repro.timings`: ``generate_trace`` charges the ``trace`` stage and
-``matrix_from_trace`` the ``matrix`` stage, so the numbers here are exactly
-what ``repro --timings`` reports.
+:data:`BENCHES` is the whole harness: one :class:`Bench` per target
+(name, measuring function, gates, optional detail renderer), and one
+:class:`Gate` per asserted bound (label, value path into the record,
+comparison, bound, ``enforced``).  Everything else is derived from it:
 
-The mapping section times the vectorized :mod:`repro.mapping.optimized`
-kernels against their pinned ``*_reference`` implementations on the largest
-all-collective workload (densest traffic graph).
+- the JSON record (:meth:`Bench.measure` + :func:`write_bench`): the
+  measured fields under their own names, plus one ``gates`` list of
+  label/value/bound/ok rows;
+- the text report (:func:`render_bench`): the gate rows, plus a detail
+  table only where the gates do not cover the per-row numbers;
+- ``repro bench <target>``'s target list, and its exit status 1 when an
+  enforced gate fails;
+- ``benchmarks/test_perf_gates.py``, one parametrized test per gate;
+- the CI bench matrix, which relies on that exit status.
 
-Machine-dependent wall times are recorded for provenance; the stable,
-asserted quantity (see ``benchmarks/test_perf_pipeline.py``) is the
-*speedup ratio* between the two paths on the same machine.
-
-``repro bench routing`` (:func:`run_routing_bench`, recorded in
-``BENCH_routing.json``) measures route-construction throughput of every
-:mod:`repro.routing` policy on the paper's 1728-rank topologies, plus the
-memoization speedup of re-querying one batch through
-:func:`repro.cache.cached_route_incidence`.  Again only ratios are asserted
-(``benchmarks/test_perf_routing.py``): each policy's slowdown relative to
-minimal routing on the same machine, and the cache's warm/cold ratio.
-
-``repro bench scale`` (:func:`run_scale_bench`, recorded in
-``BENCH_scale.json``) gates the out-of-core streaming pipeline: a
-262,144-rank ``ScaleHalo3D`` trace is streamed through
-:func:`repro.comm.matrix.matrix_from_stream` and the §4.1.1 locality
-metrics in a *fresh subprocess* (``ru_maxrss`` is a process-lifetime
-high-water mark), and the asserted quantity
-(``benchmarks/test_perf_scale.py``) is measured peak RSS over the fixed
-:data:`SCALE_RSS_BUDGET_MB` budget — a memory ratio, stable across
-machines in a way wall times are not.
-
-``repro bench collectives`` (:func:`run_collectives_bench`, recorded in
-``BENCH_collectives.json``) pins the pluggable collective-algorithm
-engines: the flat engine (the paper's collective->p2p expansion) must stay
-bit-identical to the pre-engine default on every registry app, and the
-binomial engine must produce a measurable locality delta versus flat on a
-collective-heavy workload.  Both gates are deterministic structural
-comparisons (``benchmarks/test_perf_collectives.py``).
+``enforced`` marks the deterministic gates: bit-identity, structural
+ratios (route counts, expanded bytes, hops) and the peak-RSS ratio over a
+fixed budget, all stable on shared runners.  The other gates are
+same-machine wall-time ratios (and the workload-regime checks that pin
+what those ratios are measured on); only ``pytest -m perf benchmarks/``
+asserts them.  Wall times themselves are provenance, never compared
+across machines.  Each target's one-line description is the first line
+of its measuring function's docstring.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from . import timings
 
 __all__ = [
+    "BENCHES",
+    "Bench",
+    "Gate",
+    "render_bench",
+    "write_bench",
     "run_pipeline_bench",
-    "write_pipeline_bench",
-    "render_pipeline_bench",
     "run_routing_bench",
-    "write_routing_bench",
-    "render_routing_bench",
     "run_telemetry_bench",
-    "write_telemetry_bench",
-    "render_telemetry_bench",
     "run_scale_pipeline",
     "run_scale_bench",
-    "write_scale_bench",
-    "render_scale_bench",
     "sweep_bench_spec",
     "run_sweep_bench",
-    "write_sweep_bench",
-    "render_sweep_bench",
     "run_tenancy_bench",
-    "write_tenancy_bench",
-    "render_tenancy_bench",
     "run_critpath_bench",
-    "write_critpath_bench",
-    "render_critpath_bench",
     "run_collectives_bench",
-    "write_collectives_bench",
-    "render_collectives_bench",
 ]
 
-#: The asserted floor on the cold front-end (trace + matrix) speedup.
-FRONT_END_TARGET = 5.0
+_COMPARE = {
+    ">=": operator.ge,
+    ">": operator.gt,
+    "<=": operator.le,
+    "<": operator.lt,
+    "==": operator.eq,
+}
 
-#: The asserted ceiling on any policy's slowdown over minimal routing, and
-#: the floor on the incidence cache's warm/cold speedup (ratio assertions
-#: only — wall times are provenance, never compared across machines).
-ROUTING_SLOWDOWN_CEILING = 200.0
-CACHE_SPEEDUP_TARGET = 5.0
 
-#: ``repro bench telemetry`` ceilings (benchmarks/test_perf_telemetry.py):
-#: a disabled (null) collector must be free, and full windowed collection
-#: must stay a small fraction of the batched kernel's runtime.
-TELEMETRY_NULL_OVERHEAD_CEILING = 1.05
-TELEMETRY_WINDOWED_OVERHEAD_CEILING = 1.20
+@dataclass(frozen=True)
+class Gate:
+    """One bound on one measured value of a bench record.
 
-#: ``repro bench scale``: the default rank count and the hard peak-RSS
-#: budget the streaming pipeline must fit in at that scale.  The asserted
-#: gate is ``peak_rss_mb / SCALE_RSS_BUDGET_MB <= 1.0``.
+    ``path`` is dotted keys into the record; a ``*`` segment fans out over
+    every entry of a mapping or list, and the gate holds only if it holds
+    for each.  A missing or ``None`` value fails the gate.
+    """
+
+    label: str
+    path: str
+    op: str
+    bound: Any
+    enforced: bool = False
+
+    def values(self, record: dict[str, Any]) -> list[Any]:
+        nodes = [record]
+        for key in self.path.split("."):
+            if key == "*":
+                nodes = [
+                    v
+                    for n in nodes
+                    for v in (n.values() if isinstance(n, dict) else n)
+                ]
+            else:
+                nodes = [n[key] for n in nodes]
+        return nodes
+
+    def check(self, record: dict[str, Any]) -> dict[str, Any]:
+        """This gate's row: the worst measured value and the verdict."""
+        try:
+            values = self.values(record)
+        except (KeyError, IndexError, TypeError):
+            values = []
+        compare = _COMPARE[self.op]
+        failing = [
+            v for v in values if v is None or not compare(v, self.bound)
+        ]
+        if failing:
+            value = failing[0]
+        elif not values:
+            value = None
+        elif self.op == "==":
+            value = values[0]
+        else:  # the value closest to the bound
+            value = (max if self.op.startswith("<") else min)(values)
+        return {
+            "label": self.label,
+            "value": value,
+            "op": self.op,
+            "bound": self.bound,
+            "enforced": self.enforced,
+            "ok": bool(values) and not failing,
+        }
+
+
+@dataclass(frozen=True)
+class Bench:
+    """One ``repro bench`` target: what it measures and what it asserts."""
+
+    name: str
+    run: Callable[..., dict[str, Any]]
+    gates: tuple[Gate, ...]
+    #: Renders the per-row tables the gate rows do not summarize.
+    detail: Callable[[dict[str, Any]], list[str]] | None = None
+
+    @property
+    def title(self) -> str:
+        return (self.run.__doc__ or self.name).strip().splitlines()[0].rstrip(".")
+
+    def measure(self, **kwargs: Any) -> dict[str, Any]:
+        """Run the bench; the record carries its evaluated ``gates``."""
+        record = self.run(**kwargs)
+        record["gates"] = [gate.check(record) for gate in self.gates]
+        return record
+
+
+def write_bench(path: str | Path, record: dict[str, Any]) -> Path:
+    path = Path(path)
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def render_bench(bench: Bench, record: dict[str, Any]) -> str:
+    lines = [f"{bench.name}: {bench.title}"]
+    if bench.detail is not None:
+        lines += bench.detail(record)
+    for row in record["gates"]:
+        lines.append(
+            f"  {'ok' if row['ok'] else 'FAIL':<4} {row['label']:<44} "
+            f"{row['value']!s:>10} {row['op']:<2} {row['bound']!s:<10} "
+            f"{'enforced' if row['enforced'] else 'perf only'}"
+        )
+    return "\n".join(lines)
+
+
+#: ``pipeline``: configurations at or above this rank count are timed.
+PIPELINE_MIN_RANKS = 1000
+
+#: ``scale``: rank count, per-chunk byte budget, the fixed peak-RSS budget
+#: the gated ratio divides by, and the hard ``RLIMIT_AS`` cap on the
+#: measured subprocess — twice the budget, since interpreter text, guard
+#: pages and allocator slack live in virtual memory that never becomes
+#: resident.
 SCALE_RANKS = 262_144
+SCALE_CHUNK_MB = 8.0
 SCALE_RSS_BUDGET_MB = 2048.0
+SCALE_RLIMIT_GB = 4.0
 
-#: ``repro bench sweep`` (benchmarks/test_perf_sweep.py): the asserted
-#: floor on the sharded service's warm speedup over a cold *serial* run of
-#: the reference grid, plus the scheduler comparison — cache-affinity
-#: scheduling must beat random scheduling on worker warm-hit rate.  Both
-#: are same-machine ratios; wall times are provenance only.
-SWEEP_WARM_SPEEDUP_TARGET = 5.0
+#: ``sweep``: persistent service workers, and the reference grid — six
+#: study apps at their largest common scales, crossed with every
+#: topology, three mappings, two payloads, and two routing policies: 216
+#: cells, heavy on the shared intermediates cache affinity monetizes.
 SWEEP_WORKERS = 2
-
-#: The reference grid: six study apps at their largest common scales,
-#: crossed with every topology, three mappings, two payloads, and two
-#: routing policies — 216 cells, heavy on the shared intermediates the
-#: service's cache affinity is supposed to monetize.
 SWEEP_BENCH_APPS = (
     ("LULESH", 512),
     ("AMG", 216),
@@ -126,48 +188,22 @@ SWEEP_BENCH_APPS = (
     ("MOCFE", 256),
 )
 
-#: ``repro bench tenancy`` (benchmarks/test_perf_tenancy.py): the asserted
-#: floor on how much ``interference_aware`` routing must cut the victim's
-#: peak link load versus minimal routing under a hot-spot aggressor, plus
-#: the hard requirement that a composed single-job/no-noise run stays
-#: bit-identical to the solo run on both engines.  The reduction is a
-#: structural (route-count) ratio — deterministic, no wall times involved.
-TENANCY_VICTIM_LOAD_REDUCTION_TARGET = 2.0
+#: ``tenancy``: the victim-load scenario's packet scaling.
 TENANCY_VOLUME_SCALE = 64.0
 TENANCY_MAX_PACKETS = 5_000_000
 
-#: ``repro bench critpath`` (benchmarks/test_perf_critpath.py): the
-#: asserted floor on the vectorized FIFO matcher's speedup over the pinned
-#: per-event oracle on the exactly-expanded 1728-rank AMG trace — with the
-#: hard requirement that both produce bit-identical (send, recv, bytes)
-#: edge sets — and the ceiling on the relative disagreement between the
-#: algebraic dT/dL (L-terms on the critical path) and a forward finite
-#: difference, per registry app.  With the dyadic default LogGP parameters
-#: the disagreement is exactly zero; 1% is the documented tolerance for
-#: arbitrary parameters.
-CRITPATH_MATCH_SPEEDUP_TARGET = 5.0
-CRITPATH_SENSITIVITY_REL_TOL = 0.01
+#: ``critpath``: the exactly-expanded matcher workload.
 CRITPATH_MATCH_WORKLOAD = ("AMG", 1728)
 
-#: ``repro bench collectives`` (benchmarks/test_perf_collectives.py): the
-#: flat engine must reproduce today's matrices *bit-identically* on every
-#: registry app — both against the parameterless default
-#: (``matrix_from_trace(trace)``) and across the two independent expansion
-#: paths (columnar batch fast path vs per-event ``iter_send_groups``).
-#: The delta gate then requires a measurable locality difference between
-#: flat and binomial expansion on a collective-heavy workload: binomial
-#: point-to-point stages must inflate collective bytes by at least
-#: :data:`COLLECTIVES_BYTES_RATIO_FLOOR` while shifting average packet
-#: hops by at least :data:`COLLECTIVES_HOPS_DELTA_FLOOR` (relative) —
-#: both structural, deterministic ratios; wall times are provenance only.
+#: ``collectives``: the collective-heavy flat-vs-binomial workload.
 COLLECTIVES_DELTA_WORKLOAD = ("CMC_2D", 64)
-COLLECTIVES_BYTES_RATIO_FLOOR = 1.5
-COLLECTIVES_HOPS_DELTA_FLOOR = 0.10
 
 
-def _stage_seconds() -> dict[str, float]:
-    snap = timings.as_dict()
-    return {name: vals["seconds"] for name, vals in snap.items()}
+def _timed(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> tuple[Any, float]:
+    """``fn(*args, **kwargs)`` and its wall time in seconds."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - t0
 
 
 def _timed_front_end(name: str, ranks: int, columnar: bool) -> dict[str, float]:
@@ -186,11 +222,8 @@ def _timed_front_end(name: str, ranks: int, columnar: bool) -> dict[str, float]:
             trace = get_app(name).generate(ranks, columnar=columnar)
         matrix_from_trace(trace, include_collectives=False)
         matrix = matrix_from_trace(trace)
-        cold = _stage_seconds()
-
-        t0 = time.perf_counter()
-        matrix_from_trace(trace)
-        warm_matrix = time.perf_counter() - t0
+        cold = {stage: v["seconds"] for stage, v in timings.as_dict().items()}
+        warm_matrix = _timed(matrix_from_trace, trace)[1]
     finally:
         if not was_enabled:
             timings.disable()
@@ -219,19 +252,12 @@ def _mapping_bench(name: str, ranks: int) -> dict[str, Any]:
     topology = FatTree(radix=64, stages=2)
     base = Mapping.consecutive(ranks, topology.num_nodes, 1)
 
-    t0 = time.perf_counter()
-    order_fast = greedy_ordering(matrix)
-    greedy_vec = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    order_ref = _greedy_ordering_reference(matrix)
-    greedy_ref = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    refined_fast = refine_mapping(matrix, topology, base)
-    refine_vec = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    refined_ref = _refine_mapping_reference(matrix, topology, base)
-    refine_ref = time.perf_counter() - t0
+    order_fast, greedy_vec = _timed(greedy_ordering, matrix)
+    order_ref, greedy_ref = _timed(_greedy_ordering_reference, matrix)
+    refined_fast, refine_vec = _timed(refine_mapping, matrix, topology, base)
+    refined_ref, refine_ref = _timed(
+        _refine_mapping_reference, matrix, topology, base
+    )
 
     assert np.array_equal(order_fast, order_ref)
     assert np.array_equal(refined_fast.nodes, refined_ref.nodes)
@@ -246,17 +272,21 @@ def _mapping_bench(name: str, ranks: int) -> dict[str, Any]:
     }
 
 
-def run_pipeline_bench(
-    min_ranks: int = 1000, mapping: bool = True
-) -> dict[str, Any]:
-    """Benchmark every configuration with at least ``min_ranks`` ranks."""
+def run_pipeline_bench() -> dict[str, Any]:
+    """Cold front end, per-event vs columnar, and the mapping kernels.
+
+    Every configuration with at least :data:`PIPELINE_MIN_RANKS` ranks is
+    timed on both paths.  The gated front-end ratio is the geometric mean:
+    the minimum is set by the all-collective apps, whose per-event path is
+    already array-based and shares the columnar matrix-finalize cost.
+    """
     from .apps import app_names, get_app
 
     configs: dict[str, Any] = {}
     speedups: list[float] = []
     for name in app_names():
         for ranks in get_app(name).scales():
-            if ranks < min_ranks:
+            if ranks < PIPELINE_MIN_RANKS:
                 continue
             legacy = _timed_front_end(name, ranks, columnar=False)
             columnar = _timed_front_end(name, ranks, columnar=True)
@@ -268,10 +298,12 @@ def run_pipeline_bench(
                 "front_end_speedup": speedup,
             }
 
-    result: dict[str, Any] = {
+    return {
         "front_end": configs,
+        # Densest traffic graph in the study: the all-collective 3D FFT.
+        "mapping": _mapping_bench("BigFFT", 1024),
         "summary": {
-            "min_ranks": min_ranks,
+            "min_ranks": PIPELINE_MIN_RANKS,
             "configs": len(configs),
             "min_front_end_speedup": min(speedups) if speedups else None,
             "geomean_front_end_speedup": (
@@ -279,19 +311,14 @@ def run_pipeline_bench(
                 if speedups
                 else None
             ),
-            "target": FRONT_END_TARGET,
         },
     }
-    if mapping:
-        # Densest traffic graph in the study: the all-collective 3D FFT.
-        result["mapping"] = _mapping_bench("BigFFT", 1024)
-    return result
 
 
 def run_routing_bench(
     ranks: int = 1728, pairs: int = 100_000, seed: int = 0
 ) -> dict[str, Any]:
-    """Route-construction throughput of every policy at the 1728-rank scale.
+    """Route-construction throughput of every policy at 1728 ranks.
 
     One batch of ``pairs`` random node pairs per topology, routed once per
     policy (load-aware policies see uniform unit weights); plus a cold/warm
@@ -312,9 +339,7 @@ def run_routing_bench(
         entry: dict[str, Any] = {}
         for name in ROUTINGS:
             policy = get_policy(name, seed=seed)
-            t0 = time.perf_counter()
-            inc = policy.route_incidence(topology, src, dst)
-            dt = time.perf_counter() - t0
+            inc, dt = _timed(policy.route_incidence, topology, src, dst)
             entry[name] = {
                 "seconds": round(dt, 4),
                 "pairs_per_s": round(pairs / dt) if dt else None,
@@ -332,12 +357,8 @@ def run_routing_bench(
     src = rng.integers(0, topology.num_nodes, size=pairs)
     dst = rng.integers(0, topology.num_nodes, size=pairs)
     cache.clear(memory=True)
-    t0 = time.perf_counter()
-    cache.cached_route_incidence(topology, src, dst)
-    cold = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    cache.cached_route_incidence(topology, src, dst)
-    warm = time.perf_counter() - t0
+    cold = _timed(cache.cached_route_incidence, topology, src, dst)[1]
+    warm = _timed(cache.cached_route_incidence, topology, src, dst)[1]
     cache_speedup = round(cold / max(warm, 1e-9), 1)
 
     return {
@@ -350,11 +371,9 @@ def run_routing_bench(
                 name: round(float(np.exp(np.mean(np.log(vals)))), 2)
                 for name, vals in slowdowns.items()
             },
-            "slowdown_ceiling": ROUTING_SLOWDOWN_CEILING,
             "cache_cold_s": round(cold, 4),
             "cache_warm_s": round(warm, 6),
             "cache_speedup": cache_speedup,
-            "cache_speedup_target": CACHE_SPEEDUP_TARGET,
         },
     }
 
@@ -367,11 +386,11 @@ def run_telemetry_bench(
     windows: int = 48,
     repeats: int = 6,
 ) -> dict[str, Any]:
-    """Telemetry overhead on the 500k-packet dragonfly simulation, plus the
-    adversarial minimal-vs-adaptive congestion comparison.
+    """Telemetry collector overhead and minimal-vs-adaptive congestion.
 
-    The overhead section times the batched kernel three ways over the same
-    prepared setup — no collector, :class:`~repro.telemetry.NullCollector`,
+    The overhead section times the batched kernel on the 500k-packet
+    dragonfly simulation three ways over the same prepared setup — no
+    collector, :class:`~repro.telemetry.NullCollector`,
     and a full :class:`~repro.telemetry.WindowedCollector` — and reports
     each collector's median per-round ratio against the bare run over
     ``repeats`` rotated-order rounds (see the in-function comment for
@@ -422,9 +441,7 @@ def run_telemetry_bench(
     for r in range(repeats):
         for i in range(len(makers)):
             i = (i + r) % len(makers)
-            t0 = time.perf_counter()
-            run_batched(setup, collector=makers[i]())
-            samples[i].append(time.perf_counter() - t0)
+            samples[i].append(_timed(run_batched, setup, collector=makers[i]())[1])
     bare, null, windowed = (np.asarray(s) for s in samples)
     bare_s, null_s, windowed_s = bare.min(), null.min(), windowed.min()
     null_overhead = float(np.median(null / bare))
@@ -444,6 +461,7 @@ def run_telemetry_bench(
         windows=24,
         seed=seed,
     )
+    longest = {r["routing"]: r["longest_region_s"] for r in congestion}
 
     return {
         "overhead": {
@@ -456,109 +474,18 @@ def run_telemetry_bench(
             "windowed_s": round(windowed_s, 4),
             "null_overhead": round(null_overhead, 4),
             "windowed_overhead": round(windowed_overhead, 4),
-            "null_ceiling": TELEMETRY_NULL_OVERHEAD_CEILING,
-            "windowed_ceiling": TELEMETRY_WINDOWED_OVERHEAD_CEILING,
             "peak_window_occupancy": round(report.peak_occupancy, 4),
             "services_recorded": int(report.serve_series.sum()),
         },
         "congestion": congestion,
+        "summary": {
+            "longest_region_ugal_over_minimal": (
+                round(longest["ugal"] / longest["minimal"], 4)
+                if longest["minimal"]
+                else None
+            ),
+        },
     }
-
-
-def write_telemetry_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def render_telemetry_bench(data: dict[str, Any]) -> str:
-    o = data["overhead"]
-    lines = [
-        f"telemetry overhead on {o['topology']} "
-        f"({o['packets']} packets, {o['windows']} windows)",
-        f"  bare kernel:        {o['bare_s']:.3f}s",
-        f"  null collector:     {o['null_s']:.3f}s "
-        f"({o['null_overhead']:.3f}x, ceiling {o['null_ceiling']}x)",
-        f"  windowed collector: {o['windowed_s']:.3f}s "
-        f"({o['windowed_overhead']:.3f}x, ceiling {o['windowed_ceiling']}x)",
-        "",
-        "adversarial hot-group congestion (Dragonfly(4,2,2)):",
-        f"{'routing':<10} {'peak occ':>9} {'regions':>8} "
-        f"{'peak links':>11} {'longest(s)':>11} {'hot win':>8}",
-    ]
-    for rec in data["congestion"]:
-        lines.append(
-            f"{rec['routing']:<10} {rec['peak_window_occupancy']:>9.3f} "
-            f"{rec['num_regions']:>8} {rec['peak_region_links']:>11} "
-            f"{rec['longest_region_s']:>11.2e} {rec['hot_windows']:>8}"
-        )
-    return "\n".join(lines)
-
-
-def write_routing_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def render_routing_bench(data: dict[str, Any]) -> str:
-    policies = list(data["summary"]["slowdown_vs_minimal"])
-    header = f"{'topology':<12}" + "".join(f"{p:>12}" for p in policies)
-    lines = [header + "   (pairs/s)"]
-    for kind, entry in data["routing"].items():
-        cells = "".join(
-            f"{entry[p]['pairs_per_s']:>12,}".replace(",", " ")
-            if entry[p]["pairs_per_s"]
-            else f"{'n/a':>12}"
-            for p in policies
-        )
-        lines.append(f"{kind:<12}{cells}")
-    summary = data["summary"]
-    slow = ", ".join(
-        f"{name} {value}x"
-        for name, value in summary["slowdown_vs_minimal"].items()
-        if name != "minimal"
-    )
-    lines.append(
-        f"geomean slowdown vs minimal: {slow} "
-        f"(ceiling {summary['slowdown_ceiling']}x)"
-    )
-    lines.append(
-        f"incidence cache warm/cold speedup: {summary['cache_speedup']}x "
-        f"(target >= {summary['cache_speedup_target']}x)"
-    )
-    return "\n".join(lines)
-
-
-def write_pipeline_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def render_pipeline_bench(data: dict[str, Any]) -> str:
-    lines = [
-        f"{'config':<24} {'legacy(s)':>10} {'columnar(s)':>12} {'speedup':>8}"
-    ]
-    for label, entry in data["front_end"].items():
-        lines.append(
-            f"{label:<24} {entry['legacy']['front_end_s']:>10.3f} "
-            f"{entry['columnar']['front_end_s']:>12.3f} "
-            f"{entry['front_end_speedup']:>7.1f}x"
-        )
-    summary = data["summary"]
-    lines.append(
-        f"min speedup {summary['min_front_end_speedup']}x "
-        f"(target >= {summary['target']}x), "
-        f"geomean {summary['geomean_front_end_speedup']}x"
-    )
-    if "mapping" in data:
-        m = data["mapping"]
-        lines.append(
-            f"mapping {m['config']}: greedy {m['greedy_speedup']}x, "
-            f"refine {m['refine_speedup']}x vs reference"
-        )
-    return "\n".join(lines)
 
 
 def run_scale_pipeline(
@@ -630,50 +557,18 @@ def run_scale_pipeline(
     }
 
 
-def run_scale_bench(
-    ranks: int = SCALE_RANKS,
-    chunk_mb: float = 8.0,
-    budget_mb: float = SCALE_RSS_BUDGET_MB,
-    rlimit_gb: float | None = None,
-    app: str = "ScaleHalo3D",
-) -> dict[str, Any]:
-    """Measure the streaming pipeline's peak RSS in a fresh subprocess.
-
-    ``ru_maxrss`` never goes down, so a clean measurement needs an
-    interpreter that has run nothing but the pipeline.  ``rlimit_gb``
-    additionally applies a hard ``RLIMIT_AS`` cap inside the child (the CI
-    ``scale-smoke`` job uses this), so a memory regression aborts loudly
-    instead of silently paging.  The asserted, machine-portable quantity
-    is ``rss_ratio`` — measured peak RSS over the fixed budget.
-    """
+def _run_child(code: str, cfg: dict[str, Any], what: str) -> dict[str, Any]:
+    """Run ``code`` in a fresh interpreter with ``cfg`` as ``sys.argv[1]``
+    (JSON); the child prints one JSON object on stdout."""
     import os
     import subprocess
     import sys
 
-    from .apps import get_app
-
-    # Fail eagerly (KeyError -> the CLI's one-line user-error path) rather
-    # than as a subprocess traceback.
-    get_app(app).calibration_for(ranks)
-    cfg = {"app": app, "ranks": ranks, "chunk_bytes": int(chunk_mb * 1024 * 1024)}
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p
         for p in (str(Path(__file__).resolve().parents[1]), env.get("PYTHONPATH"))
         if p
-    )
-    preamble = ""
-    if rlimit_gb is not None:
-        lim = int(rlimit_gb * (1 << 30))
-        preamble = (
-            "import resource\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({lim}, {lim}))\n"
-        )
-    code = (
-        "import json, sys\n"
-        + preamble
-        + "from repro.bench import run_scale_pipeline\n"
-        "json.dump(run_scale_pipeline(**json.loads(sys.argv[1])), sys.stdout)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps(cfg)],
@@ -684,24 +579,56 @@ def run_scale_bench(
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()[-8:]
         raise RuntimeError(
-            f"scale pipeline subprocess failed (exit {proc.returncode}"
-            + (f", RLIMIT_AS {rlimit_gb} GB" if rlimit_gb is not None else "")
-            + "):\n" + "\n".join(tail)
+            f"{what} subprocess failed (exit {proc.returncode}):\n"
+            + "\n".join(tail)
         )
-    child = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def run_scale_bench(
+    ranks: int = SCALE_RANKS, rlimit_gb: float = SCALE_RLIMIT_GB
+) -> dict[str, Any]:
+    """Peak RSS of the out-of-core streaming pipeline, in a capped subprocess.
+
+    ``ru_maxrss`` never goes down, so a clean measurement needs an
+    interpreter that has run nothing but the pipeline.  The child runs
+    under a hard ``RLIMIT_AS`` cap of ``rlimit_gb``, so a memory
+    regression aborts loudly instead of silently paging.  The gated,
+    machine-portable quantity is ``rss_ratio``: measured peak RSS over
+    :data:`SCALE_RSS_BUDGET_MB`.
+    """
+    from .apps import get_app
+
+    # Fail eagerly (KeyError -> the CLI's one-line user-error path) rather
+    # than as a subprocess traceback.
+    get_app("ScaleHalo3D").calibration_for(ranks)
+    cfg = {
+        "app": "ScaleHalo3D",
+        "ranks": ranks,
+        "chunk_bytes": int(SCALE_CHUNK_MB * 1024 * 1024),
+    }
+    lim = int(rlimit_gb * (1 << 30))
+    code = (
+        "import json, resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({lim}, {lim}))\n"
+        "from repro.bench import run_scale_pipeline\n"
+        "json.dump(run_scale_pipeline(**json.loads(sys.argv[1])), sys.stdout)\n"
+    )
+    child = _run_child(
+        code, cfg, f"scale pipeline (RLIMIT_AS {rlimit_gb} GB)"
+    )
     peak = child["peak_rss_mb"]
     return {
         "scale": child,
         "summary": {
             "ranks": ranks,
-            "chunk_mb": chunk_mb,
-            "budget_mb": budget_mb,
+            "chunk_mb": SCALE_CHUNK_MB,
+            "budget_mb": SCALE_RSS_BUDGET_MB,
             "rlimit_gb": rlimit_gb,
             "peak_rss_mb": peak,
             "rss_ratio": (
-                round(peak / budget_mb, 4) if peak is not None else None
+                round(peak / SCALE_RSS_BUDGET_MB, 4) if peak is not None else None
             ),
-            "rss_ratio_ceiling": 1.0,
             "rows_per_s": (
                 round(child["rows"] / child["front_end_s"])
                 if child["front_end_s"]
@@ -734,19 +661,9 @@ def _cold_serial_sweep(spec, cache_dir: Path) -> dict[str, Any]:
     so the service runs that follow measure the steady-state (disk-warm,
     memory-cold) resubmission path.
     """
-    import os
-    import subprocess
-    import sys
-
     from .service.cells import spec_to_dict
 
     cfg = {"spec": spec_to_dict(spec), "cache_dir": str(cache_dir)}
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p
-        for p in (str(Path(__file__).resolve().parents[1]), env.get("PYTHONPATH"))
-        if p
-    )
     code = (
         "import json, sys, time\n"
         "cfg = json.loads(sys.argv[1])\n"
@@ -760,19 +677,7 @@ def _cold_serial_sweep(spec, cache_dir: Path) -> dict[str, Any]:
         "json.dump({'seconds': time.perf_counter() - t0,"
         " 'records': records}, sys.stdout)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(cfg)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    if proc.returncode != 0:
-        tail = proc.stderr.strip().splitlines()[-8:]
-        raise RuntimeError(
-            f"cold serial sweep subprocess failed (exit {proc.returncode}):\n"
-            + "\n".join(tail)
-        )
-    return json.loads(proc.stdout)
+    return _run_child(code, cfg, "cold serial sweep")
 
 
 def _cache_totals(stats: dict[str, Any]) -> dict[str, int]:
@@ -784,8 +689,7 @@ def _cache_totals(stats: dict[str, Any]) -> dict[str, int]:
 
 
 def _service_sweep(
-    spec, warm_spec, state_dir: Path, cache_dir: Path, scheduler: str,
-    workers: int
+    spec, warm_spec, state_dir: Path, cache_dir: Path, scheduler: str
 ) -> tuple[dict[str, Any], list[dict], list[dict]]:
     """One prime + warm service run; returns (summary, prime, warm records).
 
@@ -809,7 +713,10 @@ def _service_sweep(
 
     async def _run():
         svc = SweepService(
-            state_dir, workers=workers, scheduler=scheduler, cache_dir=cache_dir
+            state_dir,
+            workers=SWEEP_WORKERS,
+            scheduler=scheduler,
+            cache_dir=cache_dir,
         )
         await svc.start()
         try:
@@ -862,10 +769,8 @@ def _service_sweep(
     return mode, prime_records, records
 
 
-def run_sweep_bench(
-    state_dir: str | Path | None = None, workers: int = SWEEP_WORKERS
-) -> dict[str, Any]:
-    """Cold serial vs warm sharded service on the reference grid.
+def run_sweep_bench() -> dict[str, Any]:
+    """Cold serial sweep vs the warm sharded service on the reference grid.
 
     The baseline is a cold serial ``run_sweep`` in a fresh subprocess (it
     also warms the shared disk tier).  Then, per scheduler mode — affinity,
@@ -873,37 +778,29 @@ def run_sweep_bench(
     resident workers with the same grid and is *measured* on the
     resubmit-with-a-tweak workflow the service exists for: the grid with a
     shifted bandwidth axis, where every cell recomputes but the workers'
-    memory caches are hot.  Asserted quantities
-    (``benchmarks/test_perf_sweep.py``): ``warm_speedup`` ≥
-    :data:`SWEEP_WARM_SPEEDUP_TARGET`, affinity's warm-hit rate above
-    random's, and record identity — each mode's prime job must match the
-    cold serial records exactly, and the two modes' warm jobs must match
-    each other (scheduling must never change values).
+    memory caches are hot.  ``records_identical`` requires each mode's
+    prime job to match the cold serial records exactly, and the two modes'
+    warm jobs to match each other: scheduling must never change values.
     """
     import dataclasses
-    import shutil
     import tempfile
 
-    owns_state = state_dir is None
-    if owns_state:
-        state_dir = tempfile.mkdtemp(prefix="repro-bench-sweep-")
-    state = Path(state_dir)
-    cache_dir = state / "cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
     spec = sweep_bench_spec()
     # Half the paper bandwidth: new cell keys, identical intermediates.
     warm_spec = dataclasses.replace(spec, bandwidths=(6e9,))
-    try:
+    with tempfile.TemporaryDirectory(
+        prefix="repro-bench-sweep-", ignore_cleanup_errors=True
+    ) as tmp:
+        state = Path(tmp)
+        cache_dir = state / "cache"
+        cache_dir.mkdir()
         cold = _cold_serial_sweep(spec, cache_dir)
         affinity, affinity_prime, affinity_warm = _service_sweep(
-            spec, warm_spec, state / "affinity", cache_dir, "affinity", workers
+            spec, warm_spec, state / "affinity", cache_dir, "affinity"
         )
         random_mode, random_prime, random_warm = _service_sweep(
-            spec, warm_spec, state / "random", cache_dir, "random", workers
+            spec, warm_spec, state / "random", cache_dir, "random"
         )
-    finally:
-        if owns_state:
-            shutil.rmtree(state, ignore_errors=True)
 
     records_identical = (
         affinity_prime == cold["records"]
@@ -916,12 +813,11 @@ def run_sweep_bench(
         "summary": {
             "cells": len(spec.points()),
             "apps": len(spec.apps),
-            "workers": workers,
+            "workers": SWEEP_WORKERS,
             "cold_serial_s": round(cold["seconds"], 3),
             "warm_affinity_s": affinity["seconds"],
             "warm_random_s": random_mode["seconds"],
             "warm_speedup": round(warm_speedup, 2),
-            "warm_speedup_target": SWEEP_WARM_SPEEDUP_TARGET,
             "affinity_hit_rate": affinity["hit_rate"],
             "random_hit_rate": random_mode["hit_rate"],
             "affinity_beats_random": (
@@ -934,96 +830,21 @@ def run_sweep_bench(
     }
 
 
-def write_sweep_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def render_sweep_bench(data: dict[str, Any]) -> str:
-    s = data["summary"]
-    lines = [
-        f"sharded sweep service on the {s['cells']}-cell reference grid "
-        f"({s['workers']} workers)",
-        f"  cold serial (subprocess):  {s['cold_serial_s']:>8.2f}s",
-    ]
-    for name, label in (("affinity", "warm affinity"), ("random", "warm random")):
-        mode = data["modes"][name]
-        lines.append(
-            f"  {label + ':':<26} {mode['seconds']:>8.2f}s   "
-            f"hit rate {mode['hit_rate']:.4f}   "
-            f"(hits {mode['cache']['hits']}, misses {mode['cache']['misses']}, "
-            f"disk {mode['cache']['disk_hits']}, "
-            f"prime {mode['prime_seconds']:.2f}s)"
-        )
-    lines.append(
-        f"  warm speedup: {s['warm_speedup']}x "
-        f"(target >= {s['warm_speedup_target']}x)   "
-        f"affinity beats random: {s['affinity_beats_random']}   "
-        f"records identical: {s['records_identical']}"
-    )
-    return "\n".join(lines)
-
-
-def write_scale_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def render_scale_bench(data: dict[str, Any]) -> str:
-    s = data["scale"]
-    summary = data["summary"]
-    chunk_mb = s["chunk_bytes"] / (1024 * 1024)
-    rlimit = (
-        f"RLIMIT_AS {summary['rlimit_gb']} GB"
-        if summary["rlimit_gb"] is not None
-        else "none"
-    )
-    peak = (
-        f"{summary['peak_rss_mb']:.1f} MB"
-        if summary["peak_rss_mb"] is not None
-        else "n/a"
-    )
-    ratio = (
-        f"{summary['rss_ratio']:.3f}"
-        if summary["rss_ratio"] is not None
-        else "n/a"
-    )
-    return "\n".join(
-        [
-            f"streaming scale pipeline: {s['app']}@{s['ranks']} "
-            f"(chunks of {chunk_mb:.1f} MB, rlimit {rlimit})",
-            f"  rows streamed: {s['rows']:,} in {s['chunks']} chunks "
-            f"({summary['rows_per_s']:,} rows/s)".replace(",", " "),
-            f"  matrix pairs:  {s['pairs']:,}".replace(",", " "),
-            f"  front end:     {s['front_end_s']:.3f}s   "
-            f"locality: {s['locality_s']:.3f}s",
-            f"  rank distance (90%): {s['rank_distance_90']}   "
-            f"locality: {s['rank_locality']}   "
-            f"avg peers: {s['avg_peers']:.2f}",
-            f"  peak RSS:      {peak} of {summary['budget_mb']:.0f} MB budget "
-            f"(ratio {ratio}, ceiling {summary['rss_ratio_ceiling']})",
-        ]
-    )
-
 def run_tenancy_bench() -> dict[str, Any]:
-    """Multi-tenant gates: interference-aware routing and solo identity.
+    """Interference-aware victim-load reduction and solo bit-identity.
 
-    Gate 1 (victim-load reduction): a LULESH victim shares a dragonfly
-    with a deliberately hostile :class:`~repro.apps.noise.HotspotNoise`
-    aggressor flooding 16 targets.  The victim's peak exposed link load
-    (max total services over links its routes traverse) is measured under
-    minimal routing and under ``interference_aware`` routing primed with
-    the victim's own structural loads.  Asserted
-    (``benchmarks/test_perf_tenancy.py``):
-    ``baseline / aware >= TENANCY_VICTIM_LOAD_REDUCTION_TARGET``.  Both
-    numbers are structural route counts — deterministic on every machine.
+    Victim load: a LULESH victim shares a dragonfly with a deliberately
+    hostile :class:`~repro.apps.noise.HotspotNoise` aggressor flooding 16
+    targets.  The victim's peak exposed link load (max total services over
+    links its routes traverse) is measured under minimal routing and under
+    ``interference_aware`` routing primed with the victim's own structural
+    loads.  Both numbers are structural route counts, deterministic on
+    every machine; ``victim_load_reduction`` is their ratio.
 
-    Gate 2 (solo identity): composing a single job with zero noise must be
+    Solo identity: composing a single job with zero noise must be
     bit-identical to the solo run — the trace itself, every compared
     simulation observable, per-link serve counts, and the windowed
-    telemetry report, on both engines.
+    telemetry report, on both engines (``solo_identical``).
     """
     from .apps.noise import HotspotNoise
     from .apps.registry import generate_trace
@@ -1038,7 +859,7 @@ def run_tenancy_bench() -> dict[str, Any]:
     from .topology.configs import config_for
     from .validation.invariants import traces_identical
 
-    # --- gate 1: hot-spot aggressor on a dragonfly --------------------
+    # --- victim load: hot-spot aggressor on a dragonfly ---------------
     topo = Dragonfly(8, 4, 4)
     aggressor = HotspotNoise(hot_ranks=16, src_ranks=16, volume_mb=16384.0)
     t0 = time.perf_counter()
@@ -1072,7 +893,7 @@ def run_tenancy_bench() -> dict[str, Any]:
     gate1_s = time.perf_counter() - t0
     reduction = baseline_peak / aware_peak if aware_peak > 0 else float("inf")
 
-    # --- gate 2: composed single job == solo run, both engines --------
+    # --- solo identity: composed single job == solo run, both engines -
     t0 = time.perf_counter()
     solo_trace = generate_trace("LULESH", 64)
     composed = compose_workload([TenantSpec("LULESH", 64)])
@@ -1127,54 +948,29 @@ def run_tenancy_bench() -> dict[str, Any]:
             "victim_peak_load_minimal": baseline_peak,
             "victim_peak_load_aware": aware_peak,
             "victim_load_reduction": round(reduction, 2),
-            "victim_load_reduction_target": TENANCY_VICTIM_LOAD_REDUCTION_TARGET,
-            "reduction_ok": reduction >= TENANCY_VICTIM_LOAD_REDUCTION_TARGET,
-            "solo_identity_ok": identical,
+            "solo_identical": identical,
         },
     }
 
 
-def write_tenancy_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def render_tenancy_bench(data: dict[str, Any]) -> str:
-    s = data["summary"]
-    sc = data["scenario"]
-    lines = [
-        f"multi-tenant gates: {sc['victim']} vs {sc['aggressor']}",
-        f"  topology {sc['topology']} ({sc['allocation']} allocation, "
-        f"{sc['packets']} scaled packets)",
-        f"  victim peak link load:  minimal {s['victim_peak_load_minimal']:.0f}"
-        f"   interference_aware {s['victim_peak_load_aware']:.0f}",
-        f"  reduction: {s['victim_load_reduction']}x "
-        f"(target >= {s['victim_load_reduction_target']}x)   "
-        f"ok: {s['reduction_ok']}",
-        f"  solo identity (1 job, no noise, both engines): "
-        f"{s['solo_identity_ok']}",
-    ]
-    return "\n".join(lines)
-
-
 def run_critpath_bench() -> dict[str, Any]:
-    """Critical-path gates: matcher speedup and sensitivity cross-check.
+    """Vectorized FIFO matcher vs the per-event oracle, and dT/dL vs FD.
 
-    Gate 1 (matcher): the 1728-rank AMG trace (with emitted receives,
-    exact repeat expansion — ~5M p2p events) is matched by the vectorized
-    channel-sort matcher and by the pinned per-event FIFO oracle.
-    Asserted (``benchmarks/test_perf_critpath.py``): bit-identical
-    (send, recv, bytes) edge arrays, and
-    ``oracle_s / vectorized_s >= CRITPATH_MATCH_SPEEDUP_TARGET``.
+    Matcher: the 1728-rank AMG trace (with emitted receives, exact repeat
+    expansion — ~5M p2p events) is matched by the vectorized
+    channel-sort matcher and by the pinned per-event FIFO oracle; the
+    (send, recv, bytes) edge arrays must be bit-identical
+    (``edges_identical``), and ``match_speedup`` is ``oracle_s /
+    vectorized_s``.
 
-    Gate 2 (sensitivity): every registry app's smallest configuration is
-    analyzed on a torus with the finite-difference cross-check enabled;
-    the asserted quantity is the maximum relative disagreement between the
-    algebraic L-term count and the forward difference —
-    deterministic (exactly zero with the dyadic defaults), no wall times.
+    Sensitivity: every registry app's smallest configuration is analyzed
+    on a torus with the finite-difference cross-check enabled;
+    ``sensitivity_max_rel_err`` is the largest relative disagreement
+    between the algebraic L-term count and the forward difference —
+    deterministic, and exactly zero with the dyadic default LogGP
+    parameters (1% is the documented tolerance for arbitrary ones).
     """
-    from .apps.registry import generate_trace
+    from .apps.registry import APPS, generate_trace
     from .critpath import latency_table
     from .critpath.match import (
         ensure_receives,
@@ -1183,18 +979,12 @@ def run_critpath_bench() -> dict[str, Any]:
         match_events_oracle,
     )
 
-    # --- gate 1: vectorized matcher vs per-event oracle ---------------
+    # --- matcher: vectorized vs per-event oracle ----------------------
     app, ranks = CRITPATH_MATCH_WORKLOAD
     trace = ensure_receives(generate_trace(app, ranks, emit_receives=True))
-    t0 = time.perf_counter()
-    table = expand_events(trace, None)
-    expand_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    vectorized = match_events(table)
-    vectorized_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    oracle = match_events_oracle(table)
-    oracle_s = time.perf_counter() - t0
+    table, expand_s = _timed(expand_events, trace, None)
+    vectorized, vectorized_s = _timed(match_events, table)
+    oracle, oracle_s = _timed(match_events_oracle, table)
     identical = bool(
         np.array_equal(vectorized.send_event, oracle.send_event)
         and np.array_equal(vectorized.recv_event, oracle.recv_event)
@@ -1202,10 +992,8 @@ def run_critpath_bench() -> dict[str, Any]:
     )
     speedup = oracle_s / vectorized_s if vectorized_s > 0 else float("inf")
 
-    # --- gate 2: algebraic vs finite-difference dT/dL per app ---------
-    t0 = time.perf_counter()
-    rows = latency_table(fd_check=True)
-    table_s = time.perf_counter() - t0
+    # --- sensitivity: algebraic vs finite-difference dT/dL per app ----
+    rows, table_s = _timed(latency_table, fd_check=True)
     apps = [
         {
             "app": r.app,
@@ -1231,63 +1019,37 @@ def run_critpath_bench() -> dict[str, Any]:
             "vectorized_seconds": round(vectorized_s, 4),
             "oracle_seconds": round(oracle_s, 4),
         },
-        "sensitivity": {"apps": apps, "table_seconds": round(table_s, 3)},
+        "sensitivity": {
+            "apps": apps,
+            "coverage_gap": _coverage_gap(APPS, (r.app for r in rows)),
+            "table_seconds": round(table_s, 3),
+        },
         "summary": {
             "match_speedup": round(speedup, 2),
-            "match_speedup_target": CRITPATH_MATCH_SPEEDUP_TARGET,
-            "match_ok": identical
-            and speedup >= CRITPATH_MATCH_SPEEDUP_TARGET,
             "edges_identical": identical,
             "sensitivity_max_rel_err": max_rel_err,
-            "sensitivity_rel_tol": CRITPATH_SENSITIVITY_REL_TOL,
-            "sensitivity_ok": max_rel_err <= CRITPATH_SENSITIVITY_REL_TOL,
         },
     }
 
 
-def write_critpath_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def render_critpath_bench(data: dict[str, Any]) -> str:
-    m = data["matcher"]
-    s = data["summary"]
-    lines = [
-        f"critical-path gates: FIFO matcher on {m['workload']} "
-        f"({m['events']} events, {m['pairs']} matched pairs)",
-        f"  vectorized {m['vectorized_seconds']:.3f}s   "
-        f"oracle {m['oracle_seconds']:.3f}s   "
-        f"speedup {s['match_speedup']}x "
-        f"(target >= {s['match_speedup_target']}x)",
-        f"  edge sets bit-identical: {s['edges_identical']}   "
-        f"ok: {s['match_ok']}",
-        f"  dT/dL cross-check over {len(data['sensitivity']['apps'])} apps: "
-        f"max rel err {s['sensitivity_max_rel_err']:.2e} "
-        f"(tol {s['sensitivity_rel_tol']})   ok: {s['sensitivity_ok']}",
-    ]
-    return "\n".join(lines)
-
-
 def run_collectives_bench() -> dict[str, Any]:
-    """Collective-engine gates: flat-identity pin and tree locality delta.
+    """Flat collective expansion identity and the binomial locality delta.
 
-    Gate 1 (identity): for every registry app's smallest configuration,
+    Identity: for every registry app's smallest configuration,
     the flat engine's matrix must be bit-identical to the parameterless
     default ``matrix_from_trace(trace)`` (the pre-engine behavior is the
     pinned baseline) *and* to a matrix rebuilt through the independent
     per-event path (``iter_send_groups`` feeding
-    ``CommMatrixBuilder.add_group``) — two code paths, one answer.
+    ``CommMatrixBuilder.add_group``) — two code paths, one answer
+    (``flat_identical``).
 
-    Gate 2 (delta): on :data:`COLLECTIVES_DELTA_WORKLOAD` the binomial
-    engine must measurably change network locality versus flat: expanded
-    collective bytes grow by >= :data:`COLLECTIVES_BYTES_RATIO_FLOOR` and
-    torus average hops move by >= :data:`COLLECTIVES_HOPS_DELTA_FLOOR`
-    relative.  Both are deterministic structural ratios
-    (``benchmarks/test_perf_collectives.py``); seconds are provenance.
+    Delta: on :data:`COLLECTIVES_DELTA_WORKLOAD` the binomial engine must
+    measurably change network locality versus flat: ``bytes_ratio`` is
+    binomial over flat expanded collective bytes, ``hops_delta_rel`` the
+    relative move of torus average hops.  Both are deterministic
+    structural ratios; seconds are provenance.
     """
-    from .apps.registry import iter_configurations
+    from .apps.registry import APPS, iter_configurations
     from .cache import cached_trace
     from .collectives import collective_volume, iter_send_groups
     from .comm.matrix import CommMatrixBuilder, matrix_from_trace
@@ -1295,7 +1057,7 @@ def run_collectives_bench() -> dict[str, Any]:
     from .topology.configs import config_for
     from .validation.invariants import matrices_identical
 
-    # --- gate 1: flat engine bit-identical on every registry app ------
+    # --- identity: flat engine bit-identical on every registry app ----
     smallest: dict[str, int] = {}
     for app, point in iter_configurations():
         if point.variant:
@@ -1323,11 +1085,11 @@ def run_collectives_bench() -> dict[str, Any]:
             }
         )
     identity_s = time.perf_counter() - t0
-    flat_identity_ok = all(
+    flat_identical = all(
         a["default_identical"] and a["per_event_identical"] for a in apps
     )
 
-    # --- gate 2: flat vs binomial locality delta ----------------------
+    # --- delta: flat vs binomial locality -----------------------------
     app, ranks = COLLECTIVES_DELTA_WORKLOAD
     trace = cached_trace(app, ranks)
     topology = config_for(ranks).build_torus()
@@ -1357,6 +1119,7 @@ def run_collectives_bench() -> dict[str, Any]:
     return {
         "identity": {
             "apps": apps,
+            "coverage_gap": _coverage_gap(APPS, smallest),
             "identity_seconds": round(identity_s, 3),
         },
         "delta": {
@@ -1366,41 +1129,138 @@ def run_collectives_bench() -> dict[str, Any]:
             "delta_seconds": round(delta_s, 3),
         },
         "summary": {
-            "flat_identity_ok": flat_identity_ok,
+            "flat_identical": flat_identical,
             "apps_checked": len(apps),
             "bytes_ratio": round(bytes_ratio, 4),
-            "bytes_ratio_floor": COLLECTIVES_BYTES_RATIO_FLOOR,
-            "bytes_ratio_ok": bytes_ratio >= COLLECTIVES_BYTES_RATIO_FLOOR,
             "hops_delta_rel": round(hops_delta, 4),
-            "hops_delta_floor": COLLECTIVES_HOPS_DELTA_FLOOR,
-            "hops_delta_ok": hops_delta >= COLLECTIVES_HOPS_DELTA_FLOOR,
         },
     }
 
 
-def write_collectives_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
+def _coverage_gap(registry, covered) -> list[str]:
+    """Registry apps without a row, plus rows naming no registry app."""
+    return sorted(set(registry) ^ set(covered))
 
 
-def render_collectives_bench(data: dict[str, Any]) -> str:
-    s = data["summary"]
-    d = data["delta"]
-    flat = d["engines"]["flat"]
-    binom = d["engines"]["binomial"]
+def _pipeline_detail(record: dict[str, Any]) -> list[str]:
+    lines = [f"  {'config':<24} {'legacy(s)':>10} {'columnar(s)':>12} {'speedup':>8}"]
+    for label, entry in record["front_end"].items():
+        lines.append(
+            f"  {label:<24} {entry['legacy']['front_end_s']:>10.3f} "
+            f"{entry['columnar']['front_end_s']:>12.3f} "
+            f"{entry['front_end_speedup']:>7.1f}x"
+        )
+    return lines
+
+
+def _routing_detail(record: dict[str, Any]) -> list[str]:
+    policies = list(record["summary"]["slowdown_vs_minimal"])
     lines = [
-        f"collective-engine gates: flat identity over "
-        f"{s['apps_checked']} apps "
-        f"({data['identity']['identity_seconds']:.1f}s)   "
-        f"ok: {s['flat_identity_ok']}",
-        f"  delta on {d['workload']} ({d['topology']}): "
-        f"collective bytes {flat['collective_bytes']} -> "
-        f"{binom['collective_bytes']} "
-        f"(ratio {s['bytes_ratio']}x, floor {s['bytes_ratio_floor']}x)   "
-        f"ok: {s['bytes_ratio_ok']}",
-        f"  avg hops {flat['avg_hops']:.3f} -> {binom['avg_hops']:.3f} "
-        f"(rel delta {s['hops_delta_rel']}, "
-        f"floor {s['hops_delta_floor']})   ok: {s['hops_delta_ok']}",
+        f"  {'topology':<12}" + "".join(f"{p:>12}" for p in policies)
+        + "   (pairs/s)"
     ]
-    return "\n".join(lines)
+    for kind, entry in record["routing"].items():
+        cells = "".join(
+            f"{entry[p]['pairs_per_s']:>12,}".replace(",", " ")
+            if entry[p]["pairs_per_s"]
+            else f"{'n/a':>12}"
+            for p in policies
+        )
+        lines.append(f"  {kind:<12}{cells}")
+    return lines
+
+
+def _telemetry_detail(record: dict[str, Any]) -> list[str]:
+    lines = [
+        "  adversarial hot-group congestion (Dragonfly(4,2,2)):",
+        f"  {'routing':<10} {'peak occ':>9} {'regions':>8} "
+        f"{'peak links':>11} {'longest(s)':>11} {'hot win':>8}",
+    ]
+    for rec in record["congestion"]:
+        lines.append(
+            f"  {rec['routing']:<10} {rec['peak_window_occupancy']:>9.3f} "
+            f"{rec['num_regions']:>8} {rec['peak_region_links']:>11} "
+            f"{rec['longest_region_s']:>11.2e} {rec['hot_windows']:>8}"
+        )
+    return lines
+
+
+def _sweep_detail(record: dict[str, Any]) -> list[str]:
+    s = record["summary"]
+    lines = [
+        f"  cold serial (subprocess):  {s['cold_serial_s']:>8.2f}s "
+        f"({s['workers']} service workers)"
+    ]
+    for name, mode in record["modes"].items():
+        lines.append(
+            f"  {'warm ' + name + ':':<26} {mode['seconds']:>8.2f}s   "
+            f"hit rate {mode['hit_rate']:.4f}   "
+            f"(hits {mode['cache']['hits']}, misses {mode['cache']['misses']}, "
+            f"disk {mode['cache']['disk_hits']}, "
+            f"prime {mode['prime_seconds']:.2f}s)"
+        )
+    return lines
+
+
+#: Every ``repro bench`` target, in ``repro bench --help`` order.  Raising
+#: or loosening a bound here is the one edit that changes what ``repro
+#: bench``, ``pytest -m perf benchmarks/`` and CI assert.  The fifth
+#: ``Gate`` field is ``enforced``.
+BENCHES: dict[str, Bench] = {b.name: b for b in (
+    Bench("pipeline", run_pipeline_bench, (
+        Gate("configs timed (>= 1000 ranks)", "summary.configs", ">=", 10),
+        Gate("front-end geomean speedup", "summary.geomean_front_end_speedup", ">=", 5.0),
+        Gate("greedy mapping speedup", "mapping.greedy_speedup", ">=", 3.0),
+        Gate("refine mapping speedup", "mapping.refine_speedup", ">=", 3.0),
+    ), _pipeline_detail),
+    Bench("routing", run_routing_bench, (
+        # Loose on purpose: UGAL's chunked greedy pass is inherently ~10-50x
+        # a closed-form minimal batch; this catches quadratic blowups.
+        Gate("geomean slowdown vs minimal, every policy",
+             "summary.slowdown_vs_minimal.*", "<=", 200.0),
+        Gate("incidence cache warm/cold speedup", "summary.cache_speedup", ">=", 5.0),
+    ), _routing_detail),
+    Bench("telemetry", run_telemetry_bench, (
+        Gate("packets simulated", "overhead.packets", ">=", 500_000),
+        Gate("null collector overhead", "overhead.null_overhead", "<=", 1.05),
+        Gate("windowed collector overhead", "overhead.windowed_overhead", "<=", 1.20),
+        Gate("longest congestion region, ugal/minimal",
+             "summary.longest_region_ugal_over_minimal", "<", 1.0),
+    ), _telemetry_detail),
+    Bench("scale", run_scale_bench, (
+        Gate("ranks streamed", "scale.ranks", "==", SCALE_RANKS),
+        Gate("rows streamed", "scale.rows", ">", SCALE_RANKS),
+        Gate("matrix pairs", "scale.pairs", ">", SCALE_RANKS),
+        Gate("peak RSS / 2048 MB budget", "summary.rss_ratio", "<=", 1.0, True),
+    )),
+    Bench("sweep", run_sweep_bench, (
+        Gate("grid cells", "summary.cells", "==", 216),
+        Gate("grid apps", "summary.apps", "==", 6),
+        Gate("records identical across modes", "summary.records_identical", "==", True, True),
+        Gate("warm sharded / cold serial speedup", "summary.warm_speedup", ">=", 5.0),
+        Gate("affinity beats random on warm hits",
+             "summary.affinity_beats_random", "==", True),
+    ), _sweep_detail),
+    Bench("tenancy", run_tenancy_bench, (
+        Gate("scaled packets", "scenario.packets", ">=", 500_000),
+        Gate("victim peak load, minimal/aware",
+             "summary.victim_load_reduction", ">=", 2.0, True),
+        Gate("solo run == composed single job", "summary.solo_identical", "==", True, True),
+    )),
+    Bench("critpath", run_critpath_bench, (
+        Gate("matcher events", "matcher.events", ">=", 5_000_000),
+        Gate("matcher pairs", "matcher.pairs", ">=", 2_500_000),
+        Gate("matcher edges == oracle edges", "summary.edges_identical", "==", True, True),
+        Gate("matcher speedup vs oracle", "summary.match_speedup", ">=", 5.0),
+        Gate("max dT/dL rel err vs finite difference",
+             "summary.sensitivity_max_rel_err", "<=", 0.01, True),
+        Gate("registry apps not covered", "sensitivity.coverage_gap", "==", []),
+    )),
+    Bench("collectives", run_collectives_bench, (
+        Gate("flat == default == per-event, every app",
+             "summary.flat_identical", "==", True, True),
+        Gate("registry apps not covered", "identity.coverage_gap", "==", []),
+        Gate("binomial/flat collective bytes", "summary.bytes_ratio", ">=", 1.5, True),
+        Gate("avg hops rel delta, binomial vs flat", "summary.hops_delta_rel", ">=", 0.10, True),
+    )),
+)}

@@ -31,14 +31,8 @@ Usage::
     python -m repro check   [--max-ranks N] [--strict] [--no-sim] [--composed] [--collectives flat,binomial]
     python -m repro fuzz    [--count N] [--offset K] [--no-shrink]
     python -m repro apps
-    python -m repro bench pipeline [--min-ranks N] [--out PATH]
-    python -m repro bench routing [--pairs N] [--out PATH]
-    python -m repro bench telemetry [--out PATH]
-    python -m repro bench scale [--ranks N] [--chunk-mb M] [--rlimit-gb G]
-    python -m repro bench sweep [--workers N] [--out PATH]
-    python -m repro bench tenancy [--out PATH]
-    python -m repro bench critpath [--out PATH]
-    python -m repro bench collectives [--out PATH]
+    python -m repro bench TARGET [--out PATH]       # targets: repro bench --help
+    python -m repro bench routing --pairs N
 
 Global options (before the subcommand): ``--timings`` prints a per-stage
 wall-time breakdown (trace generation / matrix build / routing / analysis /
@@ -54,6 +48,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .bench import BENCHES
 from .util import fmt_float
 
 __all__ = ["main", "build_parser"]
@@ -538,68 +533,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("apps", help="list applications and configurations")
 
     be = sub.add_parser(
-        "bench", help="measure pipeline/routing performance and memory"
+        "bench",
+        help="run one component benchmark and check its gates "
+        "(exit 1 if an enforced gate fails)",
     )
     be.add_argument(
         "target",
-        help="pipeline: legacy vs columnar front-end; "
-        "routing: per-policy route-construction throughput; "
-        "telemetry: collector overhead and congestion comparison; "
-        "scale: peak RSS of the out-of-core streaming pipeline; "
-        "sweep: cold serial vs warm sharded sweep service; "
-        "tenancy: interference-aware routing gate and solo bit-identity; "
-        "critpath: vectorized matcher speedup and sensitivity cross-check; "
-        "collectives: flat-engine identity gate and tree locality deltas",
-    )
-    be.add_argument(
-        "--min-ranks",
-        type=int,
-        default=1000,
-        help="(pipeline) benchmark configurations with at least this many ranks",
-    )
-    be.add_argument(
-        "--no-mapping",
-        action="store_true",
-        help="(pipeline) skip the mapping-kernel section",
+        help="; ".join(f"{b.name}: {b.title}" for b in BENCHES.values()),
     )
     be.add_argument(
         "--pairs",
         type=int,
-        default=100_000,
+        default=None,
         help="(routing) node pairs routed per policy (default: 100000)",
-    )
-    be.add_argument(
-        "--ranks",
-        type=int,
-        default=None,
-        help="(scale) rank count for the streaming pipeline "
-        "(default: 262144)",
-    )
-    be.add_argument(
-        "--chunk-mb",
-        type=float,
-        default=8.0,
-        help="(scale) per-chunk byte budget in MB (default: 8)",
-    )
-    be.add_argument(
-        "--budget-mb",
-        type=float,
-        default=None,
-        help="(scale) peak-RSS budget the ratio gate divides by "
-        "(default: 2048)",
-    )
-    be.add_argument(
-        "--rlimit-gb",
-        type=float,
-        default=None,
-        help="(scale) hard RLIMIT_AS cap applied inside the measured "
-        "subprocess (default: no cap)",
-    )
-    be.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="(sweep) persistent workers per service run (default: 2)",
     )
     be.add_argument(
         "--out",
@@ -1122,104 +1068,25 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
             star = " (*)" if app.uses_derived_types else ""
             print(f"{name:<22}{star:<5} ranks: {configs}")
     elif args.command == "bench":
-        out = args.out or f"BENCH_{args.target}.json"
-        if args.target == "pipeline":
-            from .bench import (
-                render_pipeline_bench,
-                run_pipeline_bench,
-                write_pipeline_bench,
-            )
+        from .bench import render_bench, write_bench
 
-            data = run_pipeline_bench(
-                min_ranks=args.min_ranks, mapping=not args.no_mapping
-            )
-            print(render_pipeline_bench(data))
-            path = write_pipeline_bench(out, data)
-        elif args.target == "telemetry":
-            from .bench import (
-                render_telemetry_bench,
-                run_telemetry_bench,
-                write_telemetry_bench,
-            )
-
-            data = run_telemetry_bench()
-            print(render_telemetry_bench(data))
-            path = write_telemetry_bench(out, data)
-        elif args.target == "scale":
-            from .bench import (
-                SCALE_RANKS,
-                SCALE_RSS_BUDGET_MB,
-                render_scale_bench,
-                run_scale_bench,
-                write_scale_bench,
-            )
-
-            data = run_scale_bench(
-                ranks=args.ranks or SCALE_RANKS,
-                chunk_mb=args.chunk_mb,
-                budget_mb=args.budget_mb or SCALE_RSS_BUDGET_MB,
-                rlimit_gb=args.rlimit_gb,
-            )
-            print(render_scale_bench(data))
-            path = write_scale_bench(out, data)
-        elif args.target == "sweep":
-            from .bench import (
-                SWEEP_WORKERS,
-                render_sweep_bench,
-                run_sweep_bench,
-                write_sweep_bench,
-            )
-
-            data = run_sweep_bench(workers=args.workers or SWEEP_WORKERS)
-            print(render_sweep_bench(data))
-            path = write_sweep_bench(out, data)
-        elif args.target == "tenancy":
-            from .bench import (
-                render_tenancy_bench,
-                run_tenancy_bench,
-                write_tenancy_bench,
-            )
-
-            data = run_tenancy_bench()
-            print(render_tenancy_bench(data))
-            path = write_tenancy_bench(out, data)
-        elif args.target == "critpath":
-            from .bench import (
-                render_critpath_bench,
-                run_critpath_bench,
-                write_critpath_bench,
-            )
-
-            data = run_critpath_bench()
-            print(render_critpath_bench(data))
-            path = write_critpath_bench(out, data)
-        elif args.target == "collectives":
-            from .bench import (
-                render_collectives_bench,
-                run_collectives_bench,
-                write_collectives_bench,
-            )
-
-            data = run_collectives_bench()
-            print(render_collectives_bench(data))
-            path = write_collectives_bench(out, data)
-        elif args.target == "routing":
-            from .bench import (
-                render_routing_bench,
-                run_routing_bench,
-                write_routing_bench,
-            )
-
-            data = run_routing_bench(pairs=args.pairs)
-            print(render_routing_bench(data))
-            path = write_routing_bench(out, data)
-        else:
+        bench = BENCHES.get(args.target)
+        if bench is None:
             raise ValueError(
                 f"unknown bench target {args.target!r}; available: "
-                "collectives, critpath, pipeline, routing, scale, sweep, "
-                "telemetry, tenancy"
+                + ", ".join(sorted(BENCHES))
             )
+        kwargs = {}
+        if args.pairs is not None:
+            if bench.name != "routing":
+                raise ValueError("--pairs applies to the routing bench only")
+            kwargs["pairs"] = args.pairs
+        record = bench.measure(**kwargs)
+        print(render_bench(bench, record))
+        path = write_bench(args.out or f"BENCH_{bench.name}.json", record)
         print(f"wrote {path}")
+        if any(row["enforced"] and not row["ok"] for row in record["gates"]):
+            return 1
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(f"unhandled command {args.command}")
     return 0

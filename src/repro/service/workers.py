@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
+import queue
 import threading
 import time
 from typing import Any, Callable
@@ -37,6 +38,9 @@ __all__ = ["WorkerHandle", "WorkerPool"]
 
 #: Regions whose hit/miss deltas are reported per cell.
 _STAT_REGIONS = ("trace", "matrix", "mapping", "incidence")
+
+#: How often an idle worker checks that its server is still alive.
+_PARENT_POLL_S = 1.0
 
 
 def _cache_counters() -> dict[str, dict[str, int]]:
@@ -59,7 +63,12 @@ def _counter_delta(
 
 
 def _worker_main(task_q, conn, cache_dir, memory_items) -> None:
-    """Child entry point: evaluate cells until a ``None`` sentinel arrives."""
+    """Child entry point: evaluate cells until a ``None`` sentinel arrives.
+
+    A server killed without the sentinel (SIGKILL) never sends it, so the
+    idle loop also exits once the worker is reparented away from the
+    server that forked it.
+    """
     from .. import cache, timings
     from ..analysis.sweep import _eval_point
     from .cells import spec_from_dict
@@ -73,11 +82,17 @@ def _worker_main(task_q, conn, cache_dir, memory_items) -> None:
     # (and its hit accounting) reflects only the cells routed to it.
     cache.clear(memory=True)
     timings.enable(reset_counters=True)
+    server = os.getppid()
     conn.send(("ready", os.getpid()))
     specs: dict[str, Any] = {}
     try:
         while True:
-            task = task_q.get()
+            try:
+                task = task_q.get(timeout=_PARENT_POLL_S)
+            except queue.Empty:
+                if os.getppid() != server:
+                    return
+                continue
             if task is None:
                 conn.send(("exit",))
                 return

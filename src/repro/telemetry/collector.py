@@ -30,8 +30,8 @@ identically, making telemetry bit-identical seed for seed
 **Zero overhead when disabled.**  The engines guard every recording call
 with ``collector is None or not collector.enabled``; the default is no
 collector at all, and :class:`NullCollector` (``enabled = False``) costs
-the same single attribute check (ratio asserted in
-``benchmarks/test_perf_telemetry.py``).
+the same single attribute check (ratio gated by ``repro bench
+telemetry``).
 """
 
 from __future__ import annotations

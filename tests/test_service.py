@@ -500,6 +500,44 @@ class TestServerCrashResume:
         assert records == run_sweep(SERVER_SPEC)
 
 
+    def test_sigkilled_server_leaves_no_workers(self, tmp_path):
+        socket_path = tmp_path / "svc.sock"
+        server = _spawn_server(tmp_path / "state", socket_path)
+        try:
+            client = SweepClient.wait_ready(socket_path, timeout=60.0)
+            pids: list = []
+            for _ in range(200):
+                pids = [w["pid"] for w in client.stats()["workers"]]
+                if len(pids) == 2 and None not in pids:
+                    break
+                time.sleep(0.05)
+            assert len(pids) == 2 and None not in pids, pids
+            assert all(_running(pid) for pid in pids)
+        finally:
+            server.kill()
+            server.wait(timeout=10)
+
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in pids if _running(pid)]
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
 def _shutdown(client: SweepClient, proc: subprocess.Popen) -> None:
     try:
         client.shutdown()
