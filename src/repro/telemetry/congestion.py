@@ -17,14 +17,20 @@ time.  This module reproduces that analysis on top of a
    region.  Each resulting :class:`CongestionRegion` carries its onset,
    duration, and spread (peak concurrent links).
 
-The implementation is one union-find over hot (link, window) cells with
-spatial edges (shared endpoint, same window) and temporal edges (same
-link, consecutive windows) — linear in the number of hot cells.
+Both public functions share one NumPy labelling pass over the hot cells.
+Spatial edges (shared endpoint, same window) star the cells keyed under
+one ``window * V + vertex`` onto one of them; temporal edges (same link,
+consecutive windows) join neighbours in the link-major cell order.
+Min-hooking plus pointer jumping then labels every cell with the smallest
+cell index in its region, in O(log cells) rounds.  Numbering regions by
+that label is the first-member order a sequential union-find groups by,
+so region order and cell order are fixed by the cells alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,21 +108,97 @@ class CongestionSummary:
         }
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label each of ``n`` vertices with the smallest vertex of its component.
 
-    def find(self, a: int) -> int:
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    Each round hooks every root onto the smallest root across its cross
+    edges (``parent[x] <= x`` throughout, so no cycle forms), then jumps
+    pointers until every vertex points at a root.  A root that neither
+    hooks nor is hooked onto in one round sees a smaller neighbouring root
+    in the next, so every tree merges within two rounds and the root count
+    at least halves every two rounds: O(log n) rounds.
+    """
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        if not cross.any():
+            return parent
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+
+class _Regions(NamedTuple):
+    """Hot cells grouped into regions numbered by their smallest cell."""
+
+    hot_link: np.ndarray  # compact link of every hot cell, link-major
+    hot_win: np.ndarray  # window of every hot cell
+    region: np.ndarray  # region of every hot cell
+    onset: np.ndarray  # per region: first hot window
+    end: np.ndarray  # per region: last hot window
+    link_windows: np.ndarray  # per region: hot (link, window) cells
+    peak: np.ndarray  # per region: largest concurrent hot-link count
+    spread: np.ndarray  # per region: distinct links covered
+    link_keys: np.ndarray  # sorted region * L + link, one per covered link
+
+
+def _label_regions(
+    report: TelemetryReport, topology: Topology, threshold: float
+) -> _Regions:
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError("threshold must be in (0, 1]")
+    hot_link, hot_win = np.nonzero(report.hot_links(threshold))
+    n = len(hot_link)
+    cell = labels = np.arange(n)
+    if n:
+        u, v = link_endpoints(topology, report.link_ids)
+        # Spatial edges: each cell is keyed under (window, vertex) for both
+        # of its endpoints, and each run of equal keys is starred onto one
+        # of its cells (which one does not change the components).
+        stride = int(max(u.max(), v.max())) + 1
+        keys = np.concatenate(
+            [hot_win * stride + u[hot_link], hot_win * stride + v[hot_link]]
+        )
+        order = np.argsort(keys)
+        keys, members = keys[order], np.concatenate([cell, cell])[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        hub = np.repeat(members[starts], np.diff(np.r_[starts, 2 * n]))
+        # Temporal edges: link-major order puts (l, w - 1) right before (l, w).
+        step = np.flatnonzero(
+            (hot_link[1:] == hot_link[:-1]) & (hot_win[1:] == hot_win[:-1] + 1)
+        )
+        labels = _min_labels(
+            n, np.concatenate([members, step + 1]), np.concatenate([hub, step])
+        )
+    roots = np.flatnonzero(labels == cell)
+    region = np.searchsorted(roots, labels)
+    num, windows = len(roots), report.num_windows
+    onset = np.full(num, windows, dtype=np.int64)
+    np.minimum.at(onset, region, hot_win)
+    end = np.zeros(num, dtype=np.int64)
+    np.maximum.at(end, region, hot_win)
+    window_keys, per_window = np.unique(
+        region * windows + hot_win, return_counts=True
+    )
+    peak = np.zeros(num, dtype=np.int64)
+    np.maximum.at(peak, window_keys // windows, per_window)
+    link_keys = np.unique(region * report.num_links + hot_link)
+    return _Regions(
+        hot_link=hot_link,
+        hot_win=hot_win,
+        region=region,
+        onset=onset,
+        end=end,
+        link_windows=np.bincount(region, minlength=num),
+        peak=peak,
+        spread=np.bincount(link_keys // report.num_links, minlength=num),
+        link_keys=link_keys,
+    )
 
 
 def find_congestion_regions(
@@ -126,64 +208,33 @@ def find_congestion_regions(
 ) -> list[CongestionRegion]:
     """Group hot (link, window) cells into spatio-temporal regions.
 
-    Returned regions are sorted by onset window (ties: larger first).
+    Returned regions are sorted by onset window (ties: larger first, then
+    the one whose first cell comes first in link-major order).
     ``topology`` must be the instance the simulation ran on — its link IDs
     decode the report's rows into endpoint vertices.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must be in (0, 1]")
-    hot = report.hot_links(threshold)
-    hot_link, hot_win = np.nonzero(hot)
-    if not len(hot_link):
+    r = _label_regions(report, topology, threshold)
+    if not len(r.onset):
         return []
-
-    u, v = link_endpoints(topology, report.link_ids)
-    cells = {
-        (int(l), int(w)): i for i, (l, w) in enumerate(zip(hot_link, hot_win))
-    }
-    uf = _UnionFind(len(hot_link))
-
-    # Spatial edges: within one window, links sharing an endpoint vertex.
-    # Group by (window, vertex): every hot link contributes its two
-    # endpoints; cells listed under one (window, vertex) are pairwise
-    # connected through that vertex.
-    by_vertex: dict[tuple[int, int], int] = {}
-    for i, (l, w) in enumerate(zip(hot_link, hot_win)):
-        for vertex in (int(u[l]), int(v[l])):
-            key = (int(w), vertex)
-            first = by_vertex.setdefault(key, i)
-            if first != i:
-                uf.union(first, i)
-
-    # Temporal edges: the same link hot in consecutive windows.
-    for i, (l, w) in enumerate(zip(hot_link, hot_win)):
-        j = cells.get((int(l), int(w) - 1))
-        if j is not None:
-            uf.union(i, j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(hot_link)):
-        groups.setdefault(uf.find(i), []).append(i)
-
-    regions = []
-    for members in groups.values():
-        ls = hot_link[members]
-        ws = hot_win[members]
-        per_window = np.bincount(ws - ws.min())
-        regions.append(
-            CongestionRegion(
-                onset_window=int(ws.min()),
-                end_window=int(ws.max()),
-                peak_links=int(per_window.max()),
-                link_windows=len(members),
-                links=np.unique(ls),
-                window_dt=report.window_dt,
-                cell_links=ls,
-                cell_windows=ws,
-            )
+    # Each region's cells, in ascending (link-major) order.
+    by_region = np.argsort(r.region, kind="stable")
+    bounds = np.cumsum(r.link_windows)[:-1]
+    cell_links = np.split(r.hot_link[by_region], bounds)
+    cell_windows = np.split(r.hot_win[by_region], bounds)
+    links = np.split(r.link_keys % report.num_links, np.cumsum(r.spread)[:-1])
+    return [
+        CongestionRegion(
+            onset_window=int(r.onset[i]),
+            end_window=int(r.end[i]),
+            peak_links=int(r.peak[i]),
+            link_windows=int(r.link_windows[i]),
+            links=links[i],
+            window_dt=report.window_dt,
+            cell_links=cell_links[i],
+            cell_windows=cell_windows[i],
         )
-    regions.sort(key=lambda r: (r.onset_window, -r.link_windows))
-    return regions
+        for i in np.lexsort((-r.link_windows, r.onset))
+    ]
 
 
 def congestion_summary(
@@ -191,20 +242,18 @@ def congestion_summary(
     topology: Topology,
     threshold: float = 0.7,
 ) -> CongestionSummary:
-    """One-shot :func:`find_congestion_regions` + aggregation."""
-    regions = find_congestion_regions(report, topology, threshold)
-    hot = report.hot_links(threshold)
-    hot_cells = int(hot.sum())
-    hot_windows = int(hot.any(axis=0).sum())
+    """Aggregate statistics of the regions, without building region objects."""
+    r = _label_regions(report, topology, threshold)
+    num = len(r.onset)
     return CongestionSummary(
         threshold=threshold,
-        num_regions=len(regions),
-        peak_region_links=max((r.peak_links for r in regions), default=0),
-        max_region_spread=max((r.spread for r in regions), default=0),
-        longest_region_s=max((r.duration_s for r in regions), default=0.0),
-        total_hot_seconds=hot_cells * report.window_dt,
-        hot_windows=hot_windows,
-        first_onset_window=(
-            min((r.onset_window for r in regions), default=-1)
+        num_regions=num,
+        peak_region_links=int(r.peak.max(initial=0)),
+        max_region_spread=int(r.spread.max(initial=0)),
+        longest_region_s=(
+            int((r.end - r.onset + 1).max()) * report.window_dt if num else 0.0
         ),
+        total_hot_seconds=len(r.hot_win) * report.window_dt,
+        hot_windows=len(np.unique(r.hot_win)),
+        first_onset_window=int(r.onset.min()) if num else -1,
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.comm.matrix import CommMatrix, CommMatrixBuilder
 from repro.core.trace import Trace, TraceMetadata
 
@@ -17,3 +19,14 @@ def make_matrix(num_ranks: int, pairs: list[tuple[int, int, int]]) -> CommMatrix
     for src, dst, nbytes in pairs:
         builder.add_message(src, dst, nbytes)
     return builder.finalize()
+
+
+def spread_matrix(num_ranks: int, seed: int = 0) -> CommMatrix:
+    """Many crossing pairs with mixed volumes, deterministic."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for src in range(num_ranks):
+        for dst in rng.choice(num_ranks, size=4, replace=False):
+            if int(dst) != src:
+                pairs.append((src, int(dst), int(rng.integers(1, 30)) * 4096))
+    return make_matrix(num_ranks, pairs)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_matrix
+from helpers import make_matrix, spread_matrix
 
 from repro.comm.matrix import matrix_from_trace
 from repro.sim import simulate_network, simulate_network_reference
@@ -60,22 +60,11 @@ REGIMES = [
 ]
 
 
-def _spread_matrix(num_ranks: int, seed: int = 0):
-    """Many crossing pairs with mixed volumes, deterministic."""
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for src in range(num_ranks):
-        for dst in rng.choice(num_ranks, size=4, replace=False):
-            if int(dst) != src:
-                pairs.append((src, int(dst), int(rng.integers(1, 30)) * 4096))
-    return make_matrix(num_ranks, pairs)
-
-
 class TestBitEquivalence:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("execution_time", REGIMES)
     def test_engines_bit_identical(self, topology, execution_time):
-        matrix = _spread_matrix(27, seed=1)
+        matrix = spread_matrix(27, seed=1)
         setup = prepare_simulation(
             matrix, topology, execution_time=execution_time, seed=3
         )
@@ -84,14 +73,14 @@ class TestBitEquivalence:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 17])
     def test_seed_for_seed(self, seed):
-        matrix = _spread_matrix(27, seed=seed)
+        matrix = spread_matrix(27, seed=seed)
         setup = prepare_simulation(
             matrix, Dragonfly(4, 2, 2), execution_time=2e-4, seed=seed
         )
         assert_bit_identical(run_reference(setup), run_batched(setup))
 
     def test_volume_scale_paths_identical(self):
-        matrix = _spread_matrix(27, seed=2)
+        matrix = spread_matrix(27, seed=2)
         for scale in (1.0, 4.0, 16.0):
             setup = prepare_simulation(
                 matrix,
@@ -124,7 +113,7 @@ class TestBitEquivalence:
 
 class TestDispatch:
     def test_forced_engines_match_auto(self):
-        matrix = _spread_matrix(27, seed=4)
+        matrix = spread_matrix(27, seed=4)
         kw = dict(execution_time=4e-4, seed=2)
         auto = simulate_network(matrix, FatTree(8, 3), engine="auto", **kw)
         batched = simulate_network(matrix, FatTree(8, 3), engine="batched", **kw)
@@ -133,7 +122,7 @@ class TestDispatch:
         assert_bit_identical(auto, reference)
 
     def test_reference_entrypoint_matches(self):
-        matrix = _spread_matrix(27, seed=4)
+        matrix = spread_matrix(27, seed=4)
         kw = dict(execution_time=4e-4, seed=2)
         a = simulate_network(matrix, Torus3D((3, 3, 3)), **kw)
         b = simulate_network_reference(matrix, Torus3D((3, 3, 3)), **kw)

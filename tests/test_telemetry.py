@@ -20,7 +20,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import make_matrix
+from helpers import make_matrix, spread_matrix
 
 from repro import cache
 from repro.analysis.sweep import SweepSpec, run_sweep
@@ -62,16 +62,6 @@ REGIMES = [
 ]
 
 
-def _spread_matrix(num_ranks: int, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for src in range(num_ranks):
-        for dst in rng.choice(num_ranks, size=4, replace=False):
-            if int(dst) != src:
-                pairs.append((src, int(dst), int(rng.integers(1, 30)) * 4096))
-    return make_matrix(num_ranks, pairs)
-
-
 def _instrumented_pair(setup, config=None):
     """Run both engines over one setup, each with a fresh collector."""
     ref = run_reference(setup, collector=WindowedCollector(config))
@@ -84,7 +74,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("execution_time", REGIMES)
     def test_reports_bit_identical(self, topology, execution_time):
         setup = prepare_simulation(
-            _spread_matrix(27, seed=1),
+            spread_matrix(27, seed=1),
             topology,
             execution_time=execution_time,
             seed=3,
@@ -97,7 +87,7 @@ class TestBitIdentity:
     def test_reports_bit_identical_per_policy(self, routing):
         topo = Dragonfly(4, 2, 2)
         setup = prepare_simulation(
-            _spread_matrix(27, seed=2),
+            spread_matrix(27, seed=2),
             topo,
             execution_time=2e-4,
             seed=5,
@@ -117,7 +107,7 @@ class TestBitIdentity:
         assert reports_equal(ref.telemetry, bat.telemetry)
 
     def test_simulate_network_engines_match(self):
-        matrix = _spread_matrix(27, seed=4)
+        matrix = spread_matrix(27, seed=4)
         kw = dict(
             execution_time=4e-4, seed=2, telemetry=TelemetryConfig(windows=12)
         )
@@ -132,7 +122,7 @@ class TestResultLinkFields:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_serve_counts_identical_between_engines(self, topology):
         setup = prepare_simulation(
-            _spread_matrix(27, seed=6), topology, execution_time=3e-4, seed=1
+            spread_matrix(27, seed=6), topology, execution_time=3e-4, seed=1
         )
         ref = run_reference(setup)
         bat = run_batched(setup)
@@ -144,7 +134,7 @@ class TestResultLinkFields:
 
     def test_peak_link_busy_fraction_definition(self):
         setup = prepare_simulation(
-            _spread_matrix(27, seed=6),
+            spread_matrix(27, seed=6),
             Torus3D((3, 3, 3)),
             execution_time=3e-4,
             seed=1,
@@ -167,13 +157,13 @@ class TestResultLinkFields:
 class TestCollectorPlumbing:
     def test_default_run_has_no_telemetry(self):
         result = simulate_network(
-            _spread_matrix(27, seed=0), Torus3D((3, 3, 3)), execution_time=1e-3
+            spread_matrix(27, seed=0), Torus3D((3, 3, 3)), execution_time=1e-3
         )
         assert result.telemetry is None
 
     def test_null_collector_is_transparent(self):
         setup = prepare_simulation(
-            _spread_matrix(27, seed=0),
+            spread_matrix(27, seed=0),
             Torus3D((3, 3, 3)),
             execution_time=1e-3,
             seed=2,
@@ -209,7 +199,7 @@ class TestReportInternals:
     @pytest.fixture(scope="class")
     def run(self):
         setup = prepare_simulation(
-            _spread_matrix(27, seed=3),
+            spread_matrix(27, seed=3),
             Dragonfly(4, 2, 2),
             execution_time=2e-4,
             seed=9,
@@ -267,7 +257,7 @@ class TestReportInternals:
 class TestCongestionRegions:
     def test_quiet_run_has_no_regions(self):
         result = simulate_network(
-            _spread_matrix(27, seed=0),
+            spread_matrix(27, seed=0),
             Torus3D((3, 3, 3)),
             execution_time=1.0,  # sparse: no link is ever near saturation
             telemetry=TelemetryConfig(windows=8),
@@ -308,10 +298,10 @@ class TestCongestionRegions:
             Torus3D((2, 2, 2)),
             telemetry=TelemetryConfig(windows=4),
         )
-        with pytest.raises(ValueError, match="threshold"):
-            find_congestion_regions(result.telemetry, Torus3D((2, 2, 2)), 0.0)
-        with pytest.raises(ValueError, match="threshold"):
-            find_congestion_regions(result.telemetry, Torus3D((2, 2, 2)), 1.5)
+        for entry in (find_congestion_regions, congestion_summary):
+            for threshold in (0.0, 1.5, float("nan")):
+                with pytest.raises(ValueError, match="threshold"):
+                    entry(result.telemetry, Torus3D((2, 2, 2)), threshold)
 
 
 class TestAdversarialRoutingComparison:
@@ -363,7 +353,7 @@ class TestExport:
     @pytest.fixture(scope="class")
     def report(self):
         result = simulate_network(
-            _spread_matrix(27, seed=5),
+            spread_matrix(27, seed=5),
             Dragonfly(4, 2, 2),
             execution_time=3e-4,
             seed=4,
@@ -476,7 +466,7 @@ class TestCacheHygiene:
     def test_telemetry_config_does_not_poison_route_cache(self):
         """The same traffic hits the cached incidence whether or not the run
         is instrumented: telemetry config never enters a cache key."""
-        matrix = _spread_matrix(27, seed=8)
+        matrix = spread_matrix(27, seed=8)
         topo = Torus3D((3, 3, 3))
         cache.clear(memory=True)
         simulate_network(matrix, topo, execution_time=1e-3)
