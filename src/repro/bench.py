@@ -15,14 +15,14 @@ comparison, bound, ``enforced``).  Everything else is derived from it:
 - ``benchmarks/test_perf_gates.py``, one parametrized test per gate;
 - the CI bench matrix, which relies on that exit status.
 
-``enforced`` marks the deterministic gates: bit-identity, structural
-ratios (route counts, expanded bytes, hops) and the peak-RSS ratio over a
-fixed budget, all stable on shared runners.  The other gates are
-same-machine wall-time ratios (and the workload-regime checks that pin
-what those ratios are measured on); only ``pytest -m perf benchmarks/``
-asserts them.  Wall times themselves are provenance, never compared
-across machines.  Each target's one-line description is the first line
-of its measuring function's docstring.
+``enforced`` marks the deterministic gates: bit-identity, route-walk
+validity, structural ratios (route counts, expanded bytes, hops) and the
+peak-RSS ratio over a fixed budget, all stable on shared runners.  The
+other gates are same-machine wall-time ratios (and the workload-regime
+checks that pin what those ratios are measured on); only ``pytest -m perf
+benchmarks/`` asserts them.  Wall times themselves are provenance, never
+compared across machines.  Each target's one-line description is the
+first line of its measuring function's docstring.
 """
 
 from __future__ import annotations
@@ -174,6 +174,10 @@ SCALE_CHUNK_MB = 8.0
 SCALE_RSS_BUDGET_MB = 2048.0
 SCALE_RLIMIT_GB = 4.0
 
+#: ``routing``: pairs per topology and policy whose routes are checked to
+#: be valid walks (a Python loop per pair, ~40 us each).
+ROUTING_WALK_SAMPLE = 1000
+
 #: ``sweep``: persistent service workers, and the reference grid — six
 #: study apps at their largest common scales, crossed with every
 #: topology, three mappings, two payloads, and two routing policies: 216
@@ -321,12 +325,17 @@ def run_routing_bench(
     """Route-construction throughput of every policy at 1728 ranks.
 
     One batch of ``pairs`` random node pairs per topology, routed once per
-    policy (load-aware policies see uniform unit weights); plus a cold/warm
-    pass through :func:`repro.cache.cached_route_incidence` on the minimal
-    policy to measure the memoization speedup the pipeline relies on.
+    policy (load-aware policies see uniform unit weights); the routes of
+    the batch's first :data:`ROUTING_WALK_SAMPLE` pairs are checked to be
+    valid walks (:func:`repro.routing.validate.walks_are_valid`).  Plus a
+    cold/warm pass through :func:`repro.cache.cached_route_incidence` on
+    the minimal policy to measure the memoization speedup the pipeline
+    relies on.
     """
     from . import cache
     from .routing import ROUTINGS, get_policy
+    from .routing.validate import walks_are_valid
+    from .topology.base import RouteIncidence
     from .topology.configs import build_all
 
     topologies = build_all(ranks)
@@ -340,11 +349,19 @@ def run_routing_bench(
         for name in ROUTINGS:
             policy = get_policy(name, seed=seed)
             inc, dt = _timed(policy.route_incidence, topology, src, dst)
+            sampled = inc.pair_index < ROUTING_WALK_SAMPLE
+            walks = walks_are_valid(
+                topology,
+                src[:ROUTING_WALK_SAMPLE],
+                dst[:ROUTING_WALK_SAMPLE],
+                RouteIncidence(inc.pair_index[sampled], inc.link_id[sampled]),
+            )
             entry[name] = {
                 "seconds": round(dt, 4),
                 "pairs_per_s": round(pairs / dt) if dt else None,
                 "incidence_rows": inc.num_incidences,
                 "mean_hops": round(inc.num_incidences / pairs, 3),
+                "invalid_walks": int((~walks).sum()),
             }
         for name in ROUTINGS:
             slowdowns[name].append(
@@ -1219,6 +1236,8 @@ BENCHES: dict[str, Bench] = {b.name: b for b in (
         Gate("geomean slowdown vs minimal, every policy",
              "summary.slowdown_vs_minimal.*", "<=", 200.0),
         Gate("incidence cache warm/cold speedup", "summary.cache_speedup", ">=", 5.0),
+        Gate("invalid sampled walks, every policy",
+             "routing.*.*.invalid_walks", "==", 0, True),
     ), _routing_detail),
     Bench("telemetry", run_telemetry_bench, (
         Gate("packets simulated", "overhead.packets", ">=", 500_000),

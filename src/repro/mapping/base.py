@@ -100,7 +100,7 @@ class Mapping:
 
     def used_nodes(self) -> np.ndarray:
         """Sorted unique nodes that host at least one rank."""
-        return np.unique(self.nodes)
+        return np.flatnonzero(np.bincount(self.nodes))
 
     @property
     def num_used_nodes(self) -> int:

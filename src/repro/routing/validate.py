@@ -12,8 +12,8 @@ edges is traversable as a single walk from ``u`` to ``v`` iff
   empty — zero hops).
 
 To apply it, each topology's opaque link IDs are decoded into their two
-endpoint *vertices* (:func:`link_endpoints`): torus links join nodes
-directly; fat tree links join nodes, leaf, mid, and top switches of the
+endpoint *vertices* (:func:`link_endpoints`): torus and mesh links join
+nodes directly; fat tree links join nodes, leaf, mid, and top switches of the
 folded Clos; dragonfly links join nodes and per-group routers (triangular
 pair indices decoded via precomputed ``triu_indices`` tables).  Node
 vertices reuse the node IDs, so a pair's walk endpoints are simply
@@ -31,6 +31,7 @@ import numpy as np
 from ..topology.base import RouteIncidence, Topology
 from ..topology.dragonfly import Dragonfly
 from ..topology.fattree import FatTree
+from ..topology.mesh import Mesh3D
 from ..topology.torus import Torus3D
 
 __all__ = ["link_endpoints", "walks_are_valid"]
@@ -48,8 +49,9 @@ def link_endpoints(
     """Decode link IDs into their two endpoint vertex IDs.
 
     Vertex numbering (per topology instance): node vertices are the node
-    IDs ``[0, N)``; switch/router vertices follow.  Raises for topology
-    types without a decoder.
+    IDs ``[0, N)``; switch/router vertices follow.  Raises ``TypeError`` for
+    topology types without a decoder, and ``ValueError`` for a torus or
+    mesh link ID the topology does not have.
     """
     link_ids = np.asarray(link_ids, dtype=np.int64)
     if isinstance(topology, Torus3D):
@@ -64,11 +66,26 @@ def link_endpoints(
 def _torus_endpoints(
     t: Torus3D, link_ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Link node*3+dim joins the owner to its +dim ring neighbour.
+    # Link node*3+dim joins the owner to its +dim ring neighbour.  A mesh
+    # has no link from the last coordinate of a dimension (that would wrap).
+    bad = (link_ids < 0) | (link_ids >= 3 * t.num_nodes)
+    if bad.any():
+        raise ValueError(
+            f"link id {int(link_ids[bad][0])} out of range [0, "
+            f"{3 * t.num_nodes}) for {t!r}"
+        )
     owner, dim = np.divmod(link_ids, 3)
     coords = t.coordinates(owner)
     sizes = np.array(t.dims, dtype=np.int64)
     rows = np.arange(len(owner))
+    if isinstance(t, Mesh3D):
+        wraps = coords[rows, dim] == sizes[dim] - 1
+        if wraps.any():
+            link = int(link_ids[wraps][0])
+            raise ValueError(
+                f"link id {link} ({t.describe_link(link)}) would wrap around: "
+                f"{t!r} has no such link"
+            )
     coords[rows, dim] = (coords[rows, dim] + 1) % sizes[dim]
     neighbour = (coords[:, 0] * t.dims[1] + coords[:, 1]) * t.dims[2] + coords[:, 2]
     return owner, neighbour

@@ -31,7 +31,7 @@ from ..comm.matrix import CommMatrix
 from ..core.packets import MAX_PAYLOAD_BYTES
 from ..mapping.base import Mapping
 from ..model.engine import BANDWIDTH_BYTES_PER_S
-from ..topology.base import Topology
+from ..topology.base import Topology, compact_ids
 
 __all__ = [
     "SimulationResult",
@@ -212,8 +212,7 @@ def prepare_simulation(
 
     # Compact the opaque link IDs into a dense [0, num_links) index space so
     # engines can use flat arrays for per-link state.
-    link_ids, route_links = np.unique(sorted_links, return_inverse=True)
-    route_links = route_links.astype(np.int64, copy=False)
+    link_ids, route_links = compact_ids(sorted_links)
 
     # Structural observables: each packet serves each route link once, so
     # counts are (packets per pair) scattered over that pair's route links.

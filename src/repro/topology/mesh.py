@@ -31,9 +31,11 @@ class Mesh3D(Torus3D):
     def diameter(self) -> int:
         return sum(d - 1 for d in self.dims)
 
-    def _ring_deltas(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Signed per-dimension steps — no wrap, always the direct path."""
-        return self.coordinates(dst) - self.coordinates(src)
+    def _dim_deltas(
+        self, s_c: np.ndarray, d_c: np.ndarray, size: int
+    ) -> np.ndarray:
+        """Signed steps along one dimension — no wrap, always the direct path."""
+        return d_c - s_c
 
     def hops_array(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         src = np.asarray(src, dtype=np.int64)

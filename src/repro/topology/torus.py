@@ -68,25 +68,24 @@ class Torus3D(Topology):
 
     # -- hops -----------------------------------------------------------------
 
-    def _ring_deltas(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Signed per-dimension steps along the shorter ring direction.
+    def _dim_deltas(
+        self, s_c: np.ndarray, d_c: np.ndarray, size: int
+    ) -> np.ndarray:
+        """Signed steps along one dimension, the shorter ring direction.
 
-        Shape ``(k, 3)``; positive means increasing coordinates.  Ties
-        (delta exactly half the ring size) go the positive way.
+        ``s_c``/``d_c`` are one coordinate column of the sources and
+        destinations; positive means increasing coordinates.  Ties (delta
+        exactly half the ring size) go the positive way.  :class:`Mesh3D`
+        overrides this hook with the direct, never-wrapping delta.
         """
-        cs = self.coordinates(src)
-        cd = self.coordinates(dst)
-        sizes = np.array(self.dims, dtype=np.int64)
-        forward = (cd - cs) % sizes  # steps going +
-        backward = forward - sizes  # equivalent negative move
-        take_forward = forward <= (-backward)  # tie -> forward
-        return np.where(take_forward, forward, backward)
+        forward = (d_c - s_c) % size  # steps going +
+        return np.where(forward <= size - forward, forward, forward - size)
 
     def hops_array(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        # Per-dimension 1D arithmetic instead of the (k, 3) coordinate
-        # layout of _ring_deltas: ~2.7x faster on million-pair queries
-        # (see benchmarks/test_micro.py), and hop counts do not need the
-        # signed tie-break that routing does.
+        # Per-dimension 1D arithmetic instead of a (k, 3) coordinate
+        # layout: ~2.7x faster on million-pair queries (see
+        # benchmarks/test_micro.py), and hop counts do not need the signed
+        # tie-break of _dim_deltas that routing does.
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         self._check_nodes(src, dst)
@@ -108,10 +107,6 @@ class Torus3D(Topology):
         """Total undirected links: three per node (+x, +y, +z)."""
         return 3 * self._num_nodes
 
-    def _link_id(self, owner_nodes: np.ndarray, dim: int) -> np.ndarray:
-        """Undirected link owned by ``owner`` in the positive ``dim`` direction."""
-        return owner_nodes * 3 + dim
-
     def route_incidence(self, src: np.ndarray, dst: np.ndarray) -> RouteIncidence:
         return self.route_incidence_ordered(src, dst, (0, 1, 2))
 
@@ -130,44 +125,51 @@ class Torus3D(Topology):
         self._check_nodes(src, dst)
         if sorted(order) != [0, 1, 2]:
             raise ValueError(f"order must permute (0, 1, 2), got {order}")
-        deltas = self._ring_deltas(src, dst)  # (k, 3)
-        coords = self.coordinates(src)  # walked in place per dimension
-        sizes = np.array(self.dims, dtype=np.int64)
+        _, Y, Z = self.dims
+        strides = (Y * Z, Z, 1)
+        s_cols = [(src // st) % size for st, size in zip(strides, self.dims)]
+        d_cols = [(dst // st) % size for st, size in zip(strides, self.dims)]
+        deltas = [
+            self._dim_deltas(s_c, d_c, size)
+            for s_c, d_c, size in zip(s_cols, d_cols, self.dims)
+        ]
+        steps = [np.abs(d) for d in deltas]
+        total = int(sum(int(s.sum()) for s in steps))
+        pair_index = np.empty(total, dtype=np.int64)
+        link_id = np.empty(total, dtype=np.int64)
 
-        pair_chunks: list[np.ndarray] = []
-        link_chunks: list[np.ndarray] = []
-        pair_ids = np.arange(len(src), dtype=np.int64)
-
+        # ``rest`` is each pair's current node minus the walked dimension's
+        # coordinate: destination values for the dimensions already walked,
+        # source values for the ones still ahead.  Rows go out dimension by
+        # dimension, then step by step, then in ascending pair order.
+        rest = src.copy()
+        pos = 0
         for dim in order:
-            d = deltas[:, dim]
-            steps = np.abs(d)
-            direction = np.sign(d)
-            max_steps = int(steps.max()) if len(steps) else 0
-            for step in range(max_steps):
-                active = steps > step
-                if not active.any():
-                    break
-                cur = coords[active].copy()
-                dirs = direction[active]
-                # The undirected link between coordinate c and c+1 (mod size)
-                # in `dim` is owned by the lower endpoint along the ring.
-                owner = cur.copy()
-                backward = dirs < 0
-                owner[backward, dim] = (owner[backward, dim] - 1) % sizes[dim]
-                owner_nodes = (owner[:, 0] * self.dims[1] + owner[:, 1]) * self.dims[
-                    2
-                ] + owner[:, 2]
-                pair_chunks.append(pair_ids[active])
-                link_chunks.append(self._link_id(owner_nodes, dim))
-                # advance the walk
-                coords[active, dim] = (coords[active, dim] + dirs) % sizes[dim]
-
-        if pair_chunks:
-            return RouteIncidence(
-                np.concatenate(pair_chunks), np.concatenate(link_chunks)
-            )
-        empty = np.zeros(0, dtype=np.int64)
-        return RouteIncidence(empty, empty.copy())
+            stride, size = strides[dim], self.dims[dim]
+            rest -= s_cols[dim] * stride
+            active = np.flatnonzero(steps[dim])
+            remaining = steps[dim][active]
+            forward = deltas[dim][active] > 0
+            move = np.where(forward, 1, -1)
+            # The undirected link between coordinate c and c+1 (mod size)
+            # is owned by the lower endpoint along the ring: the current
+            # coordinate going +, the next one going -.
+            start = s_cols[dim][active]
+            owner = np.where(forward, start, start - 1)
+            base = rest[active] * 3 + dim
+            for step in range(int(remaining.max()) if len(active) else 0):
+                if step:
+                    keep = remaining > step
+                    if not keep.all():
+                        active, remaining = active[keep], remaining[keep]
+                        move, owner, base = move[keep], owner[keep], base[keep]
+                end = pos + len(active)
+                pair_index[pos:end] = active
+                link_id[pos:end] = base + (owner % size) * (stride * 3)
+                owner += move
+                pos = end
+            rest += d_cols[dim] * stride
+        return RouteIncidence(pair_index, link_id)
 
     def snake_order(self) -> np.ndarray:
         """Boustrophedon traversal of all nodes: consecutive entries are

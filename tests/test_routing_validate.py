@@ -18,6 +18,7 @@ from repro.routing.validate import link_endpoints, walks_are_valid
 from repro.topology.base import RouteIncidence
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.fattree import FatTree
+from repro.topology.mesh import Mesh3D
 from repro.topology.torus import Torus3D
 
 TOPOLOGIES = [
@@ -156,3 +157,35 @@ class TestCorruptedIncidence:
         )
         ok = walks_are_valid(topology, src, dst, corrupted)
         assert not ok[0] and ok[1]
+
+
+class TestLinkDecoder:
+    """A link ID the topology does not have fails loudly, naming the link."""
+
+    def test_mesh_wrap_link_is_rejected(self):
+        # Node (3,0,0)'s +x link would wrap to x=0: a torus link only.
+        mesh = Mesh3D((4, 3, 3))
+        wrap = 27 * 3
+        message = r"^link id 81 \(mesh link \+x at \(3,0,0\)\) would wrap around"
+        with pytest.raises(ValueError, match=message):
+            link_endpoints(mesh, np.array([0, wrap]))
+        u, v = link_endpoints(Torus3D((4, 3, 3)), np.array([wrap]))
+        assert (int(u[0]), int(v[0])) == (27, 0)
+
+    def test_mesh_walk_over_a_wrap_link_raises(self):
+        # The torus route 0 -> (3,0,0) takes the wrap link; checked as a
+        # mesh walk it must fail loudly, not validate.
+        mesh = Mesh3D((4, 3, 3))
+        src, dst = np.array([0]), np.array([27])
+        torus_route = Torus3D((4, 3, 3)).route_incidence(src, dst)
+        with pytest.raises(ValueError, match="would wrap around"):
+            walks_are_valid(mesh, src, dst, torus_route)
+        assert walks_are_valid(mesh, src, dst, mesh.route_incidence(src, dst)).all()
+
+    @pytest.mark.parametrize("cls", [Torus3D, Mesh3D])
+    @pytest.mark.parametrize("bad", [36 * 3, 36 * 3 + 7, -1])
+    def test_out_of_range_link_is_rejected(self, cls, bad):
+        topology = cls((4, 3, 3))
+        message = rf"^link id {bad} out of range \[0, 108\)"
+        with pytest.raises(ValueError, match=message):
+            link_endpoints(topology, np.array([1, bad]))

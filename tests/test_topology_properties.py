@@ -89,6 +89,19 @@ class TestMeshProperties:
 
     @settings(max_examples=20, deadline=None)
     @given(dims_strategy)
+    def test_routes(self, dims):
+        mesh = Mesh3D(dims)
+        check_routes(mesh)
+        # A link owned by the last coordinate along its dimension would
+        # wrap around to coordinate 0: the mesh has no such link.
+        rng = np.random.default_rng(5)
+        inc = mesh.route_incidence(*_random_pairs(rng, mesh.num_nodes))
+        owner, dim = np.divmod(inc.link_id, 3)
+        coords = mesh.coordinates(owner)[np.arange(len(owner)), dim]
+        assert np.all(coords < np.array(dims)[dim] - 1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(dims_strategy)
     def test_mesh_dominates_torus(self, dims):
         mesh, torus = Mesh3D(dims), Torus3D(dims)
         rng = np.random.default_rng(2)
