@@ -6,18 +6,24 @@ kernels every analysis is built on.  Regressions here multiply into every
 experiment.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.apps.registry import generate_trace
 from repro.comm.matrix import CommMatrixBuilder, matrix_from_trace
 from repro.core.packets import packets_for_bytes_array
-from repro.metrics.selectivity import mean_selectivity_curve
+from repro.metrics.selectivity import mean_selectivity_curve, selectivity
 from repro.metrics.weighted import weighted_quantile
 from repro.model.engine import analyze_network
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.fattree import FatTree
 from repro.topology.torus import Torus3D
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles.metrics import selectivity_reference  # noqa: E402
 
 RNG = np.random.default_rng(0)
 N_PAIRS = 1_000_000
@@ -101,6 +107,11 @@ class TestMetricKernels:
         matrix = matrix_from_trace(lulesh_trace, include_collectives=False)
         curve = benchmark(mean_selectivity_curve, matrix)
         assert curve[-1] == pytest.approx(1.0)
+
+    def test_selectivity_lulesh512(self, benchmark, lulesh_trace):
+        matrix = matrix_from_trace(lulesh_trace, include_collectives=False)
+        value = benchmark(selectivity, matrix)
+        assert value == selectivity_reference(matrix)
 
 
 class TestEnginePipeline:

@@ -523,7 +523,7 @@ def run_scale_pipeline(
     from .apps import stream_trace
     from .comm.matrix import matrix_from_stream
     from .core.stream import DEFAULT_CHUNK_BYTES, BlockStream
-    from .metrics.locality import rank_distance, rank_locality
+    from .metrics.locality import locality_from_distance, rank_distance
     from .metrics.peers import peers_per_rank
 
     if chunk_bytes is None:
@@ -551,7 +551,7 @@ def run_scale_pipeline(
 
     t0 = time.perf_counter()
     distance = rank_distance(matrix)
-    locality = rank_locality(matrix)
+    locality = locality_from_distance(distance)
     avg_peers = float(peers_per_rank(matrix).mean())
     locality_s = time.perf_counter() - t0
 

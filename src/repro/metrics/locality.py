@@ -23,6 +23,7 @@ __all__ = [
     "pair_distances",
     "rank_distance",
     "rank_locality",
+    "locality_from_distance",
     "distance_histogram",
 ]
 
@@ -56,12 +57,16 @@ def rank_locality(matrix: CommMatrix, share: float = DEFAULT_SHARE) -> float:
     A value of 1.0 means 90% of traffic stays within direct rank neighbours.
     NaN when there is no point-to-point traffic.
     """
-    d = rank_distance(matrix, share)
-    if np.isnan(d):
+    return locality_from_distance(rank_distance(matrix, share))
+
+
+def locality_from_distance(distance: float) -> float:
+    """Rank locality of an already computed :func:`rank_distance` (Eq. 2)."""
+    if np.isnan(distance):
         return float("nan")
     # Distances below one can arise from quantile interpolation when nearly
     # all traffic is neighbour traffic; locality is capped at 100%.
-    return min(1.0, 1.0 / d) if d > 0 else 1.0
+    return min(1.0, 1.0 / distance) if distance > 0 else 1.0
 
 
 def distance_histogram(matrix: CommMatrix) -> tuple[np.ndarray, np.ndarray]:

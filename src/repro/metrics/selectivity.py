@@ -27,46 +27,58 @@ __all__ = [
 DEFAULT_SHARE = 0.9
 
 
-def _sorted_partner_bytes(matrix: CommMatrix) -> dict[int, np.ndarray]:
-    """Per source rank: partner byte volumes sorted descending (self excluded)."""
+def _partner_runs(matrix: CommMatrix) -> tuple[np.ndarray, ...]:
+    """Every sending rank's partners, heaviest first, in one flat array.
+
+    Returns ``(ranks, starts, lengths, totals, cum)``: the sending ranks in
+    ascending order, where each rank's run starts in the flat partner array
+    and how many partners it has, each rank's total p2p volume, and the
+    running volume within each rank's run (``cum[starts[i]]`` is rank
+    ``i``'s heaviest partner).  Self pairs are excluded; zero-byte partners
+    stay, at the end of their run.  The int64 running sum is exact, so every
+    value equals a per-rank ``np.cumsum``.
+    """
     mask = matrix.src != matrix.dst
     src = matrix.src[mask]
     nbytes = matrix.nbytes[mask]
-    out: dict[int, np.ndarray] = {}
-    if src.size == 0:
-        return out
-    order = np.argsort(src, kind="stable")
+    if not src.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy(), empty.copy(), empty.copy()
+    order = np.lexsort((-nbytes, src))
     src = src[order]
     nbytes = nbytes[order]
-    boundaries = np.flatnonzero(np.diff(src)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(src)]))
-    for s, e in zip(starts, ends):
-        vols = np.sort(nbytes[s:e])[::-1]
-        out[int(src[s])] = vols
-    return out
+    head = np.empty(len(src), dtype=bool)
+    head[0] = True
+    np.not_equal(src[1:], src[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    lengths = np.diff(starts, append=len(src))
+    totals = np.add.reduceat(nbytes, starts)
+    cum = np.cumsum(nbytes)
+    # Rebase each run on the volume before it (wraparound-safe in int64).
+    cum -= np.repeat(cum[starts] - nbytes[starts], lengths)
+    return src[starts], starts, lengths, totals, cum
 
 
-def _partners_to_cover(volumes_desc: np.ndarray, share: float) -> int:
-    """Smallest k such that the top-k volumes reach ``share`` of the total."""
-    total = volumes_desc.sum()
-    if total == 0:
-        return 0
-    cum = np.cumsum(volumes_desc)
-    return int(np.searchsorted(cum, share * total - 1e-9) + 1)
+def _selectivities(matrix: CommMatrix, share: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(ranks, k)``: fewest top partners covering ``share`` of each sending rank.
+
+    Ranks whose partners carry zero bytes in total are dropped.
+    """
+    if not 0 < share <= 1:
+        raise ValueError(f"share must be in (0, 1], got {share}")
+    ranks, starts, lengths, totals, cum = _partner_runs(matrix)
+    below = cum < np.repeat(share * totals - 1e-9, lengths)
+    k = np.add.reduceat(below.astype(np.int64), starts) + 1
+    sending = totals > 0
+    return ranks[sending], k[sending]
 
 
 def per_rank_selectivity(
     matrix: CommMatrix, share: float = DEFAULT_SHARE
 ) -> dict[int, int]:
     """Selectivity of every rank that sends p2p traffic."""
-    if not 0 < share <= 1:
-        raise ValueError(f"share must be in (0, 1], got {share}")
-    return {
-        rank: _partners_to_cover(vols, share)
-        for rank, vols in _sorted_partner_bytes(matrix).items()
-        if vols.sum() > 0
-    }
+    ranks, k = _selectivities(matrix, share)
+    return dict(zip(ranks.tolist(), k.tolist()))
 
 
 def selectivity(matrix: CommMatrix, share: float = DEFAULT_SHARE) -> float:
@@ -75,10 +87,10 @@ def selectivity(matrix: CommMatrix, share: float = DEFAULT_SHARE) -> float:
     NaN when no rank sends point-to-point traffic (all-collective workloads,
     reported N/A in the paper).
     """
-    per_rank = per_rank_selectivity(matrix, share)
-    if not per_rank:
+    _, k = _selectivities(matrix, share)
+    if not k.size:
         return float("nan")
-    return float(np.mean(list(per_rank.values())))
+    return float(np.mean(k))
 
 
 def partner_volumes(matrix: CommMatrix, rank: int) -> np.ndarray:
@@ -106,26 +118,26 @@ def mean_selectivity_curve(matrix: CommMatrix, max_partners: int | None = None) 
 
     Ranks with fewer partners than the curve length are padded with 1.0
     (their whole volume is already covered).  Returns an empty array when no
-    rank sends p2p traffic.
+    rank sends p2p traffic.  ``max_partners`` caps the curve length; it must
+    be None or at least 1.
     """
-    per_rank = _sorted_partner_bytes(matrix)
-    curves = []
-    longest = 0
-    for vols in per_rank.values():
-        total = vols.sum()
-        if total == 0:
-            continue
-        curves.append(np.cumsum(vols) / total)
-        longest = max(longest, len(vols))
-    if not curves:
+    if max_partners is not None and max_partners < 1:
+        raise ValueError(f"max_partners must be None or >= 1, got {max_partners}")
+    _, starts, lengths, totals, cum = _partner_runs(matrix)
+    sending = totals > 0
+    n_sending = int(np.count_nonzero(sending))
+    if not n_sending:
         return np.zeros(0, dtype=np.float64)
+    longest = int(lengths[sending].max())
     if max_partners is not None:
         longest = min(longest, max_partners)
-    acc = np.zeros(longest, dtype=np.float64)
-    for curve in curves:
-        if len(curve) >= longest:
-            acc += curve[:longest]
-        else:
-            acc[: len(curve)] += curve
-            acc[len(curve) :] += 1.0
-    return acc / len(curves)
+    run = np.repeat(np.arange(len(starts)), lengths)
+    position = np.arange(len(cum)) - starts[run]
+    keep = sending[run] & (position < longest)
+    run = run[keep]
+    pad = np.ones((n_sending, longest), dtype=np.float64)
+    row_of_run = np.cumsum(sending) - 1
+    pad[row_of_run[run], position[keep]] = cum[keep] / totals[run]
+    # Accumulate row by row in rank order: ``pad.sum(axis=0)`` would switch
+    # to pairwise summation and move the last bits of the mean.
+    return np.cumsum(pad, axis=0)[-1] / n_sending

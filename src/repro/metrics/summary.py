@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from ..comm.matrix import CommMatrix, matrix_from_trace
 from ..core.trace import Trace
 from ..util import fmt_float
-from .locality import rank_distance, rank_locality
+from .locality import locality_from_distance, rank_distance
 from .peers import peers
 from .selectivity import selectivity
 
@@ -77,12 +77,13 @@ def mpi_level_metrics(
             rank_locality_90=math.nan,
             selectivity_90=math.nan,
         )
+    distance = rank_distance(matrix)
     return MPILevelMetrics(
         app=trace.meta.app,
         variant=trace.meta.variant,
         num_ranks=trace.meta.num_ranks,
         peers=n_peers,
-        rank_distance_90=rank_distance(matrix),
-        rank_locality_90=rank_locality(matrix),
+        rank_distance_90=distance,
+        rank_locality_90=locality_from_distance(distance),
         selectivity_90=selectivity(matrix),
     )

@@ -91,6 +91,10 @@ def _node_pair_aggregate(
 
     Returns parallel arrays ``(src_node, dst_node, nbytes, packets)`` with
     unique node pairs (self-pairs included; they carry the zero-hop packets).
+    When the node-pair keys are already strictly increasing (the consecutive
+    one-rank-per-node mapping of a sorted matrix), every pair is its own run
+    and the matrix's own ``nbytes``/``packets`` arrays are returned: callers
+    must not write into the result.
     """
     src_nodes = mapping.node_of(matrix.src)
     dst_nodes = mapping.node_of(matrix.dst)
@@ -98,6 +102,8 @@ def _node_pair_aggregate(
     if not len(key):
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy(), empty.copy()
+    if np.all(key[1:] > key[:-1]):
+        return src_nodes, dst_nodes, matrix.nbytes, matrix.packets
     # Grouped sums over sorted runs (bincount-style aggregation) instead of
     # np.unique + np.add.at: scatter-add is ~10x slower at these shapes, and
     # reduceat keeps the accumulation in exact int64 (bincount's float64

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from repro.cache import cached_matrix, cached_trace
 from repro.metrics.locality import (
     distance_histogram,
+    locality_from_distance,
     pair_distances,
     rank_distance,
     rank_locality,
 )
+from repro.metrics.summary import mpi_level_metrics
 
 from helpers import make_matrix
 
@@ -61,6 +64,21 @@ class TestRankDistance:
     def test_locality_capped_at_one(self):
         m = make_matrix(4, [(0, 1, 100), (1, 2, 100)])
         assert rank_locality(m) <= 1.0
+
+    def test_locality_from_distance(self):
+        assert math.isnan(locality_from_distance(float("nan")))
+        assert locality_from_distance(0.0) == 1.0
+        assert locality_from_distance(0.5) == 1.0
+        assert locality_from_distance(4.0) == 0.25
+
+    @pytest.mark.parametrize("app,ranks", [("LULESH", 64), ("AMG", 27), ("Boxlib_CNS", 64)])
+    def test_summary_matches_public_functions(self, app, ranks):
+        trace = cached_trace(app, ranks)
+        matrix = cached_matrix(trace, include_collectives=False)
+        metrics = mpi_level_metrics(trace, matrix)
+        assert metrics.has_p2p
+        assert metrics.rank_distance_90 == rank_distance(matrix)
+        assert metrics.rank_locality_90 == rank_locality(matrix)
 
 
 class TestHistogram:

@@ -104,3 +104,13 @@ class TestCurves:
         curve = mean_selectivity_curve(lulesh64_p2p)
         crossing = int(np.searchsorted(curve, 0.9 - 1e-9)) + 1
         assert abs(crossing - selectivity(lulesh64_p2p)) <= 2.5
+
+    @pytest.mark.parametrize("max_partners", [0, -1])
+    def test_mean_curve_rejects_max_partners_below_one(self, max_partners):
+        m = make_matrix(3, [(0, 1, 10), (0, 2, 5)])
+        with pytest.raises(ValueError, match="max_partners must be None or >= 1"):
+            mean_selectivity_curve(m, max_partners=max_partners)
+
+    def test_mean_curve_one_partner(self):
+        m = make_matrix(3, [(0, 1, 30), (0, 2, 10)])
+        assert mean_selectivity_curve(m, max_partners=1).tolist() == [0.75]
