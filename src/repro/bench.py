@@ -27,6 +27,7 @@ first line of its measuring function's docstring.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import operator
 import time
@@ -49,6 +50,8 @@ __all__ = [
     "run_telemetry_bench",
     "run_scale_pipeline",
     "run_scale_bench",
+    "run_report_pipeline",
+    "run_report_bench",
     "sweep_bench_spec",
     "run_sweep_bench",
     "run_tenancy_bench",
@@ -173,6 +176,11 @@ SCALE_RANKS = 262_144
 SCALE_CHUNK_MB = 8.0
 SCALE_RSS_BUDGET_MB = 2048.0
 SCALE_RLIMIT_GB = 4.0
+
+#: ``report``: the full-registry report's fixed peak-RSS budget and the
+#: ``RLIMIT_AS`` cap on its subprocess, twice the budget as for ``scale``.
+REPORT_RSS_BUDGET_MB = 2560.0
+REPORT_RLIMIT_GB = 5.0
 
 #: ``routing``: pairs per topology and policy whose routes are checked to
 #: be valid walks (a Python loop per pair, ~40 us each).
@@ -649,6 +657,83 @@ def run_scale_bench(
             "rows_per_s": (
                 round(child["rows"] / child["front_end_s"])
                 if child["front_end_s"]
+                else None
+            ),
+        },
+    }
+
+
+def run_report_pipeline(max_ranks: int | None = None) -> dict[str, Any]:
+    """What ``repro report [--max-ranks N]`` prints, rendered cold and then
+    warm, in the current process.
+
+    The report is the rows plus the collective-delta table.  ``sha256`` is
+    the digest of the text as ``repro report`` prints it (with the final
+    newline); ``peak_rss_mb`` is this process's lifetime high-water mark,
+    which is why :func:`run_report_bench` runs this in a fresh subprocess.
+    """
+    from .analysis import (
+        build_collective_deltas,
+        build_report,
+        render_collective_deltas,
+        render_report,
+    )
+
+    def render() -> tuple[int, str]:
+        rows = build_report(max_ranks=max_ranks)
+        text = render_report(rows)
+        deltas = build_collective_deltas(max_ranks=max_ranks)
+        if deltas:
+            text += "\n\n" + render_collective_deltas(deltas)
+        return len(rows), text + "\n"
+
+    (rows, cold), cold_s = _timed(render)
+    (_, warm), warm_s = _timed(render)
+    peak = timings.peak_rss_bytes()
+    return {
+        "rows": rows,
+        "cold_s": round(cold_s, 3),
+        "warm_s": round(warm_s, 3),
+        "sha256": hashlib.sha256(cold.encode()).hexdigest(),
+        "warm_identical": warm == cold,
+        "peak_rss_mb": (
+            round(peak / (1024 * 1024), 1) if peak is not None else None
+        ),
+    }
+
+
+def run_report_bench() -> dict[str, Any]:
+    """The full-registry ``repro report``, cold then warm, in a capped subprocess.
+
+    The child renders every configuration's row (critical-path dT/dL
+    column included) and the collective-delta table twice, under a hard
+    ``RLIMIT_AS`` cap of :data:`REPORT_RLIMIT_GB`, so a memory regression
+    fails loudly instead of paging.  Gated: the warm render equals the cold one,
+    and ``rss_ratio``, the peak RSS over :data:`REPORT_RSS_BUDGET_MB`.
+    ``warm_speedup`` (cold over warm seconds) is perf only.
+    """
+    lim = int(REPORT_RLIMIT_GB * (1 << 30))
+    code = (
+        "import json, resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({lim}, {lim}))\n"
+        "from repro.bench import run_report_pipeline\n"
+        "json.dump(run_report_pipeline(), sys.stdout)\n"
+    )
+    child = _run_child(code, {}, f"report (RLIMIT_AS {REPORT_RLIMIT_GB} GB)")
+    peak = child["peak_rss_mb"]
+    return {
+        "report": child,
+        "summary": {
+            "budget_mb": REPORT_RSS_BUDGET_MB,
+            "rlimit_gb": REPORT_RLIMIT_GB,
+            "peak_rss_mb": peak,
+            "rss_ratio": (
+                round(peak / REPORT_RSS_BUDGET_MB, 4) if peak is not None else None
+            ),
+            "warm_identical": child["warm_identical"],
+            "warm_speedup": (
+                round(child["cold_s"] / child["warm_s"], 2)
+                if child["warm_s"]
                 else None
             ),
         },
@@ -1251,6 +1336,12 @@ BENCHES: dict[str, Bench] = {b.name: b for b in (
         Gate("rows streamed", "scale.rows", ">", SCALE_RANKS),
         Gate("matrix pairs", "scale.pairs", ">", SCALE_RANKS),
         Gate("peak RSS / 2048 MB budget", "summary.rss_ratio", "<=", 1.0, True),
+    )),
+    Bench("report", run_report_bench, (
+        Gate("report rows", "report.rows", "==", 38),
+        Gate("warm render == cold render", "summary.warm_identical", "==", True, True),
+        Gate("peak RSS / 2560 MB budget", "summary.rss_ratio", "<=", 1.0, True),
+        Gate("warm report speedup over cold", "summary.warm_speedup", ">=", 5.0),
     )),
     Bench("sweep", run_sweep_bench, (
         Gate("grid cells", "summary.cells", "==", 216),

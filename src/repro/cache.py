@@ -26,6 +26,18 @@ module gives the three hot producers a shared cache:
   of the queried ``(src, dst)`` pair arrays — extended with the per-pair
   weights when a load-aware policy (UGAL) routes on them.
 
+In-memory regions (``stats()``, ``clear()`` and ``configure()`` cover each):
+
+- ``trace``, ``matrix``, ``mapping``, ``incidence`` — the producers above
+  (``mapping`` also holds the shared slot assignments);
+- ``pairs`` — node-pair aggregates (:func:`cached_node_pairs`);
+- ``hops`` — closed-form hop counts (:func:`cached_pair_hops`);
+- ``digests`` — query-array digests memoized under provenance tokens;
+- ``critpath`` — happens-before DAGs with their level schedules
+  (:func:`cached_critpath_dag`), bounded by bytes as well as entries;
+- ``critpath_result`` — the small frozen results of whole critical-path
+  analyses (:func:`cached_critpath_result`), looked up before any DAG.
+
 Two tiers: a per-process in-memory LRU (always on) and an optional on-disk
 cache enabled with :func:`configure` or the ``REPRO_CACHE_DIR`` environment
 variable / ``repro --cache-dir``.  Traces persist as chunked spill
@@ -75,6 +87,7 @@ __all__ = [
     "cached_pair_hops",
     "cached_route_incidence",
     "cached_critpath_dag",
+    "cached_critpath_result",
     "trace_content_key",
     "matrix_content_key",
     "array_digest",
@@ -107,7 +120,10 @@ __all__ = [
 #: v9: foreign-trace content keys digest the decoded record columns plus
 #: the referenced datatype sizes and the communicator table (v8 pickled the
 #: events only, so traces differing in derived-type sizes aliased).
-CACHE_VERSION = 9
+#: v10: the spectral mapping's eigensolver starts from a fixed vector (it
+#: started from a random one, so a spectral slot entry was one draw among
+#: several orderings); no random-start slot entry is read back.
+CACHE_VERSION = 10
 
 
 @dataclass
@@ -123,11 +139,20 @@ class CacheStats:
 
 
 class _LRU:
-    """A small OrderedDict-based LRU with per-region statistics."""
+    """A small OrderedDict-based LRU with per-region statistics.
 
-    def __init__(self, maxsize: int) -> None:
+    ``maxbytes`` additionally bounds the summed ``nbytes`` of the entries:
+    the oldest are evicted past it.  The newest entry always stays, so a
+    value larger than the whole bound is held alone until :meth:`shed`
+    or the next :meth:`put` drops it.
+    """
+
+    def __init__(self, maxsize: int, maxbytes: int | None = None) -> None:
         self.maxsize = maxsize
+        self.maxbytes = maxbytes
+        self.nbytes = 0
         self._data: OrderedDict[Any, Any] = OrderedDict()
+        self._sizes: dict[Any, int] = {}
         self.stats = CacheStats()
 
     def get(self, key: Any) -> Any:
@@ -141,13 +166,33 @@ class _LRU:
         return value
 
     def put(self, key: Any, value: Any) -> None:
+        size = value.nbytes if self.maxbytes is not None else 0
+        self.nbytes += size - self._sizes.get(key, 0)
+        self._sizes[key] = size
         self._data[key] = value
         self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
+        while len(self._data) > 1 and (
+            len(self._data) > self.maxsize or self._over_bytes()
+        ):
+            self._evict_oldest()
+
+    def shed(self) -> None:
+        """Drop an entry held past the byte bound (only a newest one that
+        alone exceeds it can be), e.g. before building its successor."""
+        while self._over_bytes():
+            self._evict_oldest()
+
+    def _over_bytes(self) -> bool:
+        return self.maxbytes is not None and self.nbytes > self.maxbytes
+
+    def _evict_oldest(self) -> None:
+        old, _ = self._data.popitem(last=False)
+        self.nbytes -= self._sizes.pop(old)
 
     def clear(self) -> None:
         self._data.clear()
+        self._sizes.clear()
+        self.nbytes = 0
         self.stats = CacheStats()
 
 
@@ -193,10 +238,16 @@ _DEFAULT_SIZES = {
     "pairs": 64,
     "hops": 128,
     "digests": 1024,
-    "critpath": 32,
+    "critpath": 1024,
+    "critpath_result": 4096,
 }
+#: Byte bounds of regions whose entries vary by orders of magnitude in
+#: size.  Happens-before DAGs range from kilobytes to ~0.7 GB (BigFFT@1024,
+#: 33.6 M edges, at the report's clamp): the bound pins the many small
+#: ones, and a larger one alone, until the next DAG is built.
+_MAX_BYTES = {"critpath": 256 << 20}
 _regions: dict[str, _LRU] = {
-    name: _LRU(size) for name, size in _DEFAULT_SIZES.items()
+    name: _LRU(size, _MAX_BYTES.get(name)) for name, size in _DEFAULT_SIZES.items()
 }
 
 _disk_dir: Path | None = (
@@ -626,23 +677,91 @@ def cached_critpath_dag(trace, max_repeat: int | None = None, collective: str = 
     plain build — hashing the event stream would cost as much as the
     expansion it saves.
 
-    Memory-only by design: the DAG's lazily built CSR indexes and level
-    schedule are the expensive part and would not survive a pickle round
-    trip ergonomically, and the arrays are expansion-sized.
+    The DAG is returned with its level schedule built (a cyclic graph
+    raises :class:`~repro.critpath.dag.CycleError` here), so the region
+    bounds the bytes the DAG will hold: ``_MAX_BYTES["critpath"]`` in
+    all.  A larger DAG evicts every other one and is kept only until the
+    next miss, which drops it before building, so analyses of one large
+    trace on several topologies or mappings in a row still share it.
+    Memory-only by design: the arrays are expansion-sized.
     """
     from .collectives.registry import get_algorithm
     from .critpath.dag import build_dag
 
     engine = get_algorithm(collective)
     trace_key = getattr(trace, "_repro_cache_key", None)
-    if trace_key is None:
-        return build_dag(trace, max_repeat=max_repeat, collective=engine)
-    key = ("critpath-dag", trace_key, max_repeat, engine.cache_token())
     region = _regions["critpath"]
+    key = ("critpath-dag", trace_key, max_repeat, engine.cache_token())
+    if trace_key is not None:
+        value = region.get(key)
+        if value is not _MISS:
+            return value
+    region.shed()
+    value = build_dag(trace, max_repeat=max_repeat, collective=engine)
+    value.level_schedule()
+    if trace_key is not None:
+        region.put(key, value)
+    return value
+
+
+def cached_critpath_result(
+    compute,
+    trace,
+    *,
+    max_repeat: int | None,
+    engine,
+    params,
+    fd_check: bool,
+    routing: str,
+    topology=None,
+    mapping=None,
+    policy=None,
+):
+    """Memoized result of one critical-path analysis: ``compute()``.
+
+    The result (makespan, dT/dL, sizes) is a few hundred bytes while the
+    DAG behind it can be gigabytes, so this memory-only region is looked
+    up before :func:`cached_critpath_dag` is touched.  The key is every
+    input that decides the result: the trace's provenance, ``max_repeat``,
+    the collective engine's ``cache_token()``, the LogGP ``params``,
+    ``fd_check`` and the ``routing`` label; with a ``topology``, also its
+    class and ``fingerprint()``, the mapping's provenance (``None`` is
+    the consecutive default) and the routing ``policy``'s
+    ``cache_token()``, which covers its seed.  A trace or mapping without
+    provenance, or a topology without a fingerprint, bypasses the region.
+    """
+    trace_key = getattr(trace, "_repro_cache_key", None)
+    if trace_key is None:
+        return compute()
+    key = (
+        "critpath-result",
+        trace_key,
+        max_repeat,
+        engine.cache_token(),
+        params,
+        fd_check,
+        routing,
+    )
+    if topology is not None:
+        fingerprint = topology.fingerprint()
+        mapping_key = (
+            "consecutive"
+            if mapping is None
+            else getattr(mapping, "_repro_cache_key", None)
+        )
+        if fingerprint is None or mapping_key is None:
+            return compute()
+        key += (
+            type(topology).__name__,
+            fingerprint,
+            mapping_key,
+            policy.cache_token(),
+        )
+    region = _regions["critpath_result"]
     value = region.get(key)
     if value is not _MISS:
         return value
-    value = build_dag(trace, max_repeat=max_repeat, collective=engine)
+    value = compute()
     region.put(key, value)
     return value
 

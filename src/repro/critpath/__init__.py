@@ -48,9 +48,9 @@ from .match import (
     MatchError,
     MatchResult,
     channel_audit,
-    collective_edges,
     ensure_receives,
     expand_events,
+    iter_collective_edges,
     match_events,
     match_events_oracle,
 )
@@ -73,11 +73,11 @@ __all__ = [
     "analyze_trace",
     "build_dag",
     "channel_audit",
-    "collective_edges",
     "critical_path",
     "edge_costs",
     "ensure_receives",
     "expand_events",
+    "iter_collective_edges",
     "latency_sensitivity",
     "latency_table",
     "match_events",

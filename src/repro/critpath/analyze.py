@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .cost import DEFAULT_PARAMS, LogGPParams, edge_costs, message_edge_hops
 from .dag import HappensBeforeDag
+from .match import EDGE_CHUNK
 
 __all__ = [
     "DEFAULT_MAX_REPEAT",
@@ -68,24 +70,40 @@ def critical_path(
     latency-sensitive path and the algebraic dT/dL matches the forward
     finite difference.  The real part is the same single float add as a
     real-valued DP, so the makespan equals that DP's to the bit.
+
+    The complex weights and edge sources are gathered for one window of
+    whole levels at a time, about :data:`~repro.critpath.match.EDGE_CHUNK`
+    edges (or one larger level), so beside ``cost`` and ``lterm`` the DP
+    holds one window's 20 bytes per edge, not every edge's.
     """
     schedule = dag.level_schedule()
     if dag.num_nodes == 0:
         return CriticalPath(0.0, 0)
     z = np.zeros(dag.num_nodes, dtype=np.complex128)
     eidx = schedule.pred_eidx
-    src = dag.edge_src[eidx]
-    weight = np.empty(len(eidx), dtype=np.complex128)
-    weight.real = cost[eidx]
-    weight.imag = lterm[eidx]
-    order, starts = schedule.order, schedule.starts
+    # The per-level calls index with intp: NumPy would cast the stored
+    # int32 indexes on every call, which costs more than the call on the
+    # narrow levels of deep DAGs.
+    order = schedule.order.astype(np.intp)
+    starts = schedule.starts.astype(np.intp)
     level_ptr = schedule.level_ptr.tolist()
     edge_ptr = schedule.edge_ptr.tolist()
+    w0 = w1 = 0
     for lvl in range(1, schedule.num_levels):
         a, b = level_ptr[lvl], level_ptr[lvl + 1]
         e0, e1 = edge_ptr[lvl], edge_ptr[lvl + 1]
+        if e1 > w1:  # next window: whole levels from this one on
+            last = np.searchsorted(
+                schedule.edge_ptr, e0 + EDGE_CHUNK, side="right"
+            )
+            w0, w1 = e0, max(edge_ptr[int(last) - 1], e1)
+            ids = eidx[w0:w1]
+            weight = np.empty(len(ids), dtype=np.complex128)
+            weight.real = cost[ids]
+            weight.imag = lterm[ids]
+            src = dag.edge_src[ids].astype(np.intp)
         z[order[a:b]] = np.maximum.reduceat(
-            z[src[e0:e1]] + weight[e0:e1], starts[a:b]
+            z[src[e0 - w0 : e1 - w0]] + weight[e0 - w0 : e1 - w0], starts[a:b]
         )
     top = z.max()
     return CriticalPath(float(top.real), int(top.imag))
@@ -122,6 +140,7 @@ def latency_sensitivity(
     """
     base_cost, lterm = edge_costs(dag, params, hops)
     base = critical_path(dag, base_cost, lterm)
+    del base_cost  # never two cost vectors at once
     eps = params.latency_s * rel_step
     up_cost, _ = edge_costs(dag, params.with_latency(params.latency_s + eps), hops)
     up = critical_path(dag, up_cost, lterm)
@@ -177,15 +196,50 @@ def analyze_trace(
     ``topology=None`` models a zero-diameter network (no per-hop term);
     otherwise hops come from the routing policy's walks under ``mapping``
     (consecutive by default).  ``collective`` picks the engine whose
-    schedule shapes the DAG's collective edges.  The DAG is memoized per
-    trace content key via :func:`repro.cache.cached_critpath_dag`, so
-    repeated analyses of one trace across topologies and routings rebuild
-    nothing.
+    schedule shapes the DAG's collective edges.
+
+    Two memo layers sit in front of the work.  The small frozen result is
+    looked up first, under every input that decides it
+    (:func:`repro.cache.cached_critpath_result`), so a repeated analysis
+    touches no DAG at all.  On a miss the DAG comes from
+    :func:`repro.cache.cached_critpath_dag`, keyed per trace, repeat clamp
+    and engine, so analyses of one trace across topologies and routings
+    rebuild nothing.
     """
-    from ..cache import cached_critpath_dag
+    from ..cache import cached_critpath_result
     from ..collectives.registry import get_algorithm
 
     engine = get_algorithm(collective)
+    routing_name = routing if isinstance(routing, str) else routing.name
+    policy = None
+    if topology is not None:
+        from ..routing import get_policy
+
+        policy = get_policy(routing, seed=routing_seed)
+    return cached_critpath_result(
+        partial(
+            _analyze, trace, topology, mapping, policy, routing_name,
+            params, max_repeat, fd_check, engine,
+        ),
+        trace,
+        max_repeat=max_repeat,
+        engine=engine,
+        params=params,
+        fd_check=fd_check,
+        routing=routing_name,
+        topology=topology,
+        mapping=mapping,
+        policy=policy,
+    )
+
+
+def _analyze(
+    trace, topology, mapping, policy, routing_name, params, max_repeat,
+    fd_check, engine,
+) -> CritPathAnalysis:
+    """The uncached body of :func:`analyze_trace`."""
+    from ..cache import cached_critpath_dag
+
     dag = cached_critpath_dag(trace, max_repeat=max_repeat, collective=engine)
     hops = None
     topo_name = "none"
@@ -194,9 +248,7 @@ def analyze_trace(
             from ..mapping.base import Mapping
 
             mapping = Mapping.consecutive(dag.num_ranks, topology.num_nodes)
-        hops = message_edge_hops(
-            dag, topology, mapping, routing=routing, routing_seed=routing_seed
-        )
+        hops = message_edge_hops(dag, topology, mapping, routing=policy)
         topo_name = type(topology).__name__
     if fd_check:
         sens = latency_sensitivity(dag, params, hops)
@@ -208,7 +260,6 @@ def analyze_trace(
         makespan, l_terms = cp.makespan_s, cp.l_terms
         fd = float("nan")
     tolerance = (0.01 * makespan / l_terms) if l_terms > 0 else float("nan")
-    routing_name = routing if isinstance(routing, str) else routing.name
     return CritPathAnalysis(
         app=trace.meta.app,
         ranks=trace.meta.num_ranks,

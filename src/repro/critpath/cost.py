@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dag import EDGE_PROGRAM, HappensBeforeDag
+from .match import EDGE_CHUNK
 
 __all__ = [
     "LogGPParams",
@@ -116,19 +117,22 @@ def edge_costs(
 
     ``hops`` is the per-edge hop vector from :func:`message_edge_hops`
     (``None`` models a zero-diameter network).  Each message edge carries
-    exactly one L term — the fact the algebraic sensitivity counts.
+    exactly one L term — the fact the algebraic sensitivity counts — so
+    the counts are the ``uint8`` view of the message mask.  Costs are
+    computed :data:`~repro.critpath.match.EDGE_CHUNK` edges at a time, so
+    the temporaries stay chunk-sized: 9 bytes per edge in all.
     """
     cost = np.full(dag.num_edges, params.gap_s, dtype=np.float64)
-    lterm = np.zeros(dag.num_edges, dtype=np.int64)
     msg = dag.edge_kind != EDGE_PROGRAM
-    if msg.any():
-        nbytes = dag.edge_bytes[msg]
-        base = 2.0 * params.overhead_s + params.latency_s
-        cost[msg] = (
-            base
-            + np.maximum(nbytes - 1, 0) * params.gap_per_byte_s
-        )
+    base = 2.0 * params.overhead_s + params.latency_s
+    for c0 in range(0, dag.num_edges, EDGE_CHUNK):
+        chunk = slice(c0, c0 + EDGE_CHUNK)
+        m = msg[chunk]
+        if not m.any():
+            continue
+        nbytes = dag.edge_bytes[chunk][m]
+        msg_cost = base + np.maximum(nbytes - 1, 0) * params.gap_per_byte_s
         if hops is not None:
-            cost[msg] += hops[msg] * params.hop_s
-        lterm[msg] = 1
-    return cost, lterm
+            msg_cost += hops[chunk][m] * params.hop_s
+        cost[chunk][m] = msg_cost
+    return cost, msg.view(np.uint8)

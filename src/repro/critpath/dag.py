@@ -19,11 +19,13 @@ Edge families:
 - **collective messages** (:data:`EDGE_COLLECTIVE`): per-instance
   fan-in/fan-out edges from the collective→p2p translation.
 
-The DAG stores a flat edge list plus lazily built predecessor/successor
-CSR indexes and a flat level schedule (Kahn levels with pre-gathered
-predecessor-edge spans) that the longest-path DP replays once per cost
-vector — so a finite-difference sensitivity check pays for the schedule
-once, not per evaluation.
+The DAG stores a flat edge list plus a flat level schedule (Kahn levels
+with pre-gathered predecessor-edge spans) that the longest-path DP
+replays once per cost vector — so a finite-difference sensitivity check
+pays for the schedule once, not per evaluation.  Node and edge indexes
+are ``int32`` whenever the graph fits (it always does in the registry;
+the largest DAG, BigFFT@1024, has 33.6 M edges), and the CSR indexes the
+schedule is built from are freed as soon as it exists.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.blocks import KIND_COLLECTIVE
-from .match import collective_edges, ensure_receives, expand_events, match_events
+from .match import ensure_receives, expand_events, iter_collective_edges, match_events
 
 __all__ = [
     "EDGE_PROGRAM",
@@ -55,6 +57,11 @@ class CycleError(ValueError):
     """The happens-before graph is not a DAG (Kahn elimination stalled)."""
 
 
+def index_dtype(size: int) -> type:
+    """``int32`` when every index below ``size`` fits in it, else ``int64``."""
+    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
+
+
 @dataclass
 class LevelSchedule:
     """Kahn levels stored flat, as CSR-of-levels.
@@ -70,16 +77,30 @@ class LevelSchedule:
     always well-formed.
     """
 
-    order: np.ndarray  # int64[num_nodes]
+    order: np.ndarray  # int32/int64[num_nodes] (see index_dtype)
     level_ptr: np.ndarray  # int64[num_levels + 1]
     edge_ptr: np.ndarray  # int64[num_levels + 1]
-    pred_eidx: np.ndarray  # int64[num_edges]
-    starts: np.ndarray  # int64[num_nodes]
-    counts: np.ndarray  # int64[num_nodes]
+    pred_eidx: np.ndarray  # int32/int64[num_edges]
+    starts: np.ndarray  # int32/int64[num_nodes]
+    counts: np.ndarray  # int32/int64[num_nodes]
 
     @property
     def num_levels(self) -> int:
         return len(self.level_ptr) - 1
+
+    @property
+    def nbytes(self) -> int:
+        return sum(
+            a.nbytes
+            for a in (
+                self.order,
+                self.level_ptr,
+                self.edge_ptr,
+                self.pred_eidx,
+                self.starts,
+                self.counts,
+            )
+        )
 
 
 @dataclass
@@ -91,7 +112,7 @@ class HappensBeforeDag:
     collective events (``completion_of`` maps event -> completion node, -1
     for p2p events).  ``node_rank[v]`` is the MPI rank that executes node
     ``v``.  Edge arrays are parallel; ``edge_bytes`` is 0 on program-order
-    edges.
+    edges.  ``edge_src``/``edge_dst`` are ``index_dtype(num_nodes)``.
     """
 
     num_nodes: int
@@ -99,16 +120,10 @@ class HappensBeforeDag:
     num_ranks: int
     node_rank: np.ndarray  # int64[num_nodes]
     completion_of: np.ndarray  # int64[num_events], -1 for p2p events
-    edge_src: np.ndarray  # int64[E]
-    edge_dst: np.ndarray  # int64[E]
+    edge_src: np.ndarray  # int32/int64[E]
+    edge_dst: np.ndarray  # int32/int64[E]
     edge_bytes: np.ndarray  # int64[E]
     edge_kind: np.ndarray  # uint8[E]
-    _pred: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _succ: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
     _schedule: LevelSchedule | None = field(
         default=None, repr=False, compare=False
     )
@@ -124,23 +139,39 @@ class HappensBeforeDag:
     def num_message_edges(self) -> int:
         return int(np.count_nonzero(self.message_mask()))
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every array the DAG holds, its schedule included."""
+        total = sum(
+            a.nbytes
+            for a in (
+                self.node_rank,
+                self.completion_of,
+                self.edge_src,
+                self.edge_dst,
+                self.edge_bytes,
+                self.edge_kind,
+            )
+        )
+        if self._schedule is not None:
+            total += self._schedule.nbytes
+        return total
+
     def _csr(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys, kind="stable").astype(
+            index_dtype(self.num_edges), copy=False
+        )
         indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys, minlength=self.num_nodes), out=indptr[1:])
         return indptr, order
 
     def pred_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, edge-id order) of incoming edges, grouped by dst node."""
-        if self._pred is None:
-            self._pred = self._csr(self.edge_dst)
-        return self._pred
+        return self._csr(self.edge_dst)
 
     def succ_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, edge-id order) of outgoing edges, grouped by src node."""
-        if self._succ is None:
-            self._succ = self._csr(self.edge_src)
-        return self._succ
+        return self._csr(self.edge_src)
 
     def level_schedule(self) -> LevelSchedule:
         """Kahn level decomposition; raises :class:`CycleError` on a cycle.
@@ -151,16 +182,19 @@ class HappensBeforeDag:
         successor targets are read through a memoryview and the ready
         queue is an ``array``, so neither holds one int object per edge or
         node.  The nodes are then grouped once: a stable argsort by level,
-        and one gather of every predecessor span.
+        and one gather of every predecessor span.  The schedule is built
+        once and kept; the CSR indexes it is built from are not, and the
+        predecessor CSR is sorted only after the successor one is freed,
+        so at most one edge-sized sort is alive at a time.
         """
         if self._schedule is not None:
             return self._schedule
-        pred_indptr, pred_order = self.pred_csr()
         succ_indptr, succ_order = self.succ_csr()
-        indeg_arr = np.diff(pred_indptr)
-        indeg = indeg_arr.tolist()
         succ_ptr = succ_indptr.tolist()
         succ_dst = memoryview(self.edge_dst[succ_order])
+        del succ_indptr, succ_order
+        indeg_arr = np.bincount(self.edge_dst, minlength=self.num_nodes)
+        indeg = indeg_arr.tolist()
         level = [0] * self.num_nodes
         ready = array("q", np.flatnonzero(indeg_arr == 0).tolist())
         for v in ready:  # grows while iterated: a FIFO without pops
@@ -171,6 +205,7 @@ class HappensBeforeDag:
                 indeg[w] -= 1
                 if not indeg[w]:
                     ready.append(w)
+        del succ_dst, succ_ptr
         if len(ready) < self.num_nodes:
             stuck = np.flatnonzero(np.asarray(indeg) > 0)[:5]
             raise CycleError(
@@ -179,23 +214,29 @@ class HappensBeforeDag:
                 f"never become ready under Kahn elimination "
                 f"(e.g. nodes {stuck.tolist()})"
             )
+        del indeg, ready
+        pred_indptr, pred_order = self.pred_csr()
+        node_dtype = index_dtype(self.num_nodes)
+        edge_dtype = index_dtype(self.num_edges)
         level_arr = np.asarray(level, dtype=np.int64)
-        order = np.argsort(level_arr, kind="stable")
+        del level
+        order = np.argsort(level_arr, kind="stable").astype(node_dtype)
         level_ptr = np.concatenate(([0], np.cumsum(np.bincount(level_arr))))
-        counts = indeg_arr[order]
+        counts = indeg_arr[order].astype(edge_dtype)
         node_ptr = np.concatenate(([0], np.cumsum(counts)))
         first = node_ptr[:-1]
-        gather = np.repeat(pred_indptr[order] - first, counts) + np.arange(
-            node_ptr[-1], dtype=np.int64
-        )
+        gather = np.repeat((pred_indptr[order] - first).astype(edge_dtype), counts)
+        gather += np.arange(len(gather), dtype=edge_dtype)
+        pred_eidx = pred_order[gather]
+        del gather, pred_order
         edge_ptr = node_ptr[level_ptr]
         starts = first - np.repeat(edge_ptr[:-1], np.diff(level_ptr))
         self._schedule = LevelSchedule(
             order=order,
             level_ptr=level_ptr,
             edge_ptr=edge_ptr,
-            pred_eidx=pred_order[gather],
-            starts=starts,
+            pred_eidx=pred_eidx,
+            starts=starts.astype(edge_dtype),
             counts=counts,
         )
         return self._schedule
@@ -226,60 +267,73 @@ def build_dag(
     completion = np.full(n, -1, dtype=np.int64)
     completion[coll] = n + np.arange(ncoll, dtype=np.int64)
     num_nodes = n + ncoll
+    node_dtype = index_dtype(num_nodes)
     node_rank = np.concatenate([table.rank, table.rank[coll]])
     # The node where an event's local work ends: its completion node for
     # collectives, the event itself for p2p records.
     end_node = np.where(completion >= 0, completion, np.arange(n, dtype=np.int64))
 
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    byts: list[np.ndarray] = []
-    kinds: list[np.ndarray] = []
-
-    def add(src, dst, nbytes, kind) -> None:
-        srcs.append(np.asarray(src, dtype=np.int64))
-        dsts.append(np.asarray(dst, dtype=np.int64))
-        byts.append(np.asarray(nbytes, dtype=np.int64))
-        kinds.append(np.full(len(srcs[-1]), kind, dtype=np.uint8))
-
+    matched = match_events(table)
+    # Program order first, then p2p messages, then collective messages.
+    edges = _EdgeColumns(node_dtype, ncoll + n + len(matched))
     if ncoll:
-        add(coll, completion[coll], np.zeros(ncoll, dtype=np.int64), EDGE_PROGRAM)
+        edges.append(coll, completion[coll], None, EDGE_PROGRAM)
     if n:
         order = np.argsort(table.rank, kind="stable")
         same = table.rank[order][1:] == table.rank[order][:-1]
-        prev = order[:-1][same]
-        nxt = order[1:][same]
-        add(
-            end_node[prev], nxt, np.zeros(len(prev), dtype=np.int64), EDGE_PROGRAM
-        )
-    matched = match_events(table)
-    if len(matched):
-        add(matched.send_event, matched.recv_event, matched.nbytes, EDGE_P2P)
-    csrc, cdst, cbytes, after = collective_edges(
+        edges.append(end_node[order[:-1][same]], order[1:][same], None, EDGE_PROGRAM)
+        del order, same
+    edges.append(matched.send_event, matched.recv_event, matched.nbytes, EDGE_P2P)
+    del matched
+    for csrc, cdst, cbytes, after in iter_collective_edges(
         table, trace.communicators, collective=collective
-    )
-    if len(csrc):
+    ):
         src_nodes = np.where(after, completion[csrc], csrc)
-        add(src_nodes, completion[cdst], cbytes, EDGE_COLLECTIVE)
-
-    if srcs:
-        edge_src = np.concatenate(srcs)
-        edge_dst = np.concatenate(dsts)
-        edge_bytes = np.concatenate(byts)
-        edge_kind = np.concatenate(kinds)
-    else:
-        edge_src = np.empty(0, dtype=np.int64)
-        edge_dst = np.empty(0, dtype=np.int64)
-        edge_bytes = np.empty(0, dtype=np.int64)
-        edge_kind = np.empty(0, dtype=np.uint8)
+        edges.append(src_nodes, completion[cdst], cbytes, EDGE_COLLECTIVE)
+    del table, end_node
     return HappensBeforeDag(
         num_nodes=num_nodes,
         num_events=n,
-        num_ranks=table.num_ranks,
+        num_ranks=trace.meta.num_ranks,
         node_rank=node_rank,
         completion_of=completion,
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        edge_bytes=edge_bytes,
-        edge_kind=edge_kind,
+        **edges.finish(),
     )
+
+
+class _EdgeColumns:
+    """The DAG's four edge columns, appended to in place.
+
+    The columns grow by ``realloc`` (:meth:`numpy.ndarray.resize`), which
+    remaps a large allocation rather than copying it, so the edges are
+    never held twice the way concatenating a list of parts holds them.
+    Growth overshoots by at most a quarter; :meth:`finish` trims it.
+    """
+
+    def __init__(self, node_dtype: type, capacity: int) -> None:
+        self.size = 0
+        self.columns = {
+            "edge_src": np.empty(capacity, dtype=node_dtype),
+            "edge_dst": np.empty(capacity, dtype=node_dtype),
+            "edge_bytes": np.zeros(capacity, dtype=np.int64),  # 0: program order
+            "edge_kind": np.empty(capacity, dtype=np.uint8),
+        }
+
+    def append(self, src, dst, nbytes, kind: int) -> None:
+        start, end = self.size, self.size + len(src)
+        capacity = len(self.columns["edge_src"])
+        if end > capacity:
+            for column in self.columns.values():
+                # No views of the columns exist; resize zero-fills growth.
+                column.resize(max(end, capacity + capacity // 4), refcheck=False)
+        self.columns["edge_src"][start:end] = src
+        self.columns["edge_dst"][start:end] = dst
+        if nbytes is not None:
+            self.columns["edge_bytes"][start:end] = nbytes
+        self.columns["edge_kind"][start:end] = kind
+        self.size = end
+
+    def finish(self) -> dict[str, np.ndarray]:
+        for column in self.columns.values():
+            column.resize(self.size, refcheck=False)
+        return self.columns

@@ -27,6 +27,7 @@ layout ``emit_receives=True`` produces natively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -49,7 +50,7 @@ __all__ = [
     "channel_audit",
     "match_events",
     "match_events_oracle",
-    "collective_edges",
+    "iter_collective_edges",
     "expand_collective_batch_phased",
 ]
 
@@ -488,9 +489,17 @@ def match_events_oracle(table: EventTable) -> MatchResult:
 # ------------------------------------------------------- collective instances
 
 
-def collective_edges(
+#: Edges per chunk wherever an edge-sized pass works a chunk at a time to
+#: keep its temporaries small: the collective edges
+#: :func:`iter_collective_edges` yields, the cost vectors, and the
+#: longest-path DP's weight windows.  Large enough that per-chunk overhead
+#: vanishes, small enough that a chunk's temporaries stay tens of MB.
+EDGE_CHUNK = 1 << 20
+
+
+def iter_collective_edges(
     table: EventTable, communicators, collective="flat"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Fan-in/fan-out message edges between aligned collective instances.
 
     MPI orders collectives on a communicator purely by call position, so
@@ -501,12 +510,14 @@ def collective_edges(
     translation's paper convention includes them for volume accounting)
     are dropped — a rank's dependence on itself is already program order.
 
-    Returns ``(src_event, dst_event, nbytes, after)`` parallel arrays;
-    ``after[i]`` marks messages that semantically depart only after the
-    sender finished *receiving* within the same collective (the broadcast
-    half of ALLREDUCE, every SCAN/EXSCAN chain link, the non-root rounds
-    of tree schedules), which the DAG routes from the sender's completion
-    node to keep the phases sequential.
+    Yields ``(src_event, dst_event, nbytes, after)`` parallel arrays in
+    chunks of about :data:`EDGE_CHUNK` edges, in edge order, so a caller
+    can convert and store the edges without ever holding all of them
+    twice.  ``after[i]`` marks messages that semantically depart only
+    after the sender finished *receiving* within the same collective (the
+    broadcast half of ALLREDUCE, every SCAN/EXSCAN chain link, the
+    non-root rounds of tree schedules), which the DAG routes from the
+    sender's completion node to keep the phases sequential.
 
     Raises :class:`MatchError` on misaligned sequences: a member calling a
     different number of collectives than its peers, or instance k
@@ -516,9 +527,8 @@ def collective_edges(
 
     engine = get_algorithm(collective)
     cid = np.flatnonzero(table.kind == KIND_COLLECTIVE)
-    empty = np.empty(0, dtype=np.int64)
     if cid.size == 0:
-        return empty, empty.copy(), empty.copy(), np.empty(0, dtype=bool)
+        return
     comm_c = table.comm[cid]
     rank_c = table.rank[cid]
     order = np.lexsort((rank_c, comm_c))  # stable: event order within groups
@@ -536,6 +546,7 @@ def collective_edges(
     out_dst: list[np.ndarray] = []
     out_bytes: list[np.ndarray] = []
     out_after: list[np.ndarray] = []
+    pending = 0
     for gid in np.unique(sc):
         name = table.comm_names[int(gid)]
         comm = communicators.get(name)
@@ -599,14 +610,20 @@ def collective_edges(
                 out_dst.append(lookup[to_local[bdst], i])
                 out_bytes.append(bpm.astype(np.int64, copy=False))
                 out_after.append(np.full(len(bsrc), after, dtype=bool))
-    if not out_src:
-        return empty, empty.copy(), empty.copy(), np.empty(0, dtype=bool)
-    return (
-        np.concatenate(out_src),
-        np.concatenate(out_dst),
-        np.concatenate(out_bytes),
-        np.concatenate(out_after),
-    )
+                pending += len(bsrc)
+                if pending >= EDGE_CHUNK:
+                    yield _flush(out_src, out_dst, out_bytes, out_after)
+                    pending = 0
+    if pending:
+        yield _flush(out_src, out_dst, out_bytes, out_after)
+
+
+def _flush(*columns: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Concatenate and empty each pending column list."""
+    out = tuple(np.concatenate(parts) for parts in columns)
+    for parts in columns:
+        parts.clear()
+    return out
 
 
 def expand_collective_batch_phased(engine, op, comm, callers, nbytes, roots, calls):

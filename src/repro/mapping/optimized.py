@@ -197,7 +197,8 @@ def spectral_ordering(matrix: CommMatrix) -> np.ndarray:
     The second-smallest Laplacian eigenvector is the classic relaxation of
     the minimum-linear-arrangement problem: sorting ranks by it places
     heavily-communicating ranks at nearby positions.  Uses SciPy's sparse
-    eigensolver when available, dense NumPy otherwise.
+    eigensolver (from a fixed start vector, so repeat calls agree) when
+    available, dense NumPy otherwise.
     """
     n = matrix.num_ranks
     if n == 1:
@@ -220,7 +221,14 @@ def spectral_ordering(matrix: CommMatrix) -> np.ndarray:
         degrees = np.asarray(W.sum(axis=1)).ravel()
         L = sp.diags(degrees) - W
         # Smallest two eigenpairs; sigma shift for robustness near zero.
-        _, vecs = spla.eigsh(L.asfptype(), k=2, sigma=-1e-3, which="LM")
+        # ARPACK otherwise starts from a random vector, and on a degenerate
+        # Fiedler eigenspace each start picks a different basis vector; a
+        # fixed start makes the ordering repeatable.  Not ``ones``: that is
+        # the Laplacian's null-space eigenvector.
+        v0 = np.random.default_rng(0).random(n)
+        _, vecs = spla.eigsh(
+            L.asfptype(), k=2, sigma=-1e-3, which="LM", v0=v0
+        )
         fiedler = vecs[:, 1]
     except Exception:  # pragma: no cover - fallback path
         W = np.zeros((n, n), dtype=np.float64)

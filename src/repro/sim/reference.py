@@ -52,24 +52,26 @@ def run_reference(setup: SimSetup, collector=None) -> SimulationResult:
     attached to the result.
     """
     total_packets = setup.total_packets
-    inject_pair = setup.inject_pair
-    route_starts = setup.route_starts
-    route_lens = setup.route_lens
-    route_links = setup.route_links
+    # Python lists, not arrays: the loop touches one element at a time, and
+    # NumPy scalar indexing costs several times a list lookup.
+    inject_pair = setup.inject_pair.tolist()
+    route_starts = setup.route_starts.tolist()
+    route_lens = setup.route_lens.tolist()
+    route_links = setup.route_links.tolist()
     service = setup.service
     hop_latency = setup.hop_latency
 
     # Event loop: (time, seq, packet_index, hop_index).
     events: list[tuple[float, int, int, int]] = [
-        (float(t), i, i, 0) for i, t in enumerate(setup.inject_time)
+        (t, i, i, 0) for i, t in enumerate(setup.inject_time.tolist())
     ]
     heapq.heapify(events)
     seq = total_packets
 
-    link_free: dict[int, float] = {}
-    serve_count: dict[int, int] = {}
-    wait = np.zeros(total_packets, dtype=np.float64)  # cumulative queueing
-    delivered_at = np.zeros(total_packets, dtype=np.float64)
+    link_free = [0.0] * setup.num_links
+    serve_count = [0] * setup.num_links
+    wait = [0.0] * total_packets  # cumulative queueing
+    delivered_at = [0.0] * total_packets
 
     recording = collector is not None and collector.enabled
     if recording:
@@ -84,12 +86,12 @@ def run_reference(setup: SimSetup, collector=None) -> SimulationResult:
         if hop >= route_lens[pair]:
             delivered_at[pkt] = t
             continue
-        link = int(route_links[route_starts[pair] + hop])
-        free = link_free.get(link, 0.0)
-        begin = max(t, free)
+        link = route_links[route_starts[pair] + hop]
+        free = link_free[link]
+        begin = t if t >= free else free
         done = begin + service
         link_free[link] = done
-        serve_count[link] = serve_count.get(link, 0) + 1
+        serve_count[link] += 1
         wait[pkt] += begin - t
         if recording:
             rec_links.append(link)
@@ -98,9 +100,9 @@ def run_reference(setup: SimSetup, collector=None) -> SimulationResult:
         seq += 1
         heapq.heappush(events, (done + hop_latency, seq, pkt, hop + 1))
 
-    counts = np.zeros(setup.num_links, dtype=np.int64)
-    for link, count in serve_count.items():
-        counts[link] = count
+    wait = np.array(wait, dtype=np.float64)
+    delivered_at = np.array(delivered_at, dtype=np.float64)
+    counts = np.array(serve_count, dtype=np.int64)
     if recording:
         collector.record_services(
             np.array(rec_links, dtype=np.int64),

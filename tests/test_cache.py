@@ -292,12 +292,12 @@ class TestKeys:
             "disk_hits": 0,
         }
 
-    def test_cache_version_is_9(self):
-        """v9 re-keyed foreign traces on their datatype sizes and
-        communicator members (v8: collective-algorithm engines) — a
-        version bump cold-starts the disk tier so no v8 matrix keyed on
-        records alone can alias a trace with different tables."""
-        assert cache.CACHE_VERSION == 9
+    def test_cache_version_is_10(self):
+        """v10 starts the spectral eigensolver from a fixed vector (v9
+        re-keyed foreign traces on their datatype sizes and communicator
+        members) — a version bump cold-starts the disk tier so no slot
+        assignment from the random-start solver is read back."""
+        assert cache.CACHE_VERSION == 10
 
     def test_policies_never_share_entries(self):
         """Different routing policies must never alias one cache entry —
@@ -435,10 +435,8 @@ class TestSharedSlots:
     def matrix(self):
         return cached_matrix(cached_trace("LULESH", 64))
 
-    # spectral is left out: ARPACK starts from a random vector, so two
-    # spectral orderings of one matrix need not agree
     def test_cold_topologies_share_one_slot_computation(self, matrix, slot_calls):
-        for method in ("greedy", "bisection"):
+        for method in ("greedy", "spectral", "bisection"):
             mappings = [cached_mapping(matrix, t, method=method) for t in self.TOPOLOGIES]
             assert slot_calls[method] == 1
             for topo, mapping in zip(self.TOPOLOGIES, mappings):

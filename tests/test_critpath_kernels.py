@@ -12,6 +12,8 @@ import pytest
 
 from repro.apps.registry import generate_trace, iter_configurations
 from repro.collectives.registry import COLLECTIVES
+from repro.critpath import analyze
+from repro.critpath import cost as cost_model
 from repro.critpath import (
     CycleError,
     HappensBeforeDag,
@@ -130,6 +132,21 @@ class TestCriticalPathDp:
         for params in (LogGPParams(), non_dyadic):
             for h in (None, hops):
                 self._check(dag, *edge_costs(dag, params, h))
+
+    @pytest.mark.parametrize("app,ranks", APPS)
+    def test_seven_edge_chunks_match_oracle(self, app, ranks, monkeypatch):
+        # A 7-edge DP window ends inside nearly every run of levels, and
+        # any level wider than 7 edges gets a window of its own.
+        dag = build_dag(generate_trace(app, ranks), 16)
+        hops = np.random.default_rng(ranks).integers(0, 9, size=dag.num_edges)
+        whole = [edge_costs(dag, LogGPParams(), h) for h in (None, hops)]
+        monkeypatch.setattr(analyze, "EDGE_CHUNK", 7)
+        monkeypatch.setattr(cost_model, "EDGE_CHUNK", 7)
+        for h, (cost_whole, lterm_whole) in zip((None, hops), whole):
+            costs, lterm = edge_costs(dag, LogGPParams(), h)
+            assert costs.tobytes() == cost_whole.tobytes()
+            np.testing.assert_array_equal(lterm, lterm_whole)
+            self._check(dag, costs, lterm)
 
     def test_tie_prefers_more_latency_terms(self):
         # 0 -> 3 directly (cost 2, one L) or via 1 (1 + 1, two L).  Both

@@ -65,6 +65,15 @@ class TestOrderings:
             gaps.append(min(abs(pos[int(s)] - pos[int(d)]), n - abs(pos[int(s)] - pos[int(d)])))
         assert float(np.mean(gaps)) <= 2.0
 
+    @pytest.mark.parametrize("app,ranks", [("LULESH", 64), ("AMG", 216)])
+    def test_spectral_is_repeatable(self, app, ranks):
+        """Both matrices have a degenerate Fiedler eigenspace: from a
+        random start, ARPACK returned a different ordering most calls."""
+        m = matrix_from_trace(generate_trace(app, ranks))
+        first = spectral_ordering(m)
+        for _ in range(3):
+            np.testing.assert_array_equal(spectral_ordering(m), first)
+
     def test_spectral_trivial_cases(self):
         assert spectral_ordering(make_matrix(1, [])).tolist() == [0]
         assert spectral_ordering(make_matrix(4, [])).tolist() == [0, 1, 2, 3]

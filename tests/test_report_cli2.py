@@ -92,3 +92,16 @@ class TestCLIExtensions:
         trace = load_trace(out_file)
         assert trace.meta.app == "realapp"
         assert trace.p2p_bytes() == 100
+
+
+class TestReportBenchPipeline:
+    def test_renders_what_repro_report_prints(self, capsys):
+        import hashlib
+
+        from repro.bench import run_report_pipeline
+
+        result = run_report_pipeline(max_ranks=16)
+        out = run(capsys, "report", "--max-ranks", "16")
+        assert result["sha256"] == hashlib.sha256(out.encode()).hexdigest()
+        assert result["warm_identical"] is True
+        assert result["rows"] == len(build_report(max_ranks=16))
