@@ -218,7 +218,10 @@ class SweepSpec:
     telemetry_threshold: float = axis(
         0.7, _float(lambda v: 0.0 < v <= 1.0, "in (0, 1]"), gate="telemetry"
     )
-    sim_volume_scale: float = axis(1.0, _positive, gate="telemetry")
+    sim_volume_scale: float = axis(
+        1.0, _float(lambda v: 1.0 <= v < math.inf, ">= 1 and finite"),
+        gate="telemetry",
+    )
     critpath: bool = axis(
         False, _bool, flag="--critpath",
         help="also build each point's happens-before DAG and merge the "

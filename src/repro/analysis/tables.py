@@ -35,7 +35,6 @@ __all__ = [
     "build_table4",
     "render_table4",
     "TABLE4_WORKLOADS",
-    "build_latency_rows",
     "render_latency_table",
 ]
 
@@ -228,31 +227,6 @@ def render_table4(rows: list[Table4Row]) -> str:
 
 
 # --------------------------------------------------- Latency tolerance
-
-
-def build_latency_rows(
-    topology: str = "torus3d",
-    routing: str = "minimal",
-    max_ranks: int | None = None,
-    max_repeat: int | None = None,
-    fd_check: bool = False,
-    collective: str = "flat",
-):
-    """Per-app critical-path rows (:class:`~repro.critpath.CritPathAnalysis`).
-
-    Thin table-layer wrapper over :func:`repro.critpath.latency_table`,
-    here so the CLI and report pull all tabular output from one module.
-    """
-    from ..critpath import DEFAULT_MAX_REPEAT, latency_table
-
-    return latency_table(
-        topology=topology,
-        routing=routing,
-        max_ranks=max_ranks,
-        max_repeat=DEFAULT_MAX_REPEAT if max_repeat is None else max_repeat,
-        fd_check=fd_check,
-        collective=collective,
-    )
 
 
 def render_latency_table(rows) -> str:

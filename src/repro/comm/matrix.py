@@ -97,6 +97,10 @@ class CommMatrix:
 
     def row(self, source: int) -> tuple[np.ndarray, np.ndarray]:
         """Destinations and byte volumes sent by ``source``."""
+        if not 0 <= source < self.num_ranks:
+            raise ValueError(
+                f"rank {source} out of range: the matrix has {self.num_ranks} ranks"
+            )
         mask = self.src == source
         return self.dst[mask], self.nbytes[mask]
 

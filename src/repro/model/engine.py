@@ -74,12 +74,6 @@ class NetworkAnalysis:
         return self.wire_bytes / denom if denom else 0.0
 
     @property
-    def utilization_nominal(self) -> float:
-        """Eq. 5 over the paper's per-topology nominal link count."""
-        denom = self.bandwidth * self.execution_time * self.nominal_links
-        return self.wire_bytes / denom if denom else 0.0
-
-    @property
     def utilization_percent(self) -> float:
         return 100.0 * self.utilization
 

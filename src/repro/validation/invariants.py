@@ -41,10 +41,6 @@ def _err(name: str, message: str) -> Violation:
     return Violation(invariant=name, severity="error", message=message)
 
 
-def _warn(name: str, message: str) -> Violation:
-    return Violation(invariant=name, severity="warning", message=message)
-
-
 def _close(a: float, b: float, rel: float = REL_TOL) -> bool:
     return math.isclose(a, b, rel_tol=rel, abs_tol=1e-12)
 

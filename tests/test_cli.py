@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import _spec_from_args, build_parser, main
+from repro.cli import COMMANDS, _spec_from_args, build_parser, main
 
 
 def run(capsys, *argv):
@@ -143,6 +148,65 @@ class TestErrorPaths:
     def test_missing_convert_dir(self, capsys, tmp_path):
         msg = self.fail(capsys, "convert", "--dir", str(tmp_path / "nope"), "--app", "X")
         assert "error: " in msg
+
+
+    @pytest.mark.parametrize("rank", ["999", "-1"])
+    def test_figure1_rank_outside_matrix(self, capsys, rank):
+        msg = self.fail(capsys, "figure1", "--rank", rank)
+        assert "out of range" in msg
+
+
+class TestParseTimeValidation:
+    """Out-of-range flag values exit 2 before any work: nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "routing", "--pairs", "0"],
+            ["fuzz", "--count", "0"],
+            ["fuzz", "--count", "-1"],
+            ["telemetry", "--app", "LULESH", "--ranks", "64", "--threshold", "1.5"],
+            ["compose", "--jobs", "LULESH:64", "--threshold", "0"],
+            ["telemetry", "--app", "LULESH", "--ranks", "64", "--windows", "0"],
+            ["simulate", "--app", "LULESH", "--ranks", "64", "--volume-scale", "0"],
+            ["compose", "--jobs", "LULESH:64", "--volume-scale", "0.5"],
+            ["critpath", "--max-repeat", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_rejected_at_parse_time(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "must be" in captured.err.splitlines()[-1]
+
+
+class TestCommandTable:
+    def test_parser_offers_exactly_the_table(self):
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if a.dest == "command")
+        assert list(sub.choices) == list(COMMANDS)
+
+    def test_closed_stdout_exits_zero_without_traceback(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "table3", "--max-ranks", "64",
+             "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # The reader is gone before the first write, as after `| head -1`.
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0, err
+        assert err == ""
 
 
 class TestCheckCommand:

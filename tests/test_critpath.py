@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,10 +27,11 @@ from repro.critpath import (
     ensure_receives,
     expand_events,
     latency_sensitivity,
+    latency_table,
     match_events,
     match_events_oracle,
 )
-from repro.analysis.tables import build_latency_rows, render_latency_table
+from repro.analysis.tables import render_latency_table
 
 from helpers import make_trace
 
@@ -289,7 +291,7 @@ class TestSensitivity:
         )
 
     def test_latency_table_renders_with_na(self):
-        rows = build_latency_rows(max_ranks=16, fd_check=False)
+        rows = latency_table(max_ranks=16, fd_check=False)
         assert rows
         text = render_latency_table(rows)
         assert "dT/dL" in text
@@ -373,6 +375,43 @@ class TestIntegration:
         assert err.startswith("error:")
         for name in ("critpath", "pipeline", "tenancy"):
             assert name in err
+
+    def test_cli_table_exact_expansion(self, capsys):
+        from repro.cli import main
+
+        argv = ["critpath", "--table", "--max-ranks", "27", "--no-fd"]
+        assert main([*argv, "--max-repeat", "0"]) == 0
+        exact = capsys.readouterr().out
+        rows = latency_table(max_ranks=27, max_repeat=None, fd_check=False)
+        assert exact == render_latency_table(rows) + "\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().out != exact  # the 64 clamp differs
+
+    def test_cli_table_honours_loggp_overrides(self, capsys):
+        from repro.cli import main
+
+        argv = ["critpath", "--table", "--max-ranks", "27", "--no-fd"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--latency-s", "2e-6"]) == 0
+        slower = capsys.readouterr().out
+        assert slower != default
+        params = replace(DEFAULT_PARAMS, latency_s=2e-6)
+        rows = latency_table(max_ranks=27, params=params, fd_check=False)
+        assert slower == render_latency_table(rows) + "\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--topology", "none"], ["--mapping", "random"], ["--seed", "1"]],
+    )
+    def test_cli_table_rejects_single_workload_flags(self, capsys, flags):
+        from repro.cli import main
+
+        assert main(["critpath", "--table", "--max-ranks", "8", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --table does not take ")
+        assert captured.err.count("\n") == 1
 
     def test_cli_critpath_single_app(self, capsys):
         from repro.cli import main

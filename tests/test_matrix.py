@@ -72,6 +72,12 @@ class TestViews:
         assert sorted(dsts.tolist()) == [0, 3]
         assert nbytes.sum() == 16
 
+    @pytest.mark.parametrize("source", [-1, 4, 999])
+    def test_row_rejects_rank_outside_matrix(self, source):
+        m = make_matrix(4, [(1, 0, 7)])
+        with pytest.raises(ValueError, match="out of range"):
+            m.row(source)
+
     def test_marginals(self):
         m = make_matrix(3, [(0, 1, 10), (0, 2, 20), (1, 0, 5)])
         assert m.out_bytes_per_rank().tolist() == [30, 5, 0]

@@ -18,8 +18,6 @@ import logging
 import os
 import signal
 import socket
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -39,6 +37,8 @@ from repro.service.client import ServiceError, SweepClient
 from repro.service.journal import JOURNAL_VERSION, JobJournal
 from repro.service.scheduler import CellScheduler
 from repro.service.server import SweepService
+
+from helpers import shutdown_server, spawn_server
 
 SMALL_SPEC = SweepSpec(
     apps=(("LULESH", 64),),
@@ -435,31 +435,11 @@ SERVER_SPEC = SweepSpec(
 )
 
 
-def _spawn_server(state: Path, socket_path: Path) -> subprocess.Popen:
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--state", str(state),
-            "--socket", str(socket_path),
-            "--workers", "2",
-            "--journal-batch", "1",
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-
-
 class TestServerCrashResume:
     def test_sigkilled_server_resumes_from_journal(self, tmp_path):
         state = tmp_path / "state"
         socket_path = tmp_path / "svc.sock"
-        server = _spawn_server(state, socket_path)
+        server = spawn_server(state, socket_path)
         try:
             client = SweepClient.wait_ready(socket_path, timeout=60.0)
             job = client.submit(spec_to_dict(SERVER_SPEC))["job"]
@@ -476,7 +456,7 @@ class TestServerCrashResume:
             server.kill()
             server.wait(timeout=10)
 
-            restarted = _spawn_server(state, socket_path)
+            restarted = spawn_server(state, socket_path)
             try:
                 client = SweepClient.wait_ready(socket_path, timeout=60.0)
                 end = client.wait(job)
@@ -490,7 +470,7 @@ class TestServerCrashResume:
                 )
                 records = client.results(job)
             finally:
-                _shutdown(client, restarted)
+                shutdown_server(client, restarted)
         finally:
             if server.poll() is None:
                 server.kill()
@@ -502,7 +482,7 @@ class TestServerCrashResume:
 
     def test_sigkilled_server_leaves_no_workers(self, tmp_path):
         socket_path = tmp_path / "svc.sock"
-        server = _spawn_server(tmp_path / "state", socket_path)
+        server = spawn_server(tmp_path / "state", socket_path)
         try:
             client = SweepClient.wait_ready(socket_path, timeout=60.0)
             pids: list = []
@@ -538,23 +518,11 @@ def _running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
 
 
-def _shutdown(client: SweepClient, proc: subprocess.Popen) -> None:
-    try:
-        client.shutdown()
-    except (ServiceError, OSError):
-        pass
-    try:
-        proc.wait(timeout=15)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait(timeout=10)
-
-
 class TestSocketApi:
     def test_unary_ops_and_errors_over_socket(self, tmp_path):
         state = tmp_path / "state"
         socket_path = tmp_path / "svc.sock"
-        server = _spawn_server(state, socket_path)
+        server = spawn_server(state, socket_path)
         try:
             client = SweepClient.wait_ready(socket_path, timeout=60.0)
             assert client.ping()
@@ -575,7 +543,7 @@ class TestSocketApi:
             assert stats["counts"]["cells_computed"] == resp["cells"]
             assert len(stats["workers"]) == 2
         finally:
-            _shutdown(client, server)
+            shutdown_server(client, server)
         # The server removed its socket on clean shutdown.
         deadline = time.monotonic() + 5
         while socket_path.exists() and time.monotonic() < deadline:
@@ -587,7 +555,7 @@ class TestSocketApi:
         the same connection, which stays usable afterwards."""
         state = tmp_path / "state"
         socket_path = tmp_path / "svc.sock"
-        server = _spawn_server(state, socket_path)
+        server = spawn_server(state, socket_path)
         try:
             client = SweepClient.wait_ready(socket_path, timeout=60.0)
             bad_specs = [
@@ -615,4 +583,4 @@ class TestSocketApi:
                     assert json.loads(fh.readline())["pong"] is True
             assert client.jobs() == []
         finally:
-            _shutdown(client, server)
+            shutdown_server(client, server)

@@ -455,6 +455,7 @@ class TestSweepIntegration:
             {"telemetry_threshold": 0.0},
             {"telemetry_threshold": 1.5},
             {"sim_volume_scale": 0.0},
+            {"sim_volume_scale": 0.5},  # the simulator needs volume_scale >= 1
         ],
     )
     def test_spec_validation(self, kwargs):
