@@ -44,6 +44,7 @@ from ..topology.configs import TOPOLOGY_KINDS, build_topology
 __all__ = [
     "AXES",
     "Axis",
+    "AxisError",
     "MAPPING_METHODS",
     "POINT_NAMES",
     "SweepSpec",
@@ -153,6 +154,19 @@ class Axis:
         return isinstance(self.default, tuple)
 
 
+class AxisError(ValueError):
+    """A :class:`SweepSpec` field value its converter rejected.
+
+    The text names the field; ``field`` and ``reason`` let a front end
+    name its own flag for it instead.
+    """
+
+    def __init__(self, field: str, reason: str) -> None:
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
+
+
 def axis(default: Any, convert: Callable[[Any], Any], **kwargs: Any) -> Any:
     """Declare one spec field; see :class:`Axis` for the keywords."""
     if isinstance(kwargs.get("point"), str):
@@ -242,7 +256,7 @@ class SweepSpec:
                 else:
                     value = tuple(decl.convert(v) for v in value)
             except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+                raise AxisError(name, str(exc)) from None
             object.__setattr__(self, name, value)
 
     @property
@@ -347,6 +361,15 @@ def _eval_point(
         )
     records = []
     for bandwidth in spec.bandwidths:
+        # The simulator runs first: it keeps the route rows it walks, and
+        # the model's route summary derives from them without a second walk.
+        telemetry_fields = (
+            _telemetry_fields(
+                spec, matrix, topology, mapping, trace, bandwidth, payload, routing
+            )
+            if spec.telemetry
+            else {}
+        )
         result = analyze_network(
             matrix,
             topology,
@@ -370,15 +393,9 @@ def _eval_point(
             "avg_hops": round(result.avg_hops, 4),
             "utilization_percent": round(result.utilization_percent, 6),
             "used_links": result.used_links,
+            **telemetry_fields,
+            **critpath_fields,
         }
-        if spec.telemetry:
-            record.update(
-                _telemetry_fields(
-                    spec, matrix, topology, mapping, trace, bandwidth,
-                    payload, routing,
-                )
-            )
-        record.update(critpath_fields)
         records.append(record)
     return records
 

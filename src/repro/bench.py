@@ -179,8 +179,8 @@ SCALE_RLIMIT_GB = 4.0
 
 #: ``report``: the full-registry report's fixed peak-RSS budget and the
 #: ``RLIMIT_AS`` cap on its subprocess, twice the budget as for ``scale``.
-REPORT_RSS_BUDGET_MB = 2560.0
-REPORT_RLIMIT_GB = 5.0
+REPORT_RSS_BUDGET_MB = 2048.0
+REPORT_RLIMIT_GB = 4.0
 
 #: ``routing``: pairs per topology and policy whose routes are checked to
 #: be valid walks (a Python loop per pair, ~40 us each).
@@ -1340,7 +1340,7 @@ BENCHES: dict[str, Bench] = {b.name: b for b in (
     Bench("report", run_report_bench, (
         Gate("report rows", "report.rows", "==", 38),
         Gate("warm render == cold render", "summary.warm_identical", "==", True, True),
-        Gate("peak RSS / 2560 MB budget", "summary.rss_ratio", "<=", 1.0, True),
+        Gate("peak RSS / 2048 MB budget", "summary.rss_ratio", "<=", 1.0, True),
         Gate("warm report speedup over cold", "summary.warm_speedup", ">=", 5.0),
     )),
     Bench("sweep", run_sweep_bench, (

@@ -24,14 +24,19 @@ module gives the three hot producers a shared cache:
   routing policy's :meth:`~repro.routing.base.RoutingPolicy.cache_token`
   (policy name, plus the seed for randomized policies), and a BLAKE2 digest
   of the queried ``(src, dst)`` pair arrays — extended with the per-pair
-  weights when a load-aware policy (UGAL) routes on them.
+  weights when a load-aware policy (UGAL) routes on them;
+- :func:`cached_route_summary` — route summaries (per-pair hop counts,
+  the used-link count, dragonfly global-link flags), under the same key as
+  the incidence they summarize.  The static model and the critical-path
+  costs read only these, so route rows are held only for the consumers
+  that walk them (the simulators, interference, validation).
 
-In-memory regions (``stats()``, ``clear()`` and ``configure()`` cover each):
+In-memory regions (``stats()``, ``memory()``, ``clear()`` and
+``configure()`` cover each):
 
-- ``trace``, ``matrix``, ``mapping``, ``incidence`` — the producers above
-  (``mapping`` also holds the shared slot assignments);
+- ``trace``, ``matrix``, ``mapping``, ``incidence``, ``summary`` — the
+  producers above (``mapping`` also holds the shared slot assignments);
 - ``pairs`` — node-pair aggregates (:func:`cached_node_pairs`);
-- ``hops`` — closed-form hop counts (:func:`cached_pair_hops`);
 - ``digests`` — query-array digests memoized under provenance tokens;
 - ``critpath`` — happens-before DAGs with their level schedules
   (:func:`cached_critpath_dag`), bounded by bytes as well as entries;
@@ -44,7 +49,7 @@ variable / ``repro --cache-dir``.  Traces persist as chunked spill
 directories of per-column ``.npy`` segments (warm hits memory-map the
 segments, so a cached trace costs address space rather than RSS; traces
 that cannot be expressed that way fall back to pickle), matrices as
-pickle, incidences as ``.npz``.  Keys are pure content
+pickle, incidences and summaries as ``.npz``.  Keys are pure content
 keys, so the disk cache never needs invalidation for same-version runs; bump
 :data:`CACHE_VERSION` when a generator or routing algorithm changes
 semantics.
@@ -80,12 +85,13 @@ __all__ = [
     "configure",
     "clear",
     "stats",
+    "memory",
     "cached_trace",
     "cached_matrix",
     "cached_mapping",
     "cached_node_pairs",
-    "cached_pair_hops",
     "cached_route_incidence",
+    "cached_route_summary",
     "cached_critpath_dag",
     "cached_critpath_result",
     "trace_content_key",
@@ -141,9 +147,11 @@ class CacheStats:
 class _LRU:
     """A small OrderedDict-based LRU with per-region statistics.
 
-    ``maxbytes`` additionally bounds the summed ``nbytes`` of the entries:
-    the oldest are evicted past it.  The newest entry always stays, so a
-    value larger than the whole bound is held alone until :meth:`shed`
+    Every region tallies the array bytes its entries hold
+    (:func:`_array_bytes`, measured when an entry is stored) and counts
+    its evictions.  ``maxbytes`` additionally bounds that tally: the
+    oldest entries are evicted past it.  The newest entry always stays, so
+    a value larger than the whole bound is held alone until :meth:`shed`
     or the next :meth:`put` drops it.
     """
 
@@ -151,9 +159,13 @@ class _LRU:
         self.maxsize = maxsize
         self.maxbytes = maxbytes
         self.nbytes = 0
+        self.evictions = 0
         self._data: OrderedDict[Any, Any] = OrderedDict()
         self._sizes: dict[Any, int] = {}
         self.stats = CacheStats()
+
+    def __len__(self) -> int:
+        return len(self._data)
 
     def get(self, key: Any) -> Any:
         try:
@@ -166,7 +178,7 @@ class _LRU:
         return value
 
     def put(self, key: Any, value: Any) -> None:
-        size = value.nbytes if self.maxbytes is not None else 0
+        size = _array_bytes(value)
         self.nbytes += size - self._sizes.get(key, 0)
         self._sizes[key] = size
         self._data[key] = value
@@ -175,6 +187,12 @@ class _LRU:
             len(self._data) > self.maxsize or self._over_bytes()
         ):
             self._evict_oldest()
+
+    def measure(self) -> None:
+        """Re-measure every entry: some memoize derived arrays after they
+        are stored (``RouteIncidence.used_links``, for one)."""
+        self._sizes = {key: _array_bytes(v) for key, v in self._data.items()}
+        self.nbytes = sum(self._sizes.values())
 
     def shed(self) -> None:
         """Drop an entry held past the byte bound (only a newest one that
@@ -188,12 +206,44 @@ class _LRU:
     def _evict_oldest(self) -> None:
         old, _ = self._data.popitem(last=False)
         self.nbytes -= self._sizes.pop(old)
+        self.evictions += 1
 
     def clear(self) -> None:
         self._data.clear()
         self._sizes.clear()
         self.nbytes = 0
+        self.evictions = 0
         self.stats = CacheStats()
+
+
+def _array_bytes(value: Any, seen: set[int] | None = None) -> int:
+    """Bytes of the NumPy arrays reachable from ``value``, each counted once.
+
+    An array counts its ``nbytes`` (a memory-mapped trace column counts
+    what it maps); an object with an integer ``nbytes`` (a DAG) reports
+    itself; tuples, lists, dicts and ``repro`` objects are walked through
+    their items and attributes.  Arrays shared with
+    another entry count in both.
+    """
+    if seen is None:
+        seen = set()
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    own = getattr(value, "nbytes", None)
+    if isinstance(own, int):
+        return own
+    if isinstance(value, dict):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    elif type(value).__module__.startswith("repro.") and hasattr(value, "__dict__"):
+        items = vars(value).values()
+    else:
+        return 0
+    return sum(_array_bytes(item, seen) for item in items)
 
 
 _MISS = object()
@@ -229,14 +279,15 @@ def _evict_corrupt(path: Path, exc: Exception) -> None:
         pass  # already gone, or read-only cache dir: stays a plain miss
 
 #: In-memory regions.  Incidences can be large (one row per packet-route
-#: link), so that region is kept smaller than the trace/matrix ones.
+#: link), so that region is kept smaller than the trace/matrix ones;
+#: summaries hold about one byte per pair.
 _DEFAULT_SIZES = {
     "trace": 64,
     "matrix": 128,
     "incidence": 128,
+    "summary": 1024,
     "mapping": 256,
     "pairs": 64,
-    "hops": 128,
     "digests": 1024,
     "critpath": 1024,
     "critpath_result": 4096,
@@ -300,6 +351,33 @@ def clear(memory: bool = True, disk: bool = False) -> None:
 def stats() -> dict[str, dict[str, int]]:
     """Hit/miss counters per region."""
     return {name: region.stats.as_dict() for name, region in _regions.items()}
+
+
+def memory() -> dict[str, dict[str, int]]:
+    """Entries, array bytes held (:func:`_array_bytes`) and evictions per region.
+
+    Bytes are re-measured at the call, so they include arrays an entry
+    memoized after it was stored.
+    """
+    out = {}
+    for name, region in _regions.items():
+        region.measure()
+        out[name] = {
+            "entries": len(region),
+            "bytes": region.nbytes,
+            "evictions": region.evictions,
+        }
+    return out
+
+
+def memory_summary() -> str:
+    """One line: the array megabytes each non-empty region holds."""
+    held = [
+        f"{name} {entry['bytes'] / (1 << 20):.2f}"
+        for name, entry in memory().items()
+        if entry["entries"]
+    ]
+    return "cache MB held: " + (", ".join(held) if held else "none")
 
 
 # ------------------------------------------------------------------ keys
@@ -426,6 +504,25 @@ def _disk_store_pickle(path: Path | None, value: Any) -> None:
     if path is None:
         return
     _atomic_write(path, lambda fh: pickle.dump(value, fh, pickle.HIGHEST_PROTOCOL))
+
+
+def _disk_load_npz(path: Path | None, build) -> Any:
+    """``build(archive)`` of an ``.npz`` entry (miss if absent or corrupt)."""
+    if path is None or not path.is_file():
+        return _MISS
+    try:
+        with np.load(path) as data:
+            return build(data)
+    except Exception as exc:
+        # np.load raises zipfile/pickle/value errors on corrupt archives;
+        # treat any of them as a miss and recompute.
+        _evict_corrupt(path, exc)
+        return _MISS
+
+
+def _disk_store_npz(path: Path | None, **arrays) -> None:
+    if path is not None:
+        _atomic_write(path, lambda fh: np.savez(fh, **arrays))
 
 
 # ------------------------------------------------ trace <-> spill directories
@@ -766,27 +863,46 @@ def cached_critpath_result(
     return value
 
 
-def cached_pair_hops(topology, src, dst, matrix=None, mapping=None):
-    """Memoized closed-form hop counts of a node-pair batch.
+def _route_key(
+    topology, src, dst, policy, pair_weights, content_token
+) -> tuple | None:
+    """The content key one route query shares across its incidence and
+    its summary: ``(fingerprint, policy token, query digest)``.
 
-    The minimal-routing analysis path recomputes ``topology.hops_array``
-    for every (bandwidth, payload, policy-variant) cell sharing one
-    placement; with provenance-carrying inputs the result is a pure
-    function of ``(topology, matrix, mapping)`` and is memoized in memory.
+    The digest covers the ``(src, dst)`` arrays, plus the per-pair weights
+    when a load-aware policy (UGAL) routes on them.  ``None`` when the
+    topology has no structural fingerprint (such queries are not cached).
+    ``content_token`` memoizes the digest; see :func:`cached_route_incidence`.
     """
     fingerprint = topology.fingerprint()
-    matrix_key = getattr(matrix, "_repro_cache_key", None)
-    mapping_key = getattr(mapping, "_repro_cache_key", None)
-    if fingerprint is None or matrix_key is None or mapping_key is None:
-        return topology.hops_array(src, dst)
-    key = ("hops", fingerprint, matrix_key, mapping_key)
-    region = _regions["hops"]
-    value = region.get(key)
-    if value is not _MISS:
-        return value
-    value = topology.hops_array(src, dst)
-    region.put(key, value)
-    return value
+    if fingerprint is None:
+        return None
+    load_aware = policy.load_aware and pair_weights is not None
+    token_key = None
+    if content_token is not None:
+        token_key = ("incidence-digest", content_token, load_aware)
+        digest = _regions["digests"].get(token_key)
+        if digest is not _MISS:
+            return (fingerprint, policy.cache_token(), digest)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if load_aware:
+        digest = array_digest(src, dst, np.asarray(pair_weights, dtype=np.float64))
+    else:
+        digest = array_digest(src, dst)
+    if token_key is not None:
+        _regions["digests"].put(token_key, digest)
+    return (fingerprint, policy.cache_token(), digest)
+
+
+def _walk_routes(policy, topology, src, dst, pair_weights):
+    with timings.stage("routing"):
+        return policy.route_incidence(
+            topology,
+            np.asarray(src, dtype=np.int64),
+            np.asarray(dst, dtype=np.int64),
+            pair_weights=pair_weights,
+        )
 
 
 def cached_route_incidence(
@@ -830,58 +946,77 @@ def cached_route_incidence(
     from .topology.base import RouteIncidence
 
     policy = get_policy(routing, seed=seed)
-    fingerprint = topology.fingerprint()
-    if fingerprint is None:
-        with timings.stage("routing"):
-            return policy.route_incidence(
-                topology, src, dst, pair_weights=pair_weights
-            )
-
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    load_aware = policy.load_aware and pair_weights is not None
-    digest = None
-    token_key = None
-    if content_token is not None:
-        token_key = ("incidence-digest", content_token, load_aware)
-        memo = _regions["digests"].get(token_key)
-        if memo is not _MISS:
-            digest = memo
-    if digest is None:
-        if load_aware:
-            weights = np.asarray(pair_weights, dtype=np.float64)
-            digest = array_digest(src, dst, weights)
-        else:
-            digest = array_digest(src, dst)
-        if token_key is not None:
-            _regions["digests"].put(token_key, digest)
-    key = ("incidence", fingerprint, policy.cache_token(), digest)
+    route_key = _route_key(topology, src, dst, policy, pair_weights, content_token)
+    if route_key is None:
+        return _walk_routes(policy, topology, src, dst, pair_weights)
+    key = ("incidence",) + route_key
     region = _regions["incidence"]
     value = region.get(key)
     if value is not _MISS:
         return value
     path = _disk_path("incidence", key, ".npz")
-    if path is not None and path.is_file():
-        try:
-            with np.load(path) as data:
-                value = RouteIncidence(data["pair_index"], data["link_id"])
-            region.stats.disk_hits += 1
-        except Exception as exc:
-            # np.load raises zipfile/pickle/value errors on corrupt archives;
-            # treat any of them as a miss and recompute.
-            _evict_corrupt(path, exc)
-            value = _MISS
-    if value is _MISS:
-        with timings.stage("routing"):
-            value = policy.route_incidence(
-                topology, src, dst, pair_weights=pair_weights
-            )
-        if path is not None:
-            _atomic_write(
-                path,
-                lambda fh: np.savez(
-                    fh, pair_index=value.pair_index, link_id=value.link_id
-                ),
-            )
+    value = _disk_load_npz(
+        path, lambda data: RouteIncidence(data["pair_index"], data["link_id"])
+    )
+    if value is not _MISS:
+        region.stats.disk_hits += 1
+    else:
+        value = _walk_routes(policy, topology, src, dst, pair_weights)
+        _disk_store_npz(path, pair_index=value.pair_index, link_id=value.link_id)
+    region.put(key, value)
+    return value
+
+
+def cached_route_summary(
+    topology,
+    src: np.ndarray,
+    dst: np.ndarray,
+    routing="minimal",
+    seed: int = 0,
+    pair_weights: np.ndarray | None = None,
+    content_token: tuple | None = None,
+):
+    """Memoized :class:`~repro.routing.summary.RouteSummary` of a route query.
+
+    Takes the arguments of :func:`cached_route_incidence` and answers
+    under the same key, so a summary always describes exactly the routes
+    its incidence would hold.  A miss derives the summary from the rows
+    when the ``incidence`` region already holds them (the simulator
+    stored them); otherwise it walks the routes through the policy and
+    keeps only the summary.  The disk tier stores summaries as ``.npz``.
+    """
+    from .routing import get_policy
+    from .routing.summary import RouteSummary, summarize_routes
+
+    policy = get_policy(routing, seed=seed)
+    route_key = _route_key(topology, src, dst, policy, pair_weights, content_token)
+    if route_key is None:
+        rows = _walk_routes(policy, topology, src, dst, pair_weights)
+        return summarize_routes(rows, len(src), topology)
+    key = ("summary",) + route_key
+    region = _regions["summary"]
+    value = region.get(key)
+    if value is not _MISS:
+        return value
+    path = _disk_path("summary", key, ".npz")
+    value = _disk_load_npz(
+        path,
+        lambda data: RouteSummary(
+            int(data["used_links"]),
+            data["pair_hops"],
+            data["pair_global"] if "pair_global" in data else None,
+        ),
+    )
+    if value is not _MISS:
+        region.stats.disk_hits += 1
+    else:
+        rows = _regions["incidence"].get(("incidence",) + route_key)
+        if rows is _MISS:
+            rows = _walk_routes(policy, topology, src, dst, pair_weights)
+        value = summarize_routes(rows, len(src), topology)
+        flags = {} if value.pair_global is None else {"pair_global": value.pair_global}
+        _disk_store_npz(
+            path, used_links=value.used_links, pair_hops=value.pair_hops, **flags
+        )
     region.put(key, value)
     return value

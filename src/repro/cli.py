@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import __version__, analysis, timings
-from .analysis.sweep import AXES, SweepSpec
+from .analysis.sweep import AXES, AxisError, SweepSpec
 from .apps.registry import APPS, generate_trace
 from .bench import BENCHES
 from .collectives.registry import COLLECTIVES
@@ -231,7 +231,10 @@ def _spec_from_args(args):
             else:
                 value = _parsed(axis.flag, axis.parse, value)
         kwargs[name] = value
-    return SweepSpec(**kwargs)
+    try:
+        return SweepSpec(**kwargs)
+    except AxisError as exc:
+        raise ValueError(f"{AXES[exc.field].flag}: {exc.reason}") from None
 
 
 # ------------------------------------------------------------ output
@@ -1121,7 +1124,10 @@ def main(argv: list[str] | None = None) -> int:
             status = command.run(args) or 0
         finally:
             if args.timings:
+                from . import cache
+
                 print(timings.summary(), file=sys.stderr)
+                print(cache.memory_summary(), file=sys.stderr)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

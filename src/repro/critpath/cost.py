@@ -75,11 +75,11 @@ def message_edge_hops(
     Returns ``int64[num_edges]``: the number of links the routing policy's
     walk traverses between the endpoint nodes of each message edge (0 for
     program-order edges and co-located endpoints).  Walk lengths come from
-    the policy's route incidence — the same artifact the load and
-    telemetry layers consume — via the content-keyed incidence cache, so
+    the summary of the policy's route incidence — the routes the load and
+    telemetry layers walk — via the content-keyed summary cache, so
     critical-path costs and link loads always agree on the route taken.
     """
-    from ..cache import cached_route_incidence
+    from ..cache import cached_route_summary
 
     if mapping.num_ranks < dag.num_ranks:
         raise ValueError(
@@ -100,11 +100,10 @@ def message_edge_hops(
     uniq, inverse = np.unique(codes, return_inverse=True)
     usrc = uniq // topology.num_nodes
     udst = uniq % topology.num_nodes
-    incidence = cached_route_incidence(
+    routes = cached_route_summary(
         topology, usrc, udst, routing=routing, seed=routing_seed
     )
-    per_pair = np.bincount(incidence.pair_index, minlength=len(uniq))
-    hops[midx[crossing]] = per_pair[inverse]
+    hops[midx[crossing]] = routes.pair_hops[inverse]
     return hops
 
 

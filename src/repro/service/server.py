@@ -51,6 +51,14 @@ _STREAM_LIMIT = 32 * 1024 * 1024
 _TERMINAL = ("done", "failed", "cancelled")
 
 
+class UnknownJob(KeyError):
+    """No job has the requested id.  A ``KeyError`` whose text is its
+    message unquoted, so replies built with ``str(exc)`` read plainly."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 def _write_json_atomic(path: Path, payload: dict) -> None:
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("w", encoding="utf-8") as fh:
@@ -477,7 +485,7 @@ class SweepService:
     def get_job(self, job_id: str) -> _Job:
         job = self._jobs.get(job_id)
         if job is None:
-            raise KeyError(f"unknown job {job_id!r}")
+            raise UnknownJob(f"unknown job {job_id!r}")
         return job
 
     def list_jobs(self) -> list[dict]:

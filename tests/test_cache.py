@@ -463,3 +463,81 @@ class TestSharedSlots:
         assert np.array_equal(
             nodes, optimize_mapping(matrix, fourth, method="bisection").nodes
         )
+
+
+class TestMemoryAccounting:
+    """``cache.memory()``: entries, array bytes and evictions per region."""
+
+    def _fill(self):
+        from repro.analysis.sweep import SweepSpec, run_sweep
+
+        cache.configure(disable_disk=True)
+        cache.clear()
+        run_sweep(
+            SweepSpec(
+                apps=(("LULESH", 64),),
+                topologies=("torus3d", "dragonfly"),
+                routings=("minimal", "ugal"),
+                telemetry=True,
+                sim_volume_scale=3200.0,
+            ),
+            workers=1,
+        )
+
+    def test_bytes_are_the_summed_nbytes_of_each_region(self):
+        self._fill()
+        held = cache.memory()
+        assert set(held) == set(cache.stats())
+        regions = cache._regions
+        for name, entry in held.items():
+            assert entry["entries"] == len(regions[name]._data)
+        incidences = regions["incidence"]._data.values()
+        # Rows, plus the link sets an incidence memoizes on first use (the
+        # used-link array is shared by both memos: counted once).
+        assert incidences and held["incidence"]["bytes"] == sum(
+            sum(
+                a.nbytes
+                for a in {
+                    id(a): a
+                    for a in (
+                        inc.pair_index,
+                        inc.link_id,
+                        getattr(inc, "_used_links", None),
+                        *getattr(inc, "_link_inverse", ()),
+                    )
+                    if a is not None
+                }.values()
+            )
+            for inc in incidences
+        )
+        summaries = regions["summary"]._data.values()
+        assert summaries and held["summary"]["bytes"] == sum(
+            s.pair_hops.nbytes + (0 if s.pair_global is None else s.pair_global.nbytes)
+            for s in summaries
+        )
+        matrices = regions["matrix"]._data.values()
+        assert matrices and held["matrix"]["bytes"] == sum(
+            m.src.nbytes + m.dst.nbytes + m.nbytes.nbytes + m.messages.nbytes
+            + m.packets.nbytes
+            for m in matrices
+        )
+        traces = regions["trace"]._data.values()
+        assert traces and held["trace"]["bytes"] == sum(
+            sum(column.nbytes for column in vars(block).values()
+                if isinstance(column, np.ndarray))
+            for trace in traces
+            for block in trace.blocks()
+        )
+        assert all(entry["evictions"] == 0 for entry in held.values())
+
+    def test_evictions_are_counted_and_cleared(self):
+        cache.configure(memory_items={"summary": 2})
+        try:
+            self._fill()
+            held = cache.memory()["summary"]
+            assert held["entries"] == 2
+            assert held["evictions"] == cache.stats()["summary"]["misses"] - 2
+        finally:
+            cache.configure(memory_items={"summary": 1024})
+        cache.clear()
+        assert cache.memory()["summary"] == {"entries": 0, "bytes": 0, "evictions": 0}
