@@ -66,6 +66,7 @@ consumes, so instrumented and plain runs share the same cached artifacts
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import os
 import pickle
@@ -162,6 +163,8 @@ class _LRU:
         self.evictions = 0
         self._data: OrderedDict[Any, Any] = OrderedDict()
         self._sizes: dict[Any, int] = {}
+        #: When each entry was stored, in one count shared by every region.
+        self._stored: dict[Any, int] = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -181,18 +184,13 @@ class _LRU:
         size = _array_bytes(value)
         self.nbytes += size - self._sizes.get(key, 0)
         self._sizes[key] = size
+        self._stored[key] = next(_store_count)
         self._data[key] = value
         self._data.move_to_end(key)
         while len(self._data) > 1 and (
             len(self._data) > self.maxsize or self._over_bytes()
         ):
             self._evict_oldest()
-
-    def measure(self) -> None:
-        """Re-measure every entry: some memoize derived arrays after they
-        are stored (``RouteIncidence.used_links``, for one)."""
-        self._sizes = {key: _array_bytes(v) for key, v in self._data.items()}
-        self.nbytes = sum(self._sizes.values())
 
     def shed(self) -> None:
         """Drop an entry held past the byte bound (only a newest one that
@@ -206,11 +204,13 @@ class _LRU:
     def _evict_oldest(self) -> None:
         old, _ = self._data.popitem(last=False)
         self.nbytes -= self._sizes.pop(old)
+        del self._stored[old]
         self.evictions += 1
 
     def clear(self) -> None:
         self._data.clear()
         self._sizes.clear()
+        self._stored.clear()
         self.nbytes = 0
         self.evictions = 0
         self.stats = CacheStats()
@@ -222,8 +222,8 @@ def _array_bytes(value: Any, seen: set[int] | None = None) -> int:
     An array counts its ``nbytes`` (a memory-mapped trace column counts
     what it maps); an object with an integer ``nbytes`` (a DAG) reports
     itself; tuples, lists, dicts and ``repro`` objects are walked through
-    their items and attributes.  Arrays shared with
-    another entry count in both.
+    their items and attributes.  Pass one ``seen`` set across several
+    values to count an array they share once.
     """
     if seen is None:
         seen = set()
@@ -247,6 +247,8 @@ def _array_bytes(value: Any, seen: set[int] | None = None) -> int:
 
 
 _MISS = object()
+
+_store_count = itertools.count()
 
 _log = logging.getLogger("repro.cache")
 
@@ -353,15 +355,43 @@ def stats() -> dict[str, dict[str, int]]:
     return {name: region.stats.as_dict() for name, region in _regions.items()}
 
 
+def _measure() -> None:
+    """Re-measure every entry of every region.
+
+    Some entries memoize derived arrays after they are stored
+    (``RouteIncidence.used_links``, for one), and some hold arrays another
+    region stored first: a node-pair aggregate of a consecutive mapping
+    is its matrix's own ``nbytes``/``packets``.  Entries are measured in
+    the order they were stored, with one ``seen`` set, so a shared array
+    counts once, in the region that stored it first.
+    """
+    stored = sorted(
+        (
+            (stored, region, key)
+            for region in _regions.values()
+            for key, stored in region._stored.items()
+        ),
+        key=lambda entry: entry[0],
+    )
+    seen: set[int] = set()
+    for region in _regions.values():
+        region._sizes = {}
+    for _, region, key in stored:
+        region._sizes[key] = _array_bytes(region._data[key], seen)
+    for region in _regions.values():
+        region.nbytes = sum(region._sizes.values())
+
+
 def memory() -> dict[str, dict[str, int]]:
     """Entries, array bytes held (:func:`_array_bytes`) and evictions per region.
 
-    Bytes are re-measured at the call, so they include arrays an entry
-    memoized after it was stored.
+    Bytes are re-measured at the call (:func:`_measure`), so they include
+    arrays an entry memoized after it was stored, and an array several
+    regions hold counts once: the regions sum to the bytes held.
     """
+    _measure()
     out = {}
     for name, region in _regions.items():
-        region.measure()
         out[name] = {
             "entries": len(region),
             "bytes": region.nbytes,

@@ -136,6 +136,12 @@ LULESH_64 = (
     _arg("--app", default="LULESH"),
     _arg("--ranks", type=int, default=64),
 )
+#: ``critpath``'s workload: unset (``None``) means LULESH@64 on the
+#: single-workload path, so ``--table`` can reject a given one.
+CRITPATH_WORKLOAD = (
+    _with(LULESH_64[0], default=None, help="application (default: LULESH)"),
+    _with(LULESH_64[1], default=None, help="rank count (default: 64)"),
+)
 TOPOLOGY = _arg("--topology", default="torus3d", choices=TOPOLOGY_KINDS)
 ROUTING = (
     _arg(
@@ -558,6 +564,8 @@ def _critpath(args) -> None:
     if args.table:
         # The table analyzes seed-0 traces, consecutively mapped, on a network.
         unsupported = [flag for flag, given in (
+            (f"--app {args.app}", args.app is not None),
+            (f"--ranks {args.ranks}", args.ranks is not None),
             ("--topology none", args.topology == "none"),
             (f"--mapping {args.mapping}", args.mapping != "consecutive"),
             (f"--seed {args.seed}", args.seed != 0),
@@ -579,14 +587,16 @@ def _critpath(args) -> None:
     from .cache import cached_trace
     from .mapping.base import Mapping
 
-    trace = cached_trace(args.app, args.ranks, seed=args.seed)
+    app = "LULESH" if args.app is None else args.app
+    ranks = 64 if args.ranks is None else args.ranks
+    trace = cached_trace(app, ranks, seed=args.seed)
     topo = mapping = None
     if args.topology != "none":
-        topo = build_topology(args.topology, args.ranks)
+        topo = build_topology(args.topology, ranks)
         if args.mapping == "random":
-            mapping = Mapping.random(args.ranks, topo.num_nodes, seed=args.seed)
+            mapping = Mapping.random(ranks, topo.num_nodes, seed=args.seed)
         else:
-            mapping = Mapping.consecutive(args.ranks, topo.num_nodes)
+            mapping = Mapping.consecutive(ranks, topo.num_nodes)
     result = analyze_trace(
         trace,
         topology=topo,
@@ -931,7 +941,7 @@ COMMANDS: dict[str, Command] = {c.name: c for c in (
     Command(
         "critpath", "critical path and latency tolerance under the LogGP model",
         _critpath, (
-            *LULESH_64,
+            *CRITPATH_WORKLOAD,
             _arg("--table", action="store_true",
                  help="latency-tolerance table over every registry app "
                  "(smallest configurations, consecutive mapping, seed 0)"),

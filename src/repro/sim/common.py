@@ -114,13 +114,16 @@ class SimSetup:
     total_packets: int
     num_links: int  # compact link-index space (= used links, all are served)
     link_ids: np.ndarray  # int64[num_links]: compact index -> topology link ID
-    route_links: np.ndarray  # int64[m]: compact link IDs, per-pair runs in hop order
+    #: uint[m]: compact link IDs, per-pair runs in hop order (the smallest
+    #: unsigned dtype that holds ``num_links - 1``).
+    route_links: np.ndarray
     route_starts: np.ndarray  # int64[num_pairs]
     route_lens: np.ndarray  # int64[num_pairs]
     pair_packets: np.ndarray  # int64[num_pairs]: scaled packets per pair
     pair_src: np.ndarray  # int64[num_pairs]: source node of each crossing pair
     pair_dst: np.ndarray  # int64[num_pairs]: destination node of each pair
-    inject_pair: np.ndarray  # int64[total_packets]
+    #: uint[total_packets]: each packet's pair (smallest unsigned dtype).
+    inject_pair: np.ndarray
     inject_time: np.ndarray  # float64[total_packets]
     service: float  # seconds one packet occupies one link
     hop_latency: float
@@ -213,6 +216,7 @@ def prepare_simulation(
     # Compact the opaque link IDs into a dense [0, num_links) index space so
     # engines can use flat arrays for per-link state.
     link_ids, route_links = compact_ids(sorted_links)
+    route_links = route_links.astype(np.min_scalar_type(max(len(link_ids) - 1, 0)))
 
     # Structural observables: each packet serves each route link once, so
     # counts are (packets per pair) scattered over that pair's route links.
@@ -227,7 +231,9 @@ def prepare_simulation(
 
     service = payload / (bandwidth / volume_scale)
     rng = np.random.default_rng(seed)
-    inject_pair = np.repeat(pair_ids.astype(np.int64), scaled)
+    inject_pair = np.repeat(
+        pair_ids.astype(np.min_scalar_type(max(len(pair_ids) - 1, 0))), scaled
+    )
     inject_time = rng.uniform(0.0, execution_time, size=total_packets)
 
     pair_job = None

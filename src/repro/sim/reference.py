@@ -75,7 +75,7 @@ def run_reference(setup: SimSetup, collector=None) -> SimulationResult:
 
     recording = collector is not None and collector.enabled
     if recording:
-        collector.reserve(setup.total_hops)
+        collector.start(setup)
     rec_links: list[int] = []
     rec_begins: list[float] = []
     rec_waits: list[float] = []

@@ -8,7 +8,9 @@ engine into an observable system without changing its semantics:
 - the engine hands the collector every **service** it performs, as
   ``(link, begin, wait)`` triples (compact link index, service start time,
   queueing delay of that hop);
-- :meth:`WindowedCollector.finalize` reduces the buffered services into a
+- :class:`WindowedCollector` keeps each service's link and begin and
+  bins its wait by queue depth as it arrives;
+  :meth:`~WindowedCollector.finalize` reduces them into a
   :class:`TelemetryReport`: per-link occupancy/serve-count series over
   ``windows`` equal time windows spanning the makespan, per-node
   injection/ejection counters, and queue-depth / stall-time histograms.
@@ -37,6 +39,7 @@ telemetry``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -146,17 +149,20 @@ class TelemetryCollector:
     """Interface both sim engines feed (see module docstring).
 
     ``enabled`` is checked once per recording site; disabled collectors are
-    never called further.  ``record_services`` receives parallel arrays of
-    the services one engine step performed; engines call ``reserve`` once
-    with the run's total service count so buffering collectors can
-    preallocate (retaining thousands of small per-step arrays instead would
-    defeat the allocator's buffer reuse inside the engine loop).
+    never called further.  Engines call ``start`` once with the run's
+    :class:`~repro.sim.SimSetup` before recording anything — its
+    ``total_hops`` lets buffering collectors preallocate (retaining
+    thousands of small per-step arrays instead would defeat the
+    allocator's buffer reuse inside the engine loop), its ``num_links``
+    and ``service`` size and quantize what they keep.  ``record_services``
+    then receives parallel arrays of the services one engine step
+    performed.
     """
 
     enabled: bool = True
 
-    def reserve(self, num_services: int) -> None:
-        """Optional capacity hint, sent once before any recording."""
+    def start(self, setup) -> None:
+        """Sent once before any recording, with the run's setup."""
 
     def record_services(
         self, links: np.ndarray, begins: np.ndarray, waits: np.ndarray
@@ -179,24 +185,49 @@ class NullCollector(TelemetryCollector):
         return None
 
 
+#: Waits :class:`WindowedCollector` stages before binning them.
+WAIT_CHUNK = 1 << 13
+
+#: The setup :meth:`WindowedCollector.finalize` restarts on, which frees
+#: what the finished run recorded.
+_NO_RUN = SimpleNamespace(total_hops=0, num_links=0, service=0.0)
+
+
 class WindowedCollector(TelemetryCollector):
-    """Buffers raw services and reduces them into a :class:`TelemetryReport`."""
+    """Records services compactly and reduces them into a :class:`TelemetryReport`.
+
+    Per service it keeps the compact link index, in the smallest unsigned
+    dtype that holds the run's link count, and the ``float64`` begin: 10
+    bytes or less where buffering the raw triple took 24.  The wait is
+    consumed as it arrives: it only feeds the queue-depth and stall
+    histograms, through ``q = ceil(wait / service)`` (the packets the hop
+    found ahead of it), so the collector keeps a count per ``q`` and
+    :meth:`finalize` derives both histograms from those counts.
+    """
 
     def __init__(self, config: TelemetryConfig | None = None) -> None:
         self.config = config or TelemetryConfig()
-        self._links = np.empty(0, dtype=np.int64)
-        self._begins = np.empty(0, dtype=np.float64)
-        self._waits = np.empty(0, dtype=np.float64)
-        self._len = 0
+        # Waits per queue depth q, grown to the deepest q seen so far; q
+        # is capped where neither histogram tells depths apart any more.
+        cfg = self.config
+        self._cap = max(1 << (cfg.stall_octaves - 1), cfg.queue_depth_bins - 1) + 1
+        self.start(_NO_RUN)
 
-    def reserve(self, num_services: int) -> None:
-        self._grow(self._len + num_services)
+    def start(self, setup) -> None:
+        hops = setup.total_hops
+        self._links = np.empty(
+            hops, dtype=np.min_scalar_type(max(setup.num_links - 1, 0))
+        )
+        self._begins = np.empty(hops, dtype=np.float64)
+        self._len = 0
+        self._service = float(setup.service)
+        self._depths = np.zeros(1, dtype=np.int64)
+        self._waits = np.empty(min(hops, WAIT_CHUNK), dtype=np.float64)
+        self._staged = 0
 
     def _grow(self, capacity: int) -> None:
-        if capacity <= len(self._links):
-            return
         capacity = max(capacity, 2 * len(self._links))
-        for name in ("_links", "_begins", "_waits"):
+        for name in ("_links", "_begins"):
             old = getattr(self, name)
             buf = np.empty(capacity, dtype=old.dtype)
             buf[: self._len] = old[: self._len]
@@ -206,29 +237,52 @@ class WindowedCollector(TelemetryCollector):
         self, links: np.ndarray, begins: np.ndarray, waits: np.ndarray
     ) -> None:
         end = self._len + len(links)
-        self._grow(end)
+        if end > len(self._links):
+            self._grow(end)
         self._links[self._len : end] = links
         self._begins[self._len : end] = begins
-        self._waits[self._len : end] = waits
         self._len = end
+        # Waits are binned a chunk at a time: engines record a few hundred
+        # services per call, and binning costs about as much per call as
+        # per chunk.
+        staged = self._staged + len(waits)
+        if staged > len(self._waits):
+            self._bin_waits(self._waits[: self._staged])
+            self._bin_waits(waits)
+            self._staged = 0
+        else:
+            self._waits[self._staged : staged] = waits
+            self._staged = staged
 
-    def _gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The recorded services, in emission order.
-
-        Both engines emit each link's services in strictly increasing begin
-        order, so restricting the buffer to one link already yields the
-        canonical (link, begin) order — a stable sort by link alone
-        recovers it wherever a float reduction needs it.
-        """
-        n = self._len
-        return self._links[:n], self._begins[:n], self._waits[:n]
+    def _bin_waits(self, waits: np.ndarray) -> None:
+        """Count ``waits`` by queue depth ``q``."""
+        # Most hops never queue: quantize only the nonzero waits and
+        # credit the rest to q = 0.  A zero service time never queues
+        # (every begin is its arrival), so it has only q = 0 too.
+        nz = np.flatnonzero(waits) if self._service > 0 else ()
+        self._depths[0] += len(waits) - len(nz)
+        if len(nz):
+            q = waits[nz] * (1.0 / self._service)
+            np.ceil(q, out=q)
+            q = q.astype(np.int64)
+            np.minimum(q, self._cap, out=q)
+            counts = np.bincount(q)
+            if len(counts) > len(self._depths):
+                counts[: len(self._depths)] += self._depths
+                self._depths = counts
+            else:
+                self._depths[: len(counts)] += counts
 
     def finalize(self, setup, result, delivered_at) -> TelemetryReport:
         cfg = self.config
         span = float(result.makespan)
         num_windows = cfg.windows
         dt = span / num_windows if span > 0 else 0.0
-        links, begins, waits = self._gather()
+        self._bin_waits(self._waits[: self._staged])
+        self._staged = 0
+        n = self._len
+        links = self._links[:n]
+        begins = self._begins[:n]
         num_links = setup.num_links
         service = float(setup.service)
 
@@ -241,9 +295,11 @@ class WindowedCollector(TelemetryCollector):
 
         # Serve counts: integer bincount over (link, window) cells.
         win = window_of(begins)
-        cells = links * num_windows
+        cells = links.astype(np.int64)
+        cells *= num_windows
         cells += win
         serve_flat = np.bincount(cells, minlength=num_links * num_windows)
+        del cells
         serve_series = serve_flat.reshape(num_links, num_windows)
 
         # Occupancy: each service holds its link for exactly ``service``
@@ -252,8 +308,8 @@ class WindowedCollector(TelemetryCollector):
         # the few boundary-straddling services into the windows it falls
         # in.  Only those corrections are float sums; they run over the
         # canonical (link, begin) order — recovered by a stable sort on
-        # link alone, per :meth:`_gather` — so the result is
-        # engine-independent.
+        # link alone, since every engine records each link's services in
+        # begin order — so the result is engine-independent.
         occupancy = serve_flat * service
         if dt > 0 and len(links):
             # Spill candidates in one subtraction against a scalar: a
@@ -275,7 +331,7 @@ class WindowedCollector(TelemetryCollector):
                 spill = spill[order]
                 boundary = boundary[order]
                 d_sp = d_sp[order]
-                l_sp = links[spill]
+                l_sp = links[spill].astype(np.int64)
                 occupancy -= np.bincount(
                     l_sp * num_windows + win[spill],
                     weights=d_sp - boundary,
@@ -323,40 +379,27 @@ class WindowedCollector(TelemetryCollector):
             minlength=num_windows,
         )
 
-        # Queue-depth and stall-time histograms share one integer
-        # reduction: a hop that waited ``wait`` had q = ceil(wait /
-        # service) packets ahead of it, and its stall octave is the k
-        # with q in (2^(k-2), 2^(k-1)] — so a single capped bincount of
-        # q yields both, instead of a per-hop float searchsorted.
+        # Queue-depth and stall-time histograms share the per-q counts: a
+        # hop with q packets ahead of it has stall octave k where q lies in
+        # (2^(k-2), 2^(k-1)], so both are sums over runs of q.
         stall_edges = service * np.exp2(np.arange(cfg.stall_octaves))
         num_depth = cfg.queue_depth_bins
-        num_oct = cfg.stall_octaves
-        if service > 0 and len(waits):
-            # Most hops never queue; run the quanta arithmetic over the
-            # nonzero waits only and credit the rest to q = 0 directly.
-            nz = np.nonzero(waits)[0]
-            q = waits[nz] * (1.0 / service)
-            np.ceil(q, out=q)
-            q = q.astype(np.int64)
-            cap = max(1 << (num_oct - 1), num_depth - 1) + 1
-            np.minimum(q, cap, out=q)
-            cnt = np.bincount(q, minlength=cap + 1)
-            cnt[0] += len(waits) - len(nz)
-            queue_depth_hist = np.concatenate(
-                [cnt[: num_depth - 1], [cnt[num_depth - 1 :].sum()]]
-            )
-            # Octave bin starts over q: 0 | 1 | 2 | 2^(k-2)+1 ... | cap.
-            starts = np.concatenate(
-                [[0, 1, 2], (1 << np.arange(1, num_oct, dtype=np.int64)) + 1]
-            )
-            stall_hist = np.add.reduceat(cnt, starts)
-        else:
-            queue_depth_hist = np.zeros(num_depth, dtype=np.int64)
-            queue_depth_hist[0] = len(waits)
-            stall_bin = np.searchsorted(
-                np.concatenate([[0.0], stall_edges]), waits, side="left"
-            )
-            stall_hist = np.bincount(stall_bin, minlength=num_oct + 2)
+        depths = np.zeros(max(len(self._depths), num_depth), dtype=np.int64)
+        depths[: len(self._depths)] = self._depths
+        queue_depth_hist = np.concatenate(
+            [depths[: num_depth - 1], [depths[num_depth - 1 :].sum()]]
+        )
+        # Octave bin starts over q: 0 | 1 | 2 | 2^(k-2)+1 ... | cap.
+        starts = np.concatenate(
+            [[0, 1, 2], (1 << np.arange(1, cfg.stall_octaves, dtype=np.int64)) + 1]
+        )
+        stall_hist = np.zeros(len(starts), dtype=np.int64)
+        np.add.at(
+            stall_hist,
+            np.searchsorted(starts, np.arange(len(depths)), side="right") - 1,
+            depths,
+        )
+        self.start(_NO_RUN)
 
         i64 = np.int64
         return TelemetryReport(

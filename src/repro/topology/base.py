@@ -77,9 +77,9 @@ class RouteIncidence:
             object.__setattr__(self, "_used_links", cached[0])
             object.__setattr__(self, "_link_inverse", cached)
         ids, inverse = cached
-        # bincount beats np.add.at by ~10x at these shapes (see
-        # benchmarks/test_perf_sim.py) and accumulates in the same input
-        # order, so the float sums are bit-identical.
+        # bincount beats np.add.at by ~10x at these shapes and
+        # accumulates in the same input order, so the float sums are
+        # bit-identical.
         weights = np.asarray(pair_weights, dtype=np.float64)[self.pair_index]
         loads = np.bincount(inverse, weights=weights, minlength=len(ids))
         return ids, loads

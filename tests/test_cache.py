@@ -465,6 +465,18 @@ class TestSharedSlots:
         )
 
 
+def _arrays(value):
+    """Every array reachable from a cached value (test helper)."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif type(value).__module__.startswith("repro.") and hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            yield from _arrays(item)
+
+
 class TestMemoryAccounting:
     """``cache.memory()``: entries, array bytes and evictions per region."""
 
@@ -529,6 +541,37 @@ class TestMemoryAccounting:
             for block in trace.blocks()
         )
         assert all(entry["evictions"] == 0 for entry in held.values())
+
+    def test_array_held_by_two_regions_counts_once(self):
+        # A consecutive mapping of a sorted matrix: the node-pair aggregate
+        # is the matrix's own nbytes/packets arrays, so they count in the
+        # matrix region (stored first), not again under pairs.
+        from repro.mapping.base import Mapping
+
+        cache.configure(disable_disk=True)
+        cache.clear()
+        trace = cache.cached_trace("LULESH", 64)
+        matrix = cache.cached_matrix(trace)
+        mapping = Mapping.consecutive(matrix.num_ranks, matrix.num_ranks)
+        object.__setattr__(mapping, "_repro_cache_key", ("consecutive", 64))
+        src, dst, nbytes, packets = cache.cached_node_pairs(matrix, mapping)
+        assert nbytes is matrix.nbytes and packets is matrix.packets
+        held = cache.memory()
+        assert held["matrix"]["bytes"] == sum(
+            a.nbytes
+            for a in (matrix.src, matrix.dst, matrix.nbytes, matrix.messages,
+                      matrix.packets)
+        )
+        assert held["pairs"]["bytes"] == src.nbytes + dst.nbytes
+        arrays = {
+            id(a): a
+            for region in cache._regions.values()
+            for value in region._data.values()
+            for a in _arrays(value)
+        }
+        assert sum(e["bytes"] for e in held.values()) == sum(
+            a.nbytes for a in arrays.values()
+        )
 
     def test_evictions_are_counted_and_cleared(self):
         cache.configure(memory_items={"summary": 2})

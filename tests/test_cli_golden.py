@@ -142,6 +142,9 @@ CASES = [
     ("error-sweep-apps", ["sweep", "--apps", "LULESH"]),
     ("error-bench-target", ["bench", "nonsense"]),
     ("error-bench-pairs", ["bench", "critpath", "--pairs", "10"]),
+    ("error-critpath-table-app", [
+        "critpath", "--table", "--app", "AMG", "--ranks", "8",
+    ]),
     ("error-convert-dir", ["convert", "--dir", "{tmp}/nope", "--app", "X"]),
     ("error-unreachable", ["jobs", "--state", "{tmp}/nowhere"]),
     ("error-unreachable-submit", [

@@ -2,7 +2,7 @@
 
 These assert speed *ratios*, never wall times, so they hold on slow CI
 machines.  The heavyweight calibrated benchmark (with the 10x target and
-the BENCH_sim.json artifact) lives in ``benchmarks/test_perf_sim.py``.
+the BENCH_sim.json artifact) is ``repro bench sim``.
 """
 
 from __future__ import annotations

@@ -172,7 +172,7 @@ class TestLinkSets:
         order = np.argsort(inc.pair_index, kind="stable")
         ids, inverse = np.unique(inc.link_id[order], return_inverse=True)
         assert np.array_equal(setup.link_ids, ids)
-        assert setup.route_links.dtype == np.int64
+        assert setup.route_links.dtype == np.min_scalar_type(setup.num_links - 1)
         assert np.array_equal(setup.route_links, inverse)
         assert setup.num_links == len(ids)
 

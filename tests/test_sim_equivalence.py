@@ -5,6 +5,8 @@ results to the per-event reference loop for any seed — including exact
 float-time ties, which congestion makes common.  These tests pin that claim
 across topologies, load regimes, and a real generated workload, plus the
 first-order invariance of ``dynamic_utilization`` under ``volume_scale``.
+A group of simulations run together (`repro.sim.engine.run_group`) must
+give each member exactly its solo result and telemetry.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ import pytest
 from helpers import make_matrix, spread_matrix
 
 from repro.comm.matrix import matrix_from_trace
+from repro.model.engine import BANDWIDTH_BYTES_PER_S
 from repro.sim import simulate_network, simulate_network_reference
-from repro.sim.common import prepare_simulation
-from repro.sim.engine import run_batched
+from repro.sim.common import SimSetup, prepare_simulation
+from repro.sim.engine import run_batched, run_group
 from repro.sim.reference import run_reference
+from repro.telemetry import TelemetryConfig, WindowedCollector, reports_equal
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.fattree import FatTree
 from repro.topology.torus import Torus3D
@@ -196,3 +200,158 @@ class TestVolumeScaleInvariance:
         assert scaled.dynamic_utilization == pytest.approx(
             base.dynamic_utilization, rel=0.15
         )
+
+
+# ------------------------------------------------------------ groups
+
+#: Collector configuration of the group tests (few windows: the wide
+#: member's report is links x windows).
+GROUP_TELEMETRY = TelemetryConfig(windows=8)
+
+_GROUP_TOPOLOGIES = {
+    "torus3d": lambda: Torus3D((3, 3, 3)),
+    "fattree": lambda: FatTree(8, 3),
+    "dragonfly": lambda: Dragonfly(4, 2, 2),
+}
+
+#: Grid members: (topology, routing, bandwidth factor, execution time).
+#: The two bandwidths give members different windows; the execution
+#: times make members end far apart (and span the sparse/dense regimes).
+_GRID_MEMBERS = [
+    (topology, routing, factor, execution_time)
+    for topology in _GROUP_TOPOLOGIES
+    for routing in ("minimal", "valiant", "ugal")
+    for factor in (1.0, 3.0)
+    for execution_time in (2e-5, 3e-4, 4e-3)
+]
+_SPECIAL_MEMBERS = [("tenancy",), ("one-packet",), ("wide",)]
+GROUP_MEMBERS = _GRID_MEMBERS + _SPECIAL_MEMBERS
+
+
+def _wide_setup() -> SimSetup:
+    """A synthetic member with more links than uint16 keys can name."""
+    num_links = 70_000
+    rng = np.random.default_rng(5)
+    route_links = np.stack(
+        [np.arange(num_links), rng.integers(0, num_links, num_links)], axis=1
+    ).ravel()
+    return SimSetup(
+        total_packets=num_links,
+        num_links=num_links,
+        link_ids=np.arange(num_links, dtype=np.int64),
+        route_links=route_links.astype(np.uint32),
+        route_starts=np.arange(0, 2 * num_links, 2, dtype=np.int64),
+        route_lens=np.full(num_links, 2, dtype=np.int64),
+        pair_packets=np.ones(num_links, dtype=np.int64),
+        pair_src=np.arange(num_links, dtype=np.int64),
+        pair_dst=np.arange(1, num_links + 1, dtype=np.int64),
+        inject_pair=np.arange(num_links, dtype=np.uint32),
+        inject_time=rng.uniform(0.0, 2e-3, num_links),
+        service=4096 / BANDWIDTH_BYTES_PER_S,
+        hop_latency=100e-9,
+        serve_counts=np.bincount(route_links, minlength=num_links),
+        total_hops=2 * num_links,
+    )
+
+
+_setups: dict[tuple, SimSetup] = {}
+_solo: dict[tuple, tuple] = {}
+
+
+def _member_setup(key: tuple) -> SimSetup:
+    if key not in _setups:
+        if key == ("wide",):
+            setup = _wide_setup()
+        elif key == ("one-packet",):
+            setup = prepare_simulation(
+                make_matrix(8, [(0, 7, 4096)]), Torus3D((2, 2, 2)), seed=1
+            )
+        elif key == ("tenancy",):
+            matrix = spread_matrix(27, seed=6)
+            setup = prepare_simulation(
+                matrix,
+                Torus3D((3, 3, 3)),
+                execution_time=3e-4,
+                seed=4,
+                job_of_rank=np.arange(27) % 3,
+            )
+            assert setup.pair_job is not None
+        else:
+            topology, routing, factor, execution_time = key
+            setup = prepare_simulation(
+                spread_matrix(27, seed=GROUP_MEMBERS.index(key)),
+                _GROUP_TOPOLOGIES[topology](),
+                execution_time=execution_time,
+                bandwidth=BANDWIDTH_BYTES_PER_S * factor,
+                seed=7,
+                routing=routing,
+                routing_seed=3,
+            )
+        _setups[key] = setup
+    return _setups[key]
+
+
+def _solo_results(key: tuple) -> tuple:
+    """The member simulated alone: batched kernel and reference loop, the
+    latter recording through the buffering oracle collector."""
+    from oracles.telemetry import BufferedCollector
+
+    if key not in _solo:
+        setup = _member_setup(key)
+        _solo[key] = (
+            run_batched(setup, collector=WindowedCollector(GROUP_TELEMETRY)),
+            run_reference(setup, collector=BufferedCollector(GROUP_TELEMETRY)),
+        )
+    return _solo[key]
+
+
+def assert_group_matches_solo(keys) -> None:
+    setups = [_member_setup(key) for key in keys]
+    grouped = run_group(
+        [(setup, WindowedCollector(GROUP_TELEMETRY)) for setup in setups]
+    )
+    assert len(grouped) == len(keys)
+    for key, result in zip(keys, grouped):
+        for alone in _solo_results(key):
+            assert_bit_identical(result, alone)
+            assert result.telemetry is not None
+            assert reports_equal(result.telemetry, alone.telemetry), key
+        if key == ("tenancy",):
+            assert result.job_makespans is not None
+
+
+class TestGroupEquivalence:
+    """``run_group`` == each member alone == the reference loop."""
+
+    def test_every_kind_of_member_in_one_group(self):
+        keys = [
+            ("torus3d", "minimal", 1.0, 2e-5),
+            ("dragonfly", "ugal", 3.0, 4e-3),
+            ("tenancy",),
+            ("one-packet",),
+            ("fattree", "valiant", 3.0, 3e-4),
+            ("wide",),
+        ]
+        assert_group_matches_solo(keys)
+        # The wide member pushes the group's link keys past uint16.
+        assert sum(_member_setup(k).num_links for k in keys) > 65_536
+
+    def test_a_setup_twice_in_one_group(self):
+        key = ("fattree", "minimal", 1.0, 3e-4)
+        assert_group_matches_solo([key, key])
+
+    def test_one_member_group_is_run_batched(self):
+        setup = _member_setup(("torus3d", "ugal", 1.0, 3e-4))
+        (grouped,) = run_group([(setup, None)])
+        assert_bit_identical(grouped, run_batched(setup))
+        assert grouped.telemetry is None
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+class TestGroupProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        keys=st.lists(st.sampled_from(GROUP_MEMBERS), min_size=1, max_size=6)
+    )
+    def test_random_group_matches_solo_and_reference(self, keys):
+        assert_group_matches_solo(keys)

@@ -117,3 +117,69 @@ class TestParallelIdentity:
             if a["packet_hops"]:
                 # a ran at 12 GB/s, b at 1 GB/s: same traffic, more headroom
                 assert a["utilization_percent"] < b["utilization_percent"]
+
+
+class TestSimulationGroups:
+    """Dense telemetry simulations run in groups that share kernel rounds
+    (``repro.sim.engine.run_group``); grouping changes no record and no
+    cache lookup count."""
+
+    SPEC = SweepSpec(
+        apps=(("AMG", 216), ("LULESH", 64)),
+        topologies=("torus3d", "fattree"),
+        routings=("minimal", "ugal"),
+        bandwidths=(12e9, 24e9),
+        telemetry=True,
+        sim_volume_scale=3200.0,
+    )
+
+    @staticmethod
+    def _run(monkeypatch, budget=None, workers=1):
+        """Records, progress calls, cache counts and group sizes of a run."""
+        from repro import cache
+        from repro.sim import engine
+
+        if budget is not None:
+            monkeypatch.setattr(engine, "GROUP_HOP_BUDGET", budget)
+        sizes = []
+        run_group = engine.run_group
+
+        def counted(members):
+            sizes.append(len(members))
+            return run_group(members)
+
+        monkeypatch.setattr(engine, "run_group", counted)
+        cache.configure(disable_disk=True)
+        cache.clear()
+        calls = []
+        records = run_sweep(
+            TestSimulationGroups.SPEC,
+            workers=workers,
+            progress=lambda done, total: calls.append((done, total)),
+        )
+        stats = cache.stats()
+        monkeypatch.undo()
+        return records, calls, stats, sizes
+
+    def test_grouping_changes_no_record_and_no_cache_count(self, monkeypatch):
+        solo, solo_calls, solo_stats, solo_sizes = self._run(monkeypatch, budget=1)
+        grouped, calls, stats, sizes = self._run(monkeypatch)
+        assert solo_sizes and set(solo_sizes) == {1}
+        assert max(sizes) > 1  # the default budget really groups
+        assert sum(sizes) == sum(solo_sizes)
+        assert grouped == solo
+        assert stats == solo_stats
+        total = self.SPEC.num_points // len(self.SPEC.bandwidths)
+        for progress in (solo_calls, calls):
+            assert [done for done, _ in progress] == sorted(
+                done for done, _ in progress
+            )
+            assert progress[-1] == (total, total)
+            assert {t for _, t in progress} == {total}
+        assert any(r["makespan_inflation"] == r["makespan_inflation"] for r in solo)
+
+    def test_grouped_pool_matches_sequential(self, monkeypatch):
+        sequential, *_ = self._run(monkeypatch)
+        pooled, calls, *_ = self._run(monkeypatch, workers=2)
+        assert pooled == sequential
+        assert calls[-1][0] == calls[-1][1]

@@ -555,6 +555,7 @@ class TestWindowBoundaries:
         begins = np.asarray(begins, dtype=np.float64)
         setup = SimpleNamespace(
             num_links=2,
+            total_hops=len(begins),
             service=service,
             link_ids=np.array([5, 9], dtype=np.int64),
             pair_src=np.array([0, 1], dtype=np.int64),
@@ -564,6 +565,7 @@ class TestWindowBoundaries:
         )
         result = SimpleNamespace(makespan=makespan)
         collector = WindowedCollector(TelemetryConfig(windows=windows))
+        collector.start(setup)
         collector.record_services(
             np.zeros(len(begins), dtype=np.int64),
             begins,
@@ -608,3 +610,80 @@ class TestWindowBoundaries:
             report = self._finalize(begins)
             ctx = CheckContext(label="synthetic", telemetry=report)
             assert run_invariants(ctx) == []
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - hypothesis ships with the dev env
+    HAVE_HYPOTHESIS = False
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+class TestCompactCollector:
+    """``WindowedCollector`` keeps links and begins and bins waits as they
+    arrive; ``tests/oracles/telemetry.py``'s ``BufferedCollector`` buffers
+    every raw service.  Fed the same stream, in any chunking, their reports
+    are equal bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_links=st.sampled_from([1, 7, 300, 70_000]),
+        services=st.integers(0, 3_000),
+        service=st.sampled_from([1e-6, 3.3e-7, 0.0]),
+        windows=st.integers(1, 64),
+        depth_bins=st.integers(2, 40),
+        octaves=st.integers(1, 22),
+        chunks=st.integers(1, 12),
+    )
+    def test_matches_buffering_oracle(
+        self, seed, num_links, services, service, windows, depth_bins, octaves, chunks
+    ):
+        from types import SimpleNamespace
+
+        from oracles.telemetry import BufferedCollector
+
+        rng = np.random.default_rng(seed)
+        links = rng.integers(0, num_links, services)
+        begins = np.sort(rng.uniform(0.0, 1e-3, services))
+        # Waits: mostly none, some exact multiples of the service, some
+        # past every histogram's cap.
+        kind = rng.integers(0, 3, services)
+        waits = np.where(
+            kind == 0,
+            0.0,
+            np.where(
+                kind == 1,
+                rng.integers(1, 64, services) * service,
+                rng.uniform(0.0, 2.0**22, services) * service,
+            ),
+        )
+        if service == 0.0:
+            waits[:] = 0.0  # a zero service time never queues
+        setup = SimpleNamespace(
+            num_links=num_links,
+            total_hops=services,
+            service=service,
+            link_ids=np.arange(num_links, dtype=np.int64),
+            pair_src=np.array([0, 1], dtype=np.int64),
+            pair_dst=np.array([1, 2], dtype=np.int64),
+            inject_pair=rng.integers(0, 2, 5),
+            inject_time=rng.uniform(0.0, 1e-3, 5),
+        )
+        span = float(begins[-1]) + service if services else 0.0
+        result = SimpleNamespace(makespan=span)
+        delivered = rng.uniform(0.0, span, 5)
+        config = TelemetryConfig(
+            windows=windows, queue_depth_bins=depth_bins, stall_octaves=octaves
+        )
+        cuts = np.sort(rng.integers(0, services + 1, chunks - 1))
+        reports = []
+        for collector in (WindowedCollector(config), BufferedCollector(config)):
+            collector.start(setup)
+            for part in np.split(np.arange(services), cuts):
+                collector.record_services(links[part], begins[part], waits[part])
+            reports.append(collector.finalize(setup, result, delivered))
+        assert reports_equal(*reports)
