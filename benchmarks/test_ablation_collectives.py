@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from repro.apps.registry import generate_trace
-from repro.collectives.translate import iter_send_groups
-from repro.collectives.tree import expand_collective_tree
-from repro.comm.matrix import CommMatrixBuilder, matrix_from_trace
+from repro.collectives import get_algorithm
+from repro.comm.matrix import matrix_from_trace
 from repro.core.events import CollectiveEvent
 from repro.model.engine import analyze_network
 from repro.model.linkload import link_load_stats
@@ -23,25 +22,10 @@ from repro.topology.configs import config_for
 from _bench_utils import once, write_output
 
 
-def matrix_with_tree_collectives(trace):
-    """Traffic matrix with tree-based collective expansion."""
-    builder = CommMatrixBuilder(trace.meta.num_ranks)
-    for classified in iter_send_groups(trace, include_collectives=False):
-        builder.add_group(classified.group)
-    assert trace.communicators is not None
-    for ev in trace.events:
-        if isinstance(ev, CollectiveEvent):
-            comm = trace.communicators.get(ev.comm)
-            elem = trace.datatypes.size_of(ev.dtype)
-            for group in expand_collective_tree(ev, comm, elem):
-                builder.add_group(group)
-    return builder.finalize()
-
-
 def compare(app, ranks):
     trace = generate_trace(app, ranks)
     flat = matrix_from_trace(trace)
-    tree = matrix_with_tree_collectives(trace)
+    tree = matrix_from_trace(trace, collective="binomial")
     topo = config_for(ranks).build_torus()
     t = trace.meta.execution_time
     return {
@@ -96,6 +80,7 @@ def test_volume_conserved_for_bcast_reduce():
     from repro.core.events import CollectiveOp
 
     comm = Communicator.world(16)
+    binomial = get_algorithm("binomial")
     for op in (CollectiveOp.REDUCE,):
         flat_total = tree_total = 0
         for caller in range(16):
@@ -104,7 +89,7 @@ def test_volume_conserved_for_bcast_reduce():
                 g.total_bytes for g in expand_collective(ev, comm, 1)
             )
             tree_total += sum(
-                g.total_bytes for g in expand_collective_tree(ev, comm, 1)
+                g.total_bytes for g in binomial.expand(ev, comm, 1)
             )
         # flat includes the root's zero-hop self-message; the tree does not
         assert tree_total == flat_total - 100

@@ -366,7 +366,9 @@ def biased_scattered_channels(
     Out-of-range destinations are reflected back (``r - d``) so the offset
     magnitude — hence the locality profile — is preserved.  ``max_offset``
     caps the sampled offsets (partner pools clustered in a window around
-    each rank, e.g. AMR refinement regions).
+    each rank, e.g. AMR refinement regions).  ``rng`` must run on a PCG64
+    or PCG64DXSM bit generator (``np.random.default_rng`` gives PCG64);
+    any other raises ``ValueError``.
     """
     if partners_per_rank < 1:
         raise ValueError("partners_per_rank must be >= 1")
@@ -382,22 +384,23 @@ def biased_scattered_channels(
         raise ValueError(f"unknown weight_decay {weight_decay!r}")
     if distance not in ("uniform", "loguniform", "quadratic"):
         raise ValueError(f"unknown distance profile {distance!r}")
-    if not hasattr(rng.bit_generator, "advance"):
-        # Exotic bit generators without skip-ahead fall back to the
-        # draw-by-draw reference (identical output, just slower).
-        return _biased_scattered_reference(
-            num_ranks, partners_per_rank, rng, distance, partner_w,
-            total_weight, max_off,
+    bg = rng.bit_generator
+    if not isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)):
+        # The rewind below counts one advance() step per double; other bit
+        # generators step differently (Philox advances 4-output blocks).
+        raise ValueError(
+            f"biased_scattered_channels needs a PCG64 or PCG64DXSM bit "
+            f"generator, got {type(bg).__name__}"
         )
 
     # Vectorized rejection sampling with an rng stream identical to the
-    # reference loop.  Each reference iteration consumes exactly two
-    # `rng.random()` draws (offset, sign), so we bulk-draw candidate chunks,
-    # locate the iteration where the partner set fills up, and rewind the
-    # bit generator to exactly the draws the reference would have consumed
-    # (one PCG64 step per double).  Chunks grow geometrically toward the
-    # guard budget; duplicates (common under the near-biased profiles) just
-    # trigger another chunk.
+    # draw-by-draw loop (tests/oracles/apps.py).  Each loop iteration
+    # consumes exactly two `rng.random()` draws (offset, sign), so we
+    # bulk-draw candidate chunks, locate the iteration where the partner set
+    # fills up, and rewind the bit generator to exactly the draws the loop
+    # would have consumed (one PCG64 step per double).  Chunks grow
+    # geometrically toward the guard budget; duplicates (common under the
+    # near-biased profiles) just trigger another chunk.
     limit = 40 * partners_per_rank
     first_chunk = min(partners_per_rank + (partners_per_rank >> 1) + 32, limit)
     log_max_off = np.log(max_off)
@@ -413,7 +416,6 @@ def biased_scattered_channels(
     # reverse order makes the earliest write win for duplicate destinations.
     _never = np.int64(1) << 62
     first_at = np.full(num_ranks, _never, dtype=np.int64)
-    bg = rng.bit_generator
     # Ranks behave alike, so each rank's first chunk is sized to what the
     # previous rank actually needed (rewinding makes overdraw free except
     # for the generation cost of the unused tail).
@@ -485,52 +487,6 @@ def biased_scattered_channels(
     w = np.concatenate(wts_parts)
     w *= total_weight / w.sum()
     return Channels(np.concatenate(srcs_parts), np.concatenate(dsts_parts), w)
-
-
-def _biased_scattered_reference(
-    num_ranks: int,
-    partners_per_rank: int,
-    rng: np.random.Generator,
-    distance: str,
-    partner_w: np.ndarray,
-    total_weight: float,
-    max_off: int,
-) -> Channels:
-    """Draw-by-draw reference implementation of the biased scatter.
-
-    The vectorized path above is pinned against this loop (same channels,
-    same rng stream) by the equivalence suite.
-    """
-    srcs: list[int] = []
-    dsts: list[int] = []
-    wts: list[float] = []
-    for r in range(num_ranks):
-        chosen: set[int] = set()
-        guard = 0
-        while len(chosen) < partners_per_rank and guard < 40 * partners_per_rank:
-            guard += 1
-            u = rng.random()
-            if distance == "uniform":
-                d = int(u * max_off) + 1
-            elif distance == "loguniform":
-                d = int(np.exp(u * np.log(max_off))) or 1
-            else:  # quadratic
-                d = int(u * u * max_off) + 1
-            d = min(d, max_off)
-            sign = 1 if rng.random() < 0.5 else -1
-            dst = r + sign * d
-            if not 0 <= dst < num_ranks:
-                dst = r - sign * d
-            if dst == r or not 0 <= dst < num_ranks:
-                continue
-            chosen.add(dst)
-        for j, dst in enumerate(sorted(chosen)):
-            srcs.append(r)
-            dsts.append(dst)
-            wts.append(partner_w[j % partners_per_rank])
-    w = np.array(wts, dtype=np.float64)
-    w *= total_weight / w.sum()
-    return Channels(np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64), w)
 
 
 def background_channels(num_ranks: int, total_weight: float) -> Channels:

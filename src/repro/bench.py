@@ -254,44 +254,8 @@ def _timed_front_end(name: str, ranks: int, columnar: bool) -> dict[str, float]:
     }
 
 
-def _mapping_bench(name: str, ranks: int) -> dict[str, Any]:
-    from .apps import get_app
-    from .comm.matrix import matrix_from_trace
-    from .mapping.base import Mapping
-    from .mapping.optimized import (
-        _greedy_ordering_reference,
-        _refine_mapping_reference,
-        greedy_ordering,
-        refine_mapping,
-    )
-    from .topology.fattree import FatTree
-
-    matrix = matrix_from_trace(get_app(name).generate(ranks))
-    topology = FatTree(radix=64, stages=2)
-    base = Mapping.consecutive(ranks, topology.num_nodes, 1)
-
-    order_fast, greedy_vec = _timed(greedy_ordering, matrix)
-    order_ref, greedy_ref = _timed(_greedy_ordering_reference, matrix)
-    refined_fast, refine_vec = _timed(refine_mapping, matrix, topology, base)
-    refined_ref, refine_ref = _timed(
-        _refine_mapping_reference, matrix, topology, base
-    )
-
-    assert np.array_equal(order_fast, order_ref)
-    assert np.array_equal(refined_fast.nodes, refined_ref.nodes)
-    return {
-        "config": f"{name}@{ranks}",
-        "greedy_reference_s": round(greedy_ref, 4),
-        "greedy_vectorized_s": round(greedy_vec, 4),
-        "greedy_speedup": round(greedy_ref / greedy_vec, 2),
-        "refine_reference_s": round(refine_ref, 4),
-        "refine_vectorized_s": round(refine_vec, 4),
-        "refine_speedup": round(refine_ref / refine_vec, 2),
-    }
-
-
 def run_pipeline_bench() -> dict[str, Any]:
-    """Cold front end, per-event vs columnar, and the mapping kernels.
+    """Cold front end, per-event vs columnar.
 
     Every configuration with at least :data:`PIPELINE_MIN_RANKS` ranks is
     timed on both paths.  The gated front-end ratio is the geometric mean:
@@ -318,8 +282,6 @@ def run_pipeline_bench() -> dict[str, Any]:
 
     return {
         "front_end": configs,
-        # Densest traffic graph in the study: the all-collective 3D FFT.
-        "mapping": _mapping_bench("BigFFT", 1024),
         "summary": {
             "min_ranks": PIPELINE_MIN_RANKS,
             "configs": len(configs),
@@ -1465,8 +1427,6 @@ BENCHES: dict[str, Bench] = {b.name: b for b in (
     Bench("pipeline", run_pipeline_bench, (
         Gate("configs timed (>= 1000 ranks)", "summary.configs", ">=", 10),
         Gate("front-end geomean speedup", "summary.geomean_front_end_speedup", ">=", 5.0),
-        Gate("greedy mapping speedup", "mapping.greedy_speedup", ">=", 3.0),
-        Gate("refine mapping speedup", "mapping.refine_speedup", ">=", 3.0),
     ), _pipeline_detail),
     Bench("routing", run_routing_bench, (
         # Loose on purpose: UGAL's chunked greedy pass is inherently ~10-50x

@@ -37,7 +37,6 @@ from .translate import (
     iter_send_batches,
     iter_send_groups,
 )
-from .tree import expand_collective_tree
 
 __all__ = [
     "COLLECTIVES",
@@ -54,7 +53,6 @@ __all__ = [
     "even_split_rows",
     "expand_collective",
     "expand_collective_batch",
-    "expand_collective_tree",
     "ClassifiedSends",
     "SendBatch",
     "TrafficClass",

@@ -1,10 +1,10 @@
-"""The binomial-tree engine — :mod:`repro.collectives.tree` promoted.
+"""The binomial-tree engine.
 
 Rooted operations use binomial trees (log-depth fan-out/fan-in); the
-unrooted ones use recursive doubling, exactly as the per-event ablation
-:func:`~repro.collectives.tree.expand_collective_tree` always has.  That
-function remains the oracle: the engine's schedules are pinned message-
-multiset-identical to it by the equivalence tests.
+unrooted ones use recursive doubling.  Its schedules are pinned
+message-multiset-identical to the per-event expansion it replaced
+(``tests/oracles/collectives.py``) by
+``tests/test_collective_engines.py::TestBinomialOracle``.
 """
 
 from __future__ import annotations

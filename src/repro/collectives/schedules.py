@@ -38,12 +38,6 @@ import numpy as np
 
 from ..core.events import CollectiveOp
 from .patterns import SendGroup, even_split, even_split_rows
-from .tree import (
-    _binomial_children,
-    _binomial_parent,
-    _rd_holdings,
-    _subtree_size,
-)
 
 __all__ = [
     "Schedule",
@@ -201,7 +195,60 @@ def expand_event_from_schedule(
 
 
 # ---------------------------------------------------------------------------
-# binomial-tree schedules (the promoted tree.py ablation)
+# binomial-tree schedules
+
+
+def _binomial_children(vrank: int, n: int) -> list[int]:
+    """Children of a node in the binomial broadcast tree over n vranks.
+
+    The MPICH orientation: node v owns the contiguous vrank span
+    ``[v, v + lowbit(v))`` and forwards to ``v + 2**j`` for every
+    ``2**j < lowbit(v)`` (the root owns everything).  This is the
+    orientation :func:`_subtree_size` counts, so subtree-proportional
+    scatter/gather sizes conserve exactly.
+    """
+    children = []
+    k = 1
+    limit = vrank & (-vrank) if vrank else n
+    while k < limit and vrank + k < n:
+        children.append(vrank + k)
+        k <<= 1
+    return children
+
+
+def _binomial_parent(vrank: int) -> int:
+    """Parent in the binomial tree: clear the lowest set bit."""
+    if vrank == 0:
+        raise ValueError("the root has no parent")
+    return vrank & (vrank - 1)
+
+
+def _subtree_size(vrank: int, n: int) -> int:
+    """Size of the binomial subtree rooted at ``vrank`` (unclipped)."""
+    if vrank == 0:
+        return n
+    return vrank & (-vrank)  # lowest set bit = subtree span
+
+
+@functools.lru_cache(maxsize=256)
+def _rd_holdings(n: int) -> tuple[np.ndarray, ...]:
+    """Per-round contribution counts of recursive-doubling allgather.
+
+    ``_rd_holdings(n)[r][v]`` is how many rank contributions vrank
+    ``v < pow2`` holds entering exchange round ``r`` (after any remainder
+    fold-in).  Every rank ends holding all ``n`` contributions, which is
+    what makes the exchange sizes conserve the gathered total.
+    """
+    pow2 = 1 << (n.bit_length() - 1)
+    h = np.ones(pow2, dtype=np.int64)
+    h[: n - pow2] += 1
+    rounds = []
+    k = 1
+    while k < pow2:
+        rounds.append(h.copy())
+        h = h + h[np.arange(pow2) ^ k]
+        k <<= 1
+    return tuple(rounds)
 
 
 @functools.lru_cache(maxsize=512)

@@ -125,20 +125,6 @@ class CommMatrix:
 
     # -- transforms -----------------------------------------------------------
 
-    def without_self_traffic(self) -> "CommMatrix":
-        """Drop ``src == dst`` pairs (rank-local messages never hit the wire)."""
-        mask = self.src != self.dst
-        if mask.all():
-            return self
-        return CommMatrix(
-            self.num_ranks,
-            self.src[mask],
-            self.dst[mask],
-            self.nbytes[mask],
-            self.messages[mask],
-            self.packets[mask],
-        )
-
     def remapped(self, permutation: np.ndarray) -> "CommMatrix":
         """Apply a rank permutation: new rank of old rank ``r`` is ``permutation[r]``.
 
@@ -156,17 +142,6 @@ class CommMatrix:
         builder = CommMatrixBuilder(self.num_ranks)
         builder.add_arrays(
             perm[self.src], perm[self.dst], self.nbytes, self.messages, self.packets
-        )
-        return builder.finalize()
-
-    def merged_with(self, other: "CommMatrix") -> "CommMatrix":
-        """Sum two matrices over the same rank space."""
-        if other.num_ranks != self.num_ranks:
-            raise ValueError("cannot merge matrices over different rank counts")
-        builder = CommMatrixBuilder(self.num_ranks)
-        builder.add_arrays(self.src, self.dst, self.nbytes, self.messages, self.packets)
-        builder.add_arrays(
-            other.src, other.dst, other.nbytes, other.messages, other.packets
         )
         return builder.finalize()
 

@@ -17,7 +17,7 @@ mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 __all__ = ["Communicator", "CartesianCommunicator", "CommunicatorTable", "WORLD_NAME"]
 
@@ -113,32 +113,6 @@ class CartesianCommunicator(Communicator):
             )
         if self.periods and len(self.periods) != len(self.dims):
             raise ValueError("periods must match dims in length")
-
-    def coords_of(self, local_rank: int) -> tuple[int, ...]:
-        """Cartesian coordinates of a local rank (row-major)."""
-        if not 0 <= local_rank < self.size:
-            raise ValueError(f"local rank {local_rank} out of range")
-        coords = []
-        rem = local_rank
-        for d in reversed(self.dims):
-            coords.append(rem % d)
-            rem //= d
-        return tuple(reversed(coords))
-
-    def rank_of(self, coords: Sequence[int]) -> int:
-        """Local rank at the given Cartesian coordinates."""
-        if len(coords) != len(self.dims):
-            raise ValueError("coordinate arity does not match dims")
-        rank = 0
-        for c, d, periodic in zip(
-            coords, self.dims, self.periods or (False,) * len(self.dims)
-        ):
-            if periodic:
-                c %= d
-            if not 0 <= c < d:
-                raise ValueError(f"coordinate {coords} out of bounds for dims {self.dims}")
-            rank = rank * d + c
-        return rank
 
 
 @dataclass

@@ -18,10 +18,10 @@ benchmark):
 - :func:`optimize_mapping` — the composed entry point.
 
 The kernels run on a CSR adjacency of the symmetrized traffic graph built
-with array operations; the original dict-of-lists/heap implementations are
-kept as module-private ``*_reference`` functions because they define the
-semantics — the vectorized kernels are pinned against them output-for-output
-by the equivalence suite (identical orderings, identical swap decisions).
+with array operations.  The original dict-of-lists/heap implementations
+define the semantics; they live in ``tests/oracles/mapping.py``, and the
+equivalence suite pins the kernels to them output for output (identical
+orderings, identical swap decisions).
 
 Every optimized mapping is a topology-independent **node-slot assignment**
 (:func:`optimized_slots`: one slot per rank, ``ranks_per_node`` ranks per
@@ -35,8 +35,6 @@ by every topology (see :func:`repro.cache.cached_mapping`).
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -85,32 +83,14 @@ def _symmetric_csr(
     """CSR adjacency ``(indptr, indices, weights)`` of the symmetrized graph.
 
     Row ``u``'s neighbours are ``indices[indptr[u]:indptr[u+1]]``, ascending,
-    with summed byte weights — the array form of the reference
-    :func:`_symmetric_weights` dict-of-sorted-lists.
+    with summed byte weights — the array form of the oracle's
+    dict-of-sorted-lists adjacency.
     """
     n = matrix.num_ranks
     uu, vv, ww = _symmetric_coo(matrix)
     indptr = np.zeros(n + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(np.bincount(uu, minlength=n))
     return indptr, vv, ww
-
-
-def _symmetric_weights(matrix: CommMatrix) -> dict[int, list[tuple[int, int]]]:
-    """Adjacency (neighbour, bytes) lists of the symmetrized traffic graph.
-
-    Reference (dict-of-sorted-lists) form of :func:`_symmetric_csr`; used by
-    the ``*_reference`` kernels below.
-    """
-    adj: dict[int, dict[int, int]] = {}
-    for s, d, b in zip(matrix.src, matrix.dst, matrix.nbytes):
-        s, d, b = int(s), int(d), int(b)
-        if s == d or b == 0:
-            continue
-        adj.setdefault(s, {}).setdefault(d, 0)
-        adj.setdefault(d, {}).setdefault(s, 0)
-        adj[s][d] += b
-        adj[d][s] += b
-    return {u: sorted(nbrs.items()) for u, nbrs in adj.items()}
 
 
 def greedy_ordering(matrix: CommMatrix) -> np.ndarray:
@@ -154,41 +134,6 @@ def greedy_ordering(matrix: CommMatrix) -> np.ndarray:
         # are masked out of every future argmax
         np.add.at(attraction, indices[lo:hi], weights[lo:hi])
     return order
-
-
-def _greedy_ordering_reference(matrix: CommMatrix) -> np.ndarray:
-    """Reference heap implementation of :func:`greedy_ordering` (O(E log E))."""
-    n = matrix.num_ranks
-    adj = _symmetric_weights(matrix)
-    totals = np.zeros(n, dtype=np.int64)
-    for u, nbrs in adj.items():
-        totals[u] = sum(w for _, w in nbrs)
-
-    placed = np.zeros(n, dtype=bool)
-    order: list[int] = []
-    attraction = np.zeros(n, dtype=np.int64)
-    heap: list[tuple[int, int]] = []  # (-attraction snapshot, rank)
-
-    def place(rank: int) -> None:
-        placed[rank] = True
-        order.append(rank)
-        for nbr, w in adj.get(rank, ()):  # grow the frontier
-            if not placed[nbr]:
-                attraction[nbr] += w
-                heapq.heappush(heap, (-int(attraction[nbr]), nbr))
-
-    remaining = list(np.argsort(-totals, kind="stable"))
-    for seed in remaining:
-        seed = int(seed)
-        if placed[seed]:
-            continue
-        place(seed)
-        while heap:
-            neg_snap, cand = heapq.heappop(heap)
-            if placed[cand] or -neg_snap != attraction[cand]:
-                continue  # stale entry; a fresher one exists (lazy deletion)
-            place(cand)
-    return np.array(order, dtype=np.int64)
 
 
 def spectral_ordering(matrix: CommMatrix) -> np.ndarray:
@@ -282,50 +227,6 @@ def refine_mapping(
             np.full(hi - lo, node_of[rank], dtype=np.int64), node_of[others]
         )
         return float((hops * weights_f[lo:hi]).sum())
-
-    for _ in range(max_passes):
-        improved = False
-        candidates = rng.permutation(n)
-        for r1 in candidates:
-            r1 = int(r1)
-            r2 = int(rng.integers(n))
-            if r1 == r2 or nodes[r1] == nodes[r2]:
-                continue
-            before = rank_cost(r1, nodes) + rank_cost(r2, nodes)
-            nodes[r1], nodes[r2] = nodes[r2], nodes[r1]
-            after = rank_cost(r1, nodes) + rank_cost(r2, nodes)
-            if after < before:
-                improved = True
-            else:
-                nodes[r1], nodes[r2] = nodes[r2], nodes[r1]
-        if not improved:
-            break
-    return Mapping(nodes, mapping.num_nodes)
-
-
-def _refine_mapping_reference(
-    matrix: CommMatrix,
-    topology: Topology,
-    mapping: Mapping,
-    max_passes: int = 2,
-    seed: int = 0,
-) -> Mapping:
-    """Reference dict-adjacency implementation of :func:`refine_mapping`."""
-    n = matrix.num_ranks
-    nodes = mapping.nodes.copy()
-    rng = np.random.default_rng(seed)
-    adj = _symmetric_weights(matrix)
-
-    def rank_cost(rank: int, node_of: np.ndarray) -> float:
-        nbrs = adj.get(rank)
-        if not nbrs:
-            return 0.0
-        others = np.array([x for x, _ in nbrs], dtype=np.int64)
-        weights = np.array([w for _, w in nbrs], dtype=np.float64)
-        hops = topology.hops_array(
-            np.full(len(others), node_of[rank], dtype=np.int64), node_of[others]
-        )
-        return float((hops * weights).sum())
 
     for _ in range(max_passes):
         improved = False

@@ -2,18 +2,16 @@
 
 Valiant's scheme routes every packet minimally to a uniformly random
 *intermediate*, then minimally to its destination — trading path length for
-provably balanced load on adversarial traffic.  This module upgrades the
-hops-only surrogate :meth:`Dragonfly.valiant_hops` into actual link-level
-routes:
+provably balanced load on adversarial traffic.  Routes are link-level:
 
 - **dragonfly** — cross-group pairs detour through a random intermediate
-  group drawn by :meth:`Dragonfly.valiant_intermediate_groups` — the *same
-  sampler* ``valiant_hops`` uses, so for equal seeds the link-level hop
-  counts here reproduce the surrogate exactly (pinned by an oracle test).
+  group drawn by :meth:`Dragonfly.valiant_intermediate_groups`; for equal
+  seeds the hop counts reproduce the hops-only oracle in
+  ``tests/oracles/routing.py``, which draws through the same sampler.
   The path is: inject, (local detour to the gateway), global link into the
   intermediate group, (local hop between the two gateways there), global
   link into the destination group, (local detour to the destination
-  router), eject.  Intra-group pairs stay minimal, as in the surrogate.
+  router), eject.  Intra-group pairs stay minimal.
   Dragonflies with fewer than three groups have no valid intermediate, so
   the policy falls back to minimal there.
 - **torus** — each pair routes dimension-order to a uniformly random
@@ -151,9 +149,9 @@ class ValiantRouting(RoutingPolicy):
         gd = topology.group_of(dst)
         cross = (src != dst) & (gs != gd)
         if topology.num_groups < 3 or not cross.any():
-            # No valid intermediate group exists (or nothing crosses groups):
-            # mirror valiant_hops, which leaves such traffic minimal and
-            # draws nothing from the rng.
+            # No valid intermediate group exists (or nothing crosses
+            # groups): such traffic stays minimal and draws nothing from
+            # the rng.
             return topology.route_incidence(src, dst)
         rng = self._rng()
         gi = topology.valiant_intermediate_groups(gs[cross], gd[cross], rng)

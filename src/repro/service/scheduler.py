@@ -57,13 +57,6 @@ class CellScheduler:
     def add_worker(self, worker_id: int) -> None:
         self._load.setdefault(worker_id, 0)
 
-    def remove_worker(self, worker_id: int) -> None:
-        """Forget a slot (pool shrink): its tokens re-home on next assign."""
-        self._load.pop(worker_id, None)
-        self._sticky = {
-            token: wid for token, wid in self._sticky.items() if wid != worker_id
-        }
-
     # -- assignment ---------------------------------------------------------
 
     def assign(self, token: str, key: str) -> int:
@@ -75,7 +68,7 @@ class CellScheduler:
             wid = ids[_stable_hash(key) % len(ids)]
         else:
             wid = self._sticky.get(token)
-            if wid is None or wid not in self._load:
+            if wid is None:
                 wid = min(self._load, key=lambda w: (self._load[w], w))
                 self._sticky[token] = wid
         self._load[wid] += 1

@@ -1,9 +1,9 @@
 """Dynamic packet-level network simulation (the paper's stated future work).
 
-Two bit-identical engines: the batched NumPy kernel behind
-:func:`simulate_network` (auto-dispatching; :func:`run_group` runs several
-simulations through it at once) and the per-event heap loop
-:func:`simulate_network_reference` kept as semantic ground truth.
+Two bit-identical engines behind :func:`simulate_network`: the batched
+NumPy kernel (:func:`run_group` runs several simulations through it at
+once) and the per-event heap loop :func:`run_reference`, the semantic
+ground truth, which ``engine="auto"`` picks for sparse traffic.
 """
 
 from .common import SimSetup, prepare_simulation
@@ -14,7 +14,7 @@ from .engine import (
     simulate_network,
     simulate_stream,
 )
-from .reference import run_reference, simulate_network_reference
+from .reference import run_reference
 
 __all__ = [
     "SimulationResult",
@@ -25,5 +25,4 @@ __all__ = [
     "run_reference",
     "simulate_network",
     "simulate_stream",
-    "simulate_network_reference",
 ]

@@ -15,9 +15,9 @@ The loop defines the simulation semantics precisely:
   ``hop_latency`` later;
 - queueing delay is the accumulated ``begin - t`` over a packet's hops.
 
-Use :func:`simulate_network_reference` directly only for validation and
-benchmarking — it is orders of magnitude slower than the batched engine on
-dense workloads.
+``simulate_network(..., engine="reference")`` runs it directly.  It is
+orders of magnitude slower than the batched engine on dense workloads, and
+faster on sparse ones, where ``engine="auto"`` sends them here.
 """
 
 from __future__ import annotations
@@ -26,21 +26,9 @@ import heapq
 
 import numpy as np
 
-from ..comm.matrix import CommMatrix
-from ..core.packets import MAX_PAYLOAD_BYTES
-from ..mapping.base import Mapping
-from ..model.engine import BANDWIDTH_BYTES_PER_S
-from ..topology.base import Topology
-from .common import (
-    SimSetup,
-    SimulationResult,
-    assemble_result,
-    attach_telemetry,
-    empty_result,
-    prepare_simulation,
-)
+from .common import SimSetup, SimulationResult, assemble_result, attach_telemetry
 
-__all__ = ["simulate_network_reference", "run_reference"]
+__all__ = ["run_reference"]
 
 
 def run_reference(setup: SimSetup, collector=None) -> SimulationResult:
@@ -111,40 +99,3 @@ def run_reference(setup: SimSetup, collector=None) -> SimulationResult:
         )
     result = assemble_result(setup, wait, delivered_at, counts)
     return attach_telemetry(result, setup, collector, delivered_at)
-
-
-def simulate_network_reference(
-    matrix: CommMatrix,
-    topology: Topology,
-    mapping: Mapping | None = None,
-    execution_time: float = 1.0,
-    bandwidth: float = BANDWIDTH_BYTES_PER_S,
-    payload: int = MAX_PAYLOAD_BYTES,
-    hop_latency: float = 100e-9,
-    volume_scale: float = 1.0,
-    max_packets: int = 2_000_000,
-    seed: int = 0,
-    routing: str = "minimal",
-    routing_seed: int = 0,
-    telemetry=None,
-) -> SimulationResult:
-    """Event-by-event simulation (see :func:`repro.sim.simulate_network`)."""
-    setup = prepare_simulation(
-        matrix,
-        topology,
-        mapping=mapping,
-        execution_time=execution_time,
-        bandwidth=bandwidth,
-        payload=payload,
-        hop_latency=hop_latency,
-        volume_scale=volume_scale,
-        max_packets=max_packets,
-        seed=seed,
-        routing=routing,
-        routing_seed=routing_seed,
-    )
-    if setup is None:
-        return empty_result()
-    from .engine import resolve_collector
-
-    return run_reference(setup, collector=resolve_collector(telemetry))

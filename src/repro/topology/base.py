@@ -184,19 +184,3 @@ class Topology(abc.ABC):
                     f"{label} node IDs out of range for {self.num_nodes}-node "
                     f"{self.kind}"
                 )
-
-    def average_hops_uniform(self) -> float:
-        """Mean hop count over all ordered distinct node pairs.
-
-        A topology-intrinsic figure of merit (uniform-traffic average
-        distance), useful for cross-topology comparisons and tests.
-        """
-        n = self.num_nodes
-        # Evaluate in row blocks to bound memory at O(n) per block.
-        total = 0.0
-        idx = np.arange(n, dtype=np.int64)
-        for s in range(n):
-            src = np.full(n, s, dtype=np.int64)
-            h = self.hops_array(src, idx)
-            total += float(h.sum())
-        return total / (n * (n - 1))

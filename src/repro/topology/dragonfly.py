@@ -20,14 +20,11 @@ router) to 5 (cross-group with two local detours), matching the paper.
 Local links within a group form a complete graph among the ``a`` routers.
 
 The paper notes that "in practice usually adaptive routing is used in
-dragonfly networks, which often results in even longer paths" (§7);
-:meth:`Dragonfly.valiant_hops` provides the classic static surrogate —
-Valiant routing through a random intermediate group — so that remark can be
-quantified (see the routing ablation benchmark).  Full *link-level*
-non-minimal routing (Valiant and load-adaptive UGAL route incidences, not
-just hop counts) lives in :mod:`repro.routing`; its Valiant engine draws
-intermediate groups through :meth:`Dragonfly.valiant_intermediate_groups`,
-the same sampler ``valiant_hops`` uses, so both agree seed for seed.
+dragonfly networks, which often results in even longer paths" (§7).
+Non-minimal routing (Valiant and load-adaptive UGAL route incidences)
+lives in :mod:`repro.routing`; its Valiant engine draws intermediate
+groups through :meth:`Dragonfly.valiant_intermediate_groups`, so that
+remark can be quantified (see the routing ablation benchmark).
 """
 
 from __future__ import annotations
@@ -264,11 +261,10 @@ class Dragonfly(Topology):
         *both* endpoint groups each round — resampling against one endpoint
         at a time can reintroduce a clash with the other and leak a
         degenerate intermediate.  Requires at least three groups (otherwise
-        no valid intermediate exists for a cross-group pair).  This is the
-        *shared sampler*: both :meth:`valiant_hops` and the link-level
-        Valiant/UGAL engines in :mod:`repro.routing` consume it, so for one
-        rng state they pick identical intermediate groups — the basis of
-        the oracle test tying the two together.
+        no valid intermediate exists for a cross-group pair).  The Valiant
+        and UGAL engines in :mod:`repro.routing` draw through it, and so
+        does the hops-only oracle in ``tests/oracles/routing.py``: for one
+        rng state all pick identical intermediate groups.
         """
         g = self.num_groups
         if g < 3:
@@ -281,67 +277,6 @@ class Dragonfly(Topology):
             gi[clash] = rng.integers(0, g, size=int(clash.sum()))
             clash = (gi == src_groups) | (gi == dst_groups)
         return gi
-
-    def valiant_hops(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Hop counts under Valiant (randomized non-minimal) routing.
-
-        Cross-group packets first route minimally to a router in a uniformly
-        random *intermediate* group, then minimally to the destination —
-        the classic congestion-avoidance scheme adaptive (UGAL) routing
-        degenerates to under load.  Intra-group traffic stays minimal.
-
-        The intermediate leg ends at the router where the packet *arrives*
-        in the intermediate group (no extra node hops there), so the path is
-        src-node → ... → global → (local) → global → ... → dst-node.
-
-        This is the hops-only *oracle* for the link-level Valiant engine in
-        :mod:`repro.routing`: ``get_policy("valiant", seed).hops_array(...)``
-        reproduces these counts exactly for the same rng seed, because both
-        draw intermediate groups via :meth:`valiant_intermediate_groups`.
-        Use the routing policy when actual link routes (loads, utilization,
-        simulation) are needed; this surrogate stays as the independent
-        cross-check.
-        """
-        if rng is None:
-            rng = np.random.default_rng(0)
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        self._check_nodes(src, dst)
-
-        hops = self.hops_array(src, dst)  # minimal baseline
-        gs = self.group_of(src)
-        gd = self.group_of(dst)
-        cross = (src != dst) & (gs != gd)
-        if not cross.any():
-            return hops
-
-        # random intermediate group, different from both endpoints
-        gi = self.valiant_intermediate_groups(gs[cross], gd[cross], rng)
-
-        rs = self.router_of(src)[cross]
-        rd = self.router_of(dst)[cross]
-        # leg 1: source router -> gateway to intermediate group -> arrive at
-        # the router holding the back-port in the intermediate group
-        gw1_src, gw1_mid = self.gateway_routers(gs[cross], gi)
-        leg1 = 1 + (rs != gw1_src).astype(np.int64) + 1  # node + detour + global
-        # leg 2: from the arrival router, reach the gateway to the
-        # destination group, cross, detour to the destination router, eject
-        gw2_mid, gw2_dst = self.gateway_routers(gi, gd[cross])
-        leg2 = (
-            (gw1_mid != gw2_mid).astype(np.int64)  # local move inside intermediate
-            + 1  # second global link
-            + (rd != gw2_dst).astype(np.int64)
-            + 1  # ejection
-        )
-        valiant = leg1 + leg2
-        out = hops.copy()
-        out[cross] = valiant
-        return out
 
     def nominal_links(self, used_nodes: int) -> float:
         """Per-router link accounting scaled to used nodes (paper §4.2.3).

@@ -60,12 +60,6 @@ class Torus3D(Topology):
         out[:, 0] = nodes // (Y * Z)
         return out
 
-    def node_at(self, x: int, y: int, z: int) -> int:
-        X, Y, Z = self.dims
-        if not (0 <= x < X and 0 <= y < Y and 0 <= z < Z):
-            raise ValueError(f"coordinates ({x},{y},{z}) out of range for {self.dims}")
-        return (x * Y + y) * Z + z
-
     # -- hops -----------------------------------------------------------------
 
     def _dim_deltas(

@@ -6,9 +6,15 @@ the global symmetric COO through a ``num_ranks`` index array, and the
 machine sequence is threaded through the recursion, so nothing is shared
 between topologies.  :func:`place_ordering` is the matching reference for
 the ordering-based methods (greedy, spectral).
+
+:func:`greedy_ordering_reference` and :func:`refine_mapping_reference` are
+the heap and dict-of-lists forms of the vectorized greedy and refine
+kernels, on the adjacency :func:`symmetric_weights` builds.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -129,3 +135,101 @@ def bisection_mapping(
         if len(right):
             stack.append((right, slot_lo + left_slots, slot_hi))
     return Mapping(nodes, topology.num_nodes)
+
+
+def symmetric_weights(matrix: CommMatrix) -> dict[int, list[tuple[int, int]]]:
+    """Adjacency (neighbour, bytes) lists of the symmetrized traffic graph.
+
+    Dict-of-sorted-lists form of
+    :func:`repro.mapping.optimized._symmetric_csr`; used by the
+    ``*_reference`` kernels below.
+    """
+    adj: dict[int, dict[int, int]] = {}
+    for s, d, b in zip(matrix.src, matrix.dst, matrix.nbytes):
+        s, d, b = int(s), int(d), int(b)
+        if s == d or b == 0:
+            continue
+        adj.setdefault(s, {}).setdefault(d, 0)
+        adj.setdefault(d, {}).setdefault(s, 0)
+        adj[s][d] += b
+        adj[d][s] += b
+    return {u: sorted(nbrs.items()) for u, nbrs in adj.items()}
+
+
+def greedy_ordering_reference(matrix: CommMatrix) -> np.ndarray:
+    """Lazy-deletion max-heap form of ``greedy_ordering`` (O(E log E))."""
+    n = matrix.num_ranks
+    adj = symmetric_weights(matrix)
+    totals = np.zeros(n, dtype=np.int64)
+    for u, nbrs in adj.items():
+        totals[u] = sum(w for _, w in nbrs)
+
+    placed = np.zeros(n, dtype=bool)
+    order: list[int] = []
+    attraction = np.zeros(n, dtype=np.int64)
+    heap: list[tuple[int, int]] = []  # (-attraction snapshot, rank)
+
+    def place(rank: int) -> None:
+        placed[rank] = True
+        order.append(rank)
+        for nbr, w in adj.get(rank, ()):  # grow the frontier
+            if not placed[nbr]:
+                attraction[nbr] += w
+                heapq.heappush(heap, (-int(attraction[nbr]), nbr))
+
+    remaining = list(np.argsort(-totals, kind="stable"))
+    for seed in remaining:
+        seed = int(seed)
+        if placed[seed]:
+            continue
+        place(seed)
+        while heap:
+            neg_snap, cand = heapq.heappop(heap)
+            if placed[cand] or -neg_snap != attraction[cand]:
+                continue  # stale entry; a fresher one exists (lazy deletion)
+            place(cand)
+    return np.array(order, dtype=np.int64)
+
+
+def refine_mapping_reference(
+    matrix: CommMatrix,
+    topology: Topology,
+    mapping: Mapping,
+    max_passes: int = 2,
+    seed: int = 0,
+) -> Mapping:
+    """Dict-adjacency form of ``refine_mapping``: same rng draws, same swaps."""
+    n = matrix.num_ranks
+    nodes = mapping.nodes.copy()
+    rng = np.random.default_rng(seed)
+    adj = symmetric_weights(matrix)
+
+    def rank_cost(rank: int, node_of: np.ndarray) -> float:
+        nbrs = adj.get(rank)
+        if not nbrs:
+            return 0.0
+        others = np.array([x for x, _ in nbrs], dtype=np.int64)
+        weights = np.array([w for _, w in nbrs], dtype=np.float64)
+        hops = topology.hops_array(
+            np.full(len(others), node_of[rank], dtype=np.int64), node_of[others]
+        )
+        return float((hops * weights).sum())
+
+    for _ in range(max_passes):
+        improved = False
+        candidates = rng.permutation(n)
+        for r1 in candidates:
+            r1 = int(r1)
+            r2 = int(rng.integers(n))
+            if r1 == r2 or nodes[r1] == nodes[r2]:
+                continue
+            before = rank_cost(r1, nodes) + rank_cost(r2, nodes)
+            nodes[r1], nodes[r2] = nodes[r2], nodes[r1]
+            after = rank_cost(r1, nodes) + rank_cost(r2, nodes)
+            if after < before:
+                improved = True
+            else:
+                nodes[r1], nodes[r2] = nodes[r2], nodes[r1]
+        if not improved:
+            break
+    return Mapping(nodes, mapping.num_nodes)

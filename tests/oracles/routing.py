@@ -7,6 +7,10 @@ still moving at every step, one chunk of rows per step, concatenated at
 the end.  Deltas are the shorter ring direction (ties forward) on a
 torus and the direct difference on a mesh, computed here, not through the
 topology's own hook.  Link sets use ``np.unique``.
+
+:func:`valiant_hops` is the hops-only Valiant oracle for the dragonfly:
+hop counts from the Valiant leg structure alone, which
+``get_policy("valiant", seed).hops_array`` reproduces seed for seed.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.topology.base import RouteIncidence
+from repro.topology.dragonfly import Dragonfly
 from repro.topology.mesh import Mesh3D
 from repro.topology.torus import Torus3D
 
@@ -80,3 +85,53 @@ def link_loads_reference(
     ids, inverse = np.unique(inc.link_id, return_inverse=True)
     weights = np.asarray(pair_weights, dtype=np.float64)[inc.pair_index]
     return ids, np.bincount(inverse, weights=weights, minlength=len(ids))
+
+
+def valiant_hops(
+    topology: Dragonfly,
+    src: np.ndarray,
+    dst: np.ndarray,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Hop counts under Valiant (randomized non-minimal) routing.
+
+    Cross-group packets first route minimally to a router in a uniformly
+    random *intermediate* group, then minimally to the destination.
+    Intra-group traffic stays minimal.  The intermediate leg ends at the
+    router where the packet *arrives* in the intermediate group, so the
+    path is src-node -> ... -> global -> (local) -> global -> ... -> dst-node.
+    Intermediate groups come from
+    :meth:`~repro.topology.dragonfly.Dragonfly.valiant_intermediate_groups`,
+    the sampler the link-level policy draws from, so both agree for one
+    rng state.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    hops = topology.hops_array(src, dst)  # minimal baseline; checks node ids
+    gs = topology.group_of(src)
+    gd = topology.group_of(dst)
+    cross = (src != dst) & (gs != gd)
+    if not cross.any():
+        return hops
+
+    gi = topology.valiant_intermediate_groups(gs[cross], gd[cross], rng)
+    rs = topology.router_of(src)[cross]
+    rd = topology.router_of(dst)[cross]
+    # leg 1: source router -> gateway to the intermediate group -> arrive at
+    # the router holding the back-port in the intermediate group
+    gw1_src, gw1_mid = topology.gateway_routers(gs[cross], gi)
+    leg1 = 1 + (rs != gw1_src).astype(np.int64) + 1  # node + detour + global
+    # leg 2: from the arrival router, reach the gateway to the destination
+    # group, cross, detour to the destination router, eject
+    gw2_mid, gw2_dst = topology.gateway_routers(gi, gd[cross])
+    leg2 = (
+        (gw1_mid != gw2_mid).astype(np.int64)  # local move inside intermediate
+        + 1  # second global link
+        + (rd != gw2_dst).astype(np.int64)
+        + 1  # ejection
+    )
+    out = hops.copy()
+    out[cross] = leg1 + leg2
+    return out

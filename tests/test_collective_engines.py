@@ -18,7 +18,6 @@ from repro.collectives import (
     COLLECTIVES,
     CollectiveAlgorithm,
     even_split,
-    expand_collective_tree,
     get_algorithm,
 )
 from repro.comm.matrix import matrix_from_trace
@@ -26,6 +25,8 @@ from repro.core.communicator import Communicator
 from repro.core.events import CollectiveEvent, CollectiveOp
 from repro.validation import REGISTRY
 from repro.validation.invariants import matrices_identical
+
+from oracles.collectives import expand_collective_tree
 
 ENGINES = COLLECTIVES
 TREE_ENGINES = tuple(a for a in COLLECTIVES if a != "flat")
@@ -97,12 +98,6 @@ class TestRegistry:
     def test_cache_tokens_distinct(self):
         tokens = {get_algorithm(name).cache_token() for name in ENGINES}
         assert len(tokens) == len(ENGINES)
-
-    def test_tree_helper_exported(self):
-        import repro.collectives as pkg
-
-        assert "expand_collective_tree" in pkg.__all__
-        assert pkg.expand_collective_tree is expand_collective_tree
 
 
 # ------------------------------------------------------- root validation
@@ -251,7 +246,7 @@ class TestScattervRegressions:
 # ------------------------------------------------ batch/per-event parity
 
 
-def batch_multiset(engine, op, n, count=COUNT):
+def batch_multiset(engine, op, n, count=COUNT, root=0):
     comm = Communicator.world(n)
     out = {}
     batches = engine.expand_batch(
@@ -259,7 +254,7 @@ def batch_multiset(engine, op, n, count=COUNT):
         comm,
         np.arange(n, dtype=np.int64),
         np.full(n, count, dtype=np.int64),
-        np.zeros(n, dtype=np.int64),
+        np.full(n, root, dtype=np.int64),
         np.ones(n, dtype=np.int64),
     )
     for src, dst, nbytes, calls in batches:
@@ -269,12 +264,13 @@ def batch_multiset(engine, op, n, count=COUNT):
     return out
 
 
-def per_event_multiset(engine, op, n, count=COUNT):
+def per_event_multiset(expand, op, n, count=COUNT, root=0):
+    """``(src, dst, bytes) -> calls`` over every caller's ``expand`` groups."""
     comm = Communicator.world(n)
     out = {}
     for caller in range(n):
-        ev = CollectiveEvent(caller=caller, op=op, count=count, root=0)
-        for g in engine.expand(ev, comm, 1):
+        ev = CollectiveEvent(caller=caller, op=op, count=count, root=root)
+        for g in expand(ev, comm, 1):
             for dst, size in zip(g.dsts, g.bytes_per_msg):
                 key = (g.src, int(dst), int(size))
                 out[key] = out.get(key, 0) + g.calls
@@ -288,8 +284,21 @@ class TestBatchParity:
     def test_batch_equals_per_event_multiset(self, algo, op, n):
         engine = get_algorithm(algo)
         assert batch_multiset(engine, op, n) == per_event_multiset(
-            engine, op, n
+            engine.expand, op, n
         )
+
+
+class TestBinomialOracle:
+    """The binomial engine sends what the per-event tree expansion sends."""
+
+    @pytest.mark.parametrize("op", NON_BARRIER, ids=lambda op: op.value)
+    def test_engine_matches_tree_expansion(self, op):
+        engine = get_algorithm("binomial")
+        for n in range(1, 20):
+            for root in sorted({0, n // 2, n - 1}):
+                assert batch_multiset(engine, op, n, root=root) == (
+                    per_event_multiset(expand_collective_tree, op, n, root=root)
+                ), (n, root)
 
 
 # --------------------------------------------------- trace-level checks

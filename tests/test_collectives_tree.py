@@ -1,4 +1,4 @@
-"""Tests for the tree-based collective expansion (ablation counterpart)."""
+"""Properties of the per-event tree expansion, the binomial engine's oracle."""
 
 import math
 
@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.collectives.patterns import expand_collective
-from repro.collectives.tree import expand_collective_tree
 from repro.core.communicator import Communicator
 from repro.core.events import CollectiveEvent, CollectiveOp
+
+from oracles.collectives import expand_collective_tree
 
 
 def union(op, n, count=100, root=0):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.apps import app_names, get_app
-from repro.apps.patterns import _biased_scattered_reference, biased_scattered_channels
+from repro.apps.patterns import biased_scattered_channels
 from repro.collectives.translate import (
     TrafficClass,
     collective_volume,
@@ -33,10 +33,7 @@ from repro.comm.matrix import CommMatrixBuilder, matrix_from_trace
 from repro.comm.stats import trace_stats
 from repro.mapping.base import Mapping
 from repro.mapping.optimized import (
-    _greedy_ordering_reference,
-    _refine_mapping_reference,
     _symmetric_csr,
-    _symmetric_weights,
     greedy_ordering,
     optimize_mapping,
     refine_mapping,
@@ -47,7 +44,13 @@ from repro.metrics.selectivity import per_rank_selectivity
 from repro.topology.fattree import FatTree
 from repro.topology.torus import Torus3D
 
-from oracles.mapping import place_ordering
+from oracles.apps import biased_scattered_reference
+from oracles.mapping import (
+    greedy_ordering_reference,
+    place_ordering,
+    refine_mapping_reference,
+    symmetric_weights,
+)
 from oracles.stats import trace_stats_per_event
 
 
@@ -185,7 +188,7 @@ class TestMappingEquivalence:
         m = matrix_from_trace(columnar)
 
         indptr, indices, weights = _symmetric_csr(m)
-        adj = _symmetric_weights(m)
+        adj = symmetric_weights(m)
         for u in range(m.num_ranks):
             lo, hi = indptr[u], indptr[u + 1]
             assert (
@@ -193,7 +196,7 @@ class TestMappingEquivalence:
                 == adj.get(u, [])
             )
 
-        reference_order = _greedy_ordering_reference(m)
+        reference_order = greedy_ordering_reference(m)
         assert np.array_equal(greedy_ordering(m), reference_order)
 
         topo = FatTree(radix=48, stages=2)
@@ -207,23 +210,27 @@ class TestMappingEquivalence:
 
         base = Mapping.consecutive(m.num_ranks, topo.num_nodes, 1)
         fast = refine_mapping(m, topo, base, seed=0)
-        slow = _refine_mapping_reference(m, topo, base, seed=0)
+        slow = refine_mapping_reference(m, topo, base, seed=0)
         assert np.array_equal(fast.nodes, slow.nodes)
 
 
 class TestScatterPatternEquivalence:
     @pytest.mark.parametrize(
-        "num_ranks,ppr,distance,max_offset",
+        "num_ranks,ppr,distance,max_offset,bit_generator",
         [
-            (64, 6, "uniform", None),
-            (64, 6, "loguniform", None),
-            (216, 12, "quadratic", None),
-            (216, 12, "loguniform", 8),
-            (100, 3, "uniform", 2),  # tight window: duplicates dominate
+            (64, 6, "uniform", None, np.random.PCG64),
+            (64, 6, "loguniform", None, np.random.PCG64),
+            (216, 12, "quadratic", None, np.random.PCG64),
+            (216, 12, "loguniform", 8, np.random.PCG64),
+            (100, 3, "uniform", 2, np.random.PCG64),  # tight window: duplicates dominate
+            (216, 12, "loguniform", 8, np.random.PCG64DXSM),
+            # advance() counts 4-output blocks, not doubles: rejected
+            (216, 12, "loguniform", 8, np.random.Philox),
         ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
     )
     def test_vectorized_sampler_matches_reference(
-        self, num_ranks, ppr, distance, max_offset
+        self, num_ranks, ppr, distance, max_offset, bit_generator
     ):
         """Same channels AND the same post-call rng state as the reference."""
         max_off = (
@@ -231,12 +238,18 @@ class TestScatterPatternEquivalence:
         )
         partner_w = np.full(min(ppr, num_ranks - 1), 1.0)
 
-        rng_fast = np.random.default_rng(12345)
+        rng_fast = np.random.Generator(bit_generator(12345))
+        if bit_generator is np.random.Philox:
+            with pytest.raises(ValueError, match="got Philox"):
+                biased_scattered_channels(
+                    num_ranks, ppr, rng_fast, distance=distance, max_offset=max_offset
+                )
+            return
         fast = biased_scattered_channels(
             num_ranks, ppr, rng_fast, distance=distance, max_offset=max_offset
         )
-        rng_ref = np.random.default_rng(12345)
-        ref = _biased_scattered_reference(
+        rng_ref = np.random.Generator(bit_generator(12345))
+        ref = biased_scattered_reference(
             num_ranks, min(ppr, num_ranks - 1), rng_ref, distance, partner_w,
             1.0, max_off,
         )

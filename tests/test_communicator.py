@@ -50,28 +50,6 @@ class TestCommunicator:
 
 
 class TestCartesian:
-    def test_coords_row_major(self):
-        comm = CartesianCommunicator("CART", tuple(range(12)), dims=(3, 4))
-        assert comm.coords_of(0) == (0, 0)
-        assert comm.coords_of(5) == (1, 1)
-        assert comm.coords_of(11) == (2, 3)
-
-    def test_rank_of_roundtrip(self):
-        comm = CartesianCommunicator("CART", tuple(range(24)), dims=(2, 3, 4))
-        for rank in range(24):
-            assert comm.rank_of(comm.coords_of(rank)) == rank
-
-    def test_periodic_wrap(self):
-        comm = CartesianCommunicator(
-            "CART", tuple(range(6)), dims=(2, 3), periods=(True, True)
-        )
-        assert comm.rank_of((2, 4)) == comm.rank_of((0, 1))
-
-    def test_non_periodic_out_of_bounds(self):
-        comm = CartesianCommunicator("CART", tuple(range(6)), dims=(2, 3))
-        with pytest.raises(ValueError):
-            comm.rank_of((2, 0))
-
     def test_dims_must_multiply_out(self):
         with pytest.raises(ValueError):
             CartesianCommunicator("CART", tuple(range(5)), dims=(2, 3))

@@ -89,16 +89,6 @@ class TestViews:
 
 
 class TestTransforms:
-    def test_without_self_traffic(self):
-        m = make_matrix(3, [(0, 0, 10), (0, 1, 20)])
-        cleaned = m.without_self_traffic()
-        assert cleaned.num_pairs == 1
-        assert cleaned.total_bytes == 20
-
-    def test_without_self_traffic_noop_returns_self(self):
-        m = make_matrix(3, [(0, 1, 20)])
-        assert m.without_self_traffic() is m
-
     def test_remap_preserves_totals(self):
         m = make_matrix(4, [(0, 1, 10), (2, 3, 7)])
         perm = np.array([3, 2, 1, 0])
@@ -113,18 +103,6 @@ class TestTransforms:
             m.remapped(np.array([0, 0, 1]))
         with pytest.raises(ValueError):
             m.remapped(np.array([0, 1]))
-
-    def test_merge(self):
-        a = make_matrix(3, [(0, 1, 10)])
-        b = make_matrix(3, [(0, 1, 5), (1, 2, 1)])
-        merged = a.merged_with(b)
-        assert merged.total_bytes == 16
-        assert merged.num_pairs == 2
-
-    def test_merge_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            make_matrix(3, [(0, 1, 1)]).merged_with(make_matrix(4, [(0, 1, 1)]))
-
 
 class TestFromTrace:
     def test_p2p_only(self, mixed_trace):

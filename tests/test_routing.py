@@ -10,8 +10,8 @@ Three layers of guarantees are pinned here:
   deterministic routing (so ``routing="minimal"`` defaults change nothing),
   and ``dmodk`` coincides with it on the fat tree whose lane choice *is*
   destination-mod-k;
-- **semantics** — Valiant's link-level hop counts match the pre-existing
-  hops-only ``Dragonfly.valiant_hops`` oracle seed for seed, Valiant paths
+- **semantics** — Valiant's link-level hop counts match the hops-only
+  oracle ``tests/oracles/routing.py::valiant_hops`` seed for seed, Valiant paths
   are longer than minimal on cross-group traffic, UGAL spreads an
   adversarial single-hot-group matrix far below minimal's peak link load,
   and both simulator engines stay bit-identical under every policy.
@@ -36,6 +36,7 @@ from repro.topology.fattree import FatTree
 from repro.topology.torus import Torus3D
 
 from helpers import make_matrix
+from oracles.routing import valiant_hops
 
 TOPOLOGIES = {
     "torus3d": lambda: Torus3D((4, 3, 2)),
@@ -217,15 +218,13 @@ class TestDModK:
 
 
 class TestValiantOracle:
-    """The link-level engine vs the pre-existing hops-only surrogate."""
+    """The link-level engine vs the hops-only oracle."""
 
     @pytest.mark.parametrize("seed", [0, 1, 99])
     def test_hops_match_valiant_hops_seed_for_seed(self, seed):
         topology = TOPOLOGIES["dragonfly"]()
         src, dst = random_pairs(topology, n=500)
-        oracle = topology.valiant_hops(
-            src, dst, rng=np.random.default_rng(seed)
-        )
+        oracle = valiant_hops(topology, src, dst, rng=np.random.default_rng(seed))
         np.testing.assert_array_equal(
             get_policy("valiant", seed=seed).hops_array(topology, src, dst),
             oracle,

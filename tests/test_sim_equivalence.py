@@ -21,7 +21,7 @@ from helpers import make_matrix, spread_matrix
 
 from repro.comm.matrix import matrix_from_trace
 from repro.model.engine import BANDWIDTH_BYTES_PER_S
-from repro.sim import simulate_network, simulate_network_reference
+from repro.sim import simulate_network
 from repro.sim.common import SimSetup, prepare_simulation
 from repro.sim.engine import run_batched, run_group
 from repro.sim.reference import run_reference
@@ -129,7 +129,7 @@ class TestDispatch:
         matrix = spread_matrix(27, seed=4)
         kw = dict(execution_time=4e-4, seed=2)
         a = simulate_network(matrix, Torus3D((3, 3, 3)), **kw)
-        b = simulate_network_reference(matrix, Torus3D((3, 3, 3)), **kw)
+        b = simulate_network(matrix, Torus3D((3, 3, 3)), engine="reference", **kw)
         assert_bit_identical(a, b)
 
     def test_unknown_engine_rejected(self):

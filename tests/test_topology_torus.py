@@ -43,7 +43,7 @@ class TestStructure:
         t = Torus3D((3, 4, 5))
         nodes = np.arange(60)
         coords = t.coordinates(nodes)
-        rebuilt = np.array([t.node_at(*c) for c in coords])
+        rebuilt = np.ravel_multi_index(tuple(coords.T), t.dims)
         assert np.array_equal(rebuilt, nodes)
 
     def test_invalid_dims(self):
@@ -129,7 +129,10 @@ class TestRoutes:
                 coords = [x, y, z]
                 other = list(coords)
                 other[dim] = (other[dim] + 1) % t.dims[dim]
-                return {t.node_at(*coords), t.node_at(*other)}
+                return {
+                    int(np.ravel_multi_index(coords, t.dims)),
+                    int(np.ravel_multi_index(other, t.dims)),
+                }
 
             current = {src}
             for lid in links:
@@ -176,5 +179,7 @@ class TestRoutes:
 class TestUniformAverage:
     def test_average_hops_uniform_small(self):
         t = Torus3D((2, 2, 2))
+        src, dst = np.divmod(np.arange(64), 8)
+        off = src != dst
         # distances from any node: three at 1, three at 2, one at 3
-        assert t.average_hops_uniform() == pytest.approx(12 / 7)
+        assert t.hops_array(src[off], dst[off]).mean() == pytest.approx(12 / 7)
