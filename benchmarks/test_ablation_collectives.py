@@ -14,7 +14,6 @@ import pytest
 from repro.apps.registry import generate_trace
 from repro.collectives import get_algorithm
 from repro.comm.matrix import matrix_from_trace
-from repro.core.events import CollectiveEvent
 from repro.model.engine import analyze_network
 from repro.model.linkload import link_load_stats
 from repro.topology.configs import config_for
@@ -76,20 +75,23 @@ def test_tree_reduces_messages_for_rooted_collectives(cmc_results):
 def test_volume_conserved_for_bcast_reduce():
     """Per-operation sanity: flat and tree bcast move identical volume."""
     from repro.core.communicator import Communicator
-    from repro.collectives.patterns import expand_collective
     from repro.core.events import CollectiveOp
 
     comm = Communicator.world(16)
-    binomial = get_algorithm("binomial")
+    callers = np.arange(16, dtype=np.int64)
+
+    def total_bytes(algo, op):
+        batches = get_algorithm(algo).expand_batch(
+            op,
+            comm,
+            callers,
+            np.full(16, 100, dtype=np.int64),
+            np.zeros(16, dtype=np.int64),
+            np.ones(16, dtype=np.int64),
+        )
+        return sum(int((nbytes * calls).sum()) for _, _, nbytes, calls in batches)
+
     for op in (CollectiveOp.REDUCE,):
-        flat_total = tree_total = 0
-        for caller in range(16):
-            ev = CollectiveEvent(caller=caller, op=op, count=100)
-            flat_total += sum(
-                g.total_bytes for g in expand_collective(ev, comm, 1)
-            )
-            tree_total += sum(
-                g.total_bytes for g in binomial.expand(ev, comm, 1)
-            )
-        # flat includes the root's zero-hop self-message; the tree does not
+        flat_total = total_bytes("flat", op)
+        tree_total = total_bytes("binomial", op)
         assert tree_total == flat_total - 100

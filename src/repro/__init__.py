@@ -33,7 +33,6 @@ Quick start::
 """
 
 from .apps import APPS, app_names, generate_trace, get_app, iter_configurations
-from .collectives import expand_collective, iter_send_groups
 from .comm import CommMatrix, CommMatrixBuilder, TraceStats, matrix_from_trace, trace_stats
 from .core import (
     CollectiveEvent,
@@ -93,8 +92,6 @@ __all__ = [
     "generate_trace",
     "get_app",
     "iter_configurations",
-    "expand_collective",
-    "iter_send_groups",
     "CommMatrix",
     "CommMatrixBuilder",
     "TraceStats",

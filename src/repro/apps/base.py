@@ -37,7 +37,7 @@ from ..core.blocks import (
     OP_CODE,
     EventBlock,
 )
-from ..core.events import CollectiveEvent, CollectiveOp, Direction, P2PEvent
+from ..core.events import CollectiveOp
 from ..core.stream import DEFAULT_CHUNK_BYTES, BlockStream, rows_per_chunk
 from ..core.trace import Trace, TraceMetadata
 
@@ -235,7 +235,6 @@ class SyntheticApp(abc.ABC):
         variant: str = "",
         seed: int = 0,
         emit_receives: bool = False,
-        columnar: bool = True,
     ) -> Trace:
         """Generate a calibrated synthetic trace for one configuration.
 
@@ -245,19 +244,14 @@ class SyntheticApp(abc.ABC):
         for serialization-fidelity tests and for consumers that expect
         two-sided records.
 
-        ``columnar`` (the default) emits the trace as native
-        :class:`~repro.core.blocks.EventBlock` columns without allocating a
-        Python object per record.  ``columnar=False`` runs the original
-        per-event path; both produce bit-identical traces (the equivalence
-        suite pins this), so the flag exists only for comparison and
-        benchmarking.
+        The trace is emitted as native
+        :class:`~repro.core.blocks.EventBlock` columns, without allocating a
+        Python object per record.
         """
         meta, p2p_plan, phases = self._plan(ranks, variant, seed)
-        if columnar:
-            return Trace.from_blocks(
-                meta, list(self._iter_plan_blocks(meta, p2p_plan, phases, emit_receives))
-            )
-        return self._emit_events(meta, p2p_plan, phases, emit_receives)
+        return Trace.from_blocks(
+            meta, list(self._iter_plan_blocks(meta, p2p_plan, phases, emit_receives))
+        )
 
     def iter_blocks(
         self,
@@ -323,7 +317,7 @@ class SyntheticApp(abc.ABC):
         phases = self._plan_collectives(pat, point, ranks)
         return meta, p2p_plan, phases
 
-    # -- calibration planning (shared by both emitters) ---------------------
+    # -- calibration planning ------------------------------------------------
 
     def _plan_p2p(self, pat: AppPattern, point: CalibrationPoint):
         """Scale channels to the p2p byte target.
@@ -379,7 +373,7 @@ class SyntheticApp(abc.ABC):
             phases.append((phase.op, phase.root, count, phase_calls))
         return phases
 
-    # -- emitters ------------------------------------------------------------
+    # -- emitter -------------------------------------------------------------
 
     def _iter_plan_blocks(
         self,
@@ -389,16 +383,15 @@ class SyntheticApp(abc.ABC):
         emit_receives: bool,
         max_rows: int | None = None,
     ):
-        """Columnar emission as a block generator.
+        """The trace as a block generator.
 
         With ``max_rows=None`` this yields exactly one block for the p2p
         channels and one for the collectives (the historical in-memory
         layout).  With a row cap it yields bounded slices instead.  Either
-        way the concatenated rows are bit-identical: timestamps reproduce
-        :class:`_TimeCursor` slot-for-slot (one slot per p2p channel, one
-        per collective record), and every chunked column is computed from
-        the *global* slot index, so values never depend on where a chunk
-        boundary falls.
+        way the concatenated rows are bit-identical: there is one time slot
+        per p2p channel and one per collective record, and every chunked
+        column is computed from the *global* slot index, so values never
+        depend on where a chunk boundary falls.
         """
         ranks = meta.num_ranks
         dtype = self.dtype_name
@@ -491,83 +484,9 @@ class SyntheticApp(abc.ABC):
                     dtype_names=(dtype,),
                 )
 
-    def _emit_events(
-        self, meta: TraceMetadata, p2p_plan, phases, emit_receives: bool
-    ) -> Trace:
-        """Legacy per-event emission (kept as the executable reference)."""
-        ranks = meta.num_ranks
-        dtype = self.dtype_name
-        trace = Trace(meta)
-        time_cursor = _TimeCursor(meta.execution_time)
 
-        if p2p_plan is not None:
-            src, dst, bytes_per_msg, calls = p2p_plan
-            for idx in range(len(src)):
-                t0, t1 = time_cursor.next()
-                trace.add(
-                    P2PEvent(
-                        caller=int(src[idx]),
-                        peer=int(dst[idx]),
-                        count=int(bytes_per_msg[idx]),
-                        dtype=dtype,
-                        func="MPI_Isend",
-                        t_enter=t0,
-                        t_leave=t1,
-                        repeat=int(calls[idx]),
-                    )
-                )
-                if emit_receives:
-                    trace.add(
-                        P2PEvent(
-                            caller=int(dst[idx]),
-                            peer=int(src[idx]),
-                            count=int(bytes_per_msg[idx]),
-                            dtype=dtype,
-                            direction=Direction.RECV,
-                            func="MPI_Irecv",
-                            t_enter=t0,
-                            t_leave=t1,
-                            repeat=int(calls[idx]),
-                        )
-                    )
-
-        for op, root, count, phase_calls in phases:
-            for caller in range(ranks):
-                t0, t1 = time_cursor.next()
-                trace.add(
-                    CollectiveEvent(
-                        caller=caller,
-                        op=op,
-                        count=count,
-                        dtype=dtype,
-                        root=root,
-                        t_enter=t0,
-                        t_leave=t1,
-                        repeat=phase_calls,
-                    )
-                )
-        return trace
-
-
-#: Timestamp slots spread across the traced execution time; the columnar
-#: emitter computes ``slot * (duration / _TIME_SLOTS)`` with the same float
-#: arithmetic as :class:`_TimeCursor`, keeping both emitters bit-identical.
+#: Timestamp slots spread across the traced execution time: slot ``i``
+#: starts at ``i * (duration / _TIME_SLOTS)``.  Timestamps are cosmetic (no
+#: analysis reads them except the execution time on the metadata), but a
+#: monotone spread keeps serialized traces realistic and sortable.
 _TIME_SLOTS = 1_000_000
-
-
-class _TimeCursor:
-    """Spreads synthetic event timestamps across the traced execution time.
-
-    Timestamps are cosmetic (no analysis reads them except the execution
-    time on the metadata), but a monotone spread keeps serialized traces
-    realistic and sortable.
-    """
-
-    def __init__(self, duration: float, slots: int = _TIME_SLOTS) -> None:
-        self._step = duration / slots
-        self._i = 0
-
-    def next(self) -> tuple[float, float]:
-        t0 = self._i * self._step
-        self._i += 1
-        return t0, t0 + 0.5 * self._step

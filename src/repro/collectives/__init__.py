@@ -7,8 +7,9 @@ registry mirrors :mod:`repro.routing`: resolve a name with
 :func:`get_algorithm`, expand records through the engine, and key every
 derived artifact by its ``cache_token()``::
 
-    from repro.collectives import get_algorithm
-    groups = get_algorithm("binomial").expand(event, comm, elem_size)
+    from repro.collectives import get_algorithm, iter_send_batches
+    engine = get_algorithm("binomial")
+    batches = iter_send_batches(trace, collective=engine)
 
 ``COLLECTIVES`` lists every engine name in the canonical order used by CLI
 choices, sweep axes, and the collectives benchmark.  ``flat`` is the
@@ -19,23 +20,19 @@ from .base import CollectiveAlgorithm, FlatCollective
 from .bine import BineCollective
 from .binomial import BinomialCollective
 from .patterns import (
-    SendGroup,
     check_root,
     even_split,
     even_split_rows,
-    expand_collective,
     expand_collective_batch,
 )
 from .recursive_doubling import RecursiveDoublingCollective
 from .registry import COLLECTIVES, get_algorithm
 from .ring import RingCollective
 from .translate import (
-    ClassifiedSends,
     SendBatch,
     TrafficClass,
     collective_volume,
     iter_send_batches,
-    iter_send_groups,
 )
 
 __all__ = [
@@ -47,16 +44,12 @@ __all__ = [
     "RecursiveDoublingCollective",
     "BineCollective",
     "get_algorithm",
-    "SendGroup",
     "check_root",
     "even_split",
     "even_split_rows",
-    "expand_collective",
     "expand_collective_batch",
-    "ClassifiedSends",
     "SendBatch",
     "TrafficClass",
     "collective_volume",
     "iter_send_batches",
-    "iter_send_groups",
 ]

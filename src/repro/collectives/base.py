@@ -9,12 +9,11 @@ and every consumer that caches derived artifacts (traffic matrices,
 happens-before DAGs, sweep cells) keys them by the engine's
 :meth:`~CollectiveAlgorithm.cache_token`.
 
-Three entry points, mirroring the flat functions they generalize:
+Two entry points, both columnar over many records of one op:
 
-- :meth:`~CollectiveAlgorithm.expand` — per-event, the oracle form;
-- :meth:`~CollectiveAlgorithm.expand_batch` — columnar, the hot path for
+- :meth:`~CollectiveAlgorithm.expand_batch` — the message arrays, for
   matrix building;
-- :meth:`~CollectiveAlgorithm.expand_batch_phased` — columnar with a
+- :meth:`~CollectiveAlgorithm.expand_batch_phased` — the same with a
   per-batch ``after`` flag for happens-before DAG construction: ``True``
   marks sends of data the sender first had to receive, so the DAG edge
   must leave the sender's completion node.
@@ -31,18 +30,9 @@ import abc
 import numpy as np
 
 from ..core.communicator import Communicator
-from ..core.events import ROOTED_OPS, CollectiveEvent, CollectiveOp
-from .patterns import (
-    SendGroup,
-    check_root,
-    expand_collective,
-    expand_collective_batch,
-)
-from .schedules import (
-    Schedule,
-    expand_batch_from_schedule,
-    expand_event_from_schedule,
-)
+from ..core.events import ROOTED_OPS, CollectiveOp
+from .patterns import check_root, expand_collective_batch
+from .schedules import Schedule, expand_batch_from_schedule
 
 __all__ = ["CollectiveAlgorithm", "FlatCollective", "ScheduleAlgorithm"]
 
@@ -82,12 +72,6 @@ class CollectiveAlgorithm(abc.ABC):
         return (self.name,)
 
     @abc.abstractmethod
-    def expand(
-        self, event: CollectiveEvent, comm: Communicator, element_size: int
-    ) -> list[SendGroup]:
-        """Expand one caller's record into its injected messages."""
-
-    @abc.abstractmethod
     def expand_batch(
         self,
         op: CollectiveOp,
@@ -99,8 +83,10 @@ class CollectiveAlgorithm(abc.ABC):
     ) -> list[Batch]:
         """Columnar expansion of many records of one op on one communicator.
 
-        The message multiset must equal the union of :meth:`expand` over
-        the same records exactly — the engine equivalence suite pins this.
+        A record's messages depend only on that record, so the message
+        multiset equals the union of the per-record expansions in
+        ``tests/oracles/collectives.py`` — the engine equivalence suite
+        pins this.
         """
 
     def expand_batch_phased(
@@ -130,9 +116,6 @@ class FlatCollective(CollectiveAlgorithm):
 
     name = "flat"
 
-    def expand(self, event, comm, element_size):
-        return expand_collective(event, comm, element_size)
-
     def expand_batch(self, op, comm, callers, nbytes, roots, calls):
         return expand_collective_batch(op, comm, callers, nbytes, roots, calls)
 
@@ -148,16 +131,6 @@ class ScheduleAlgorithm(CollectiveAlgorithm):
 
     def _schedule(self, op: CollectiveOp, n: int, root: int) -> Schedule | None:
         raise NotImplementedError
-
-    def expand(self, event, comm, element_size):
-        check_root(event.op, comm, event.root)
-        if comm.size == 1:
-            return []
-        root = event.root if event.op in ROOTED_OPS else 0
-        sched = self._schedule(event.op, comm.size, root)
-        if sched is None:
-            return expand_collective(event, comm, element_size)
-        return expand_event_from_schedule(sched, comm, event, element_size)
 
     def expand_batch(self, op, comm, callers, nbytes, roots, calls):
         return [

@@ -7,8 +7,8 @@ structure**, and data in vector collectives split evenly across ranks.  This
 maximally utilizes the network and gives a stable, technology-independent
 estimate.
 
-Each pattern function answers one question: *which messages does a single
-caller's collective record inject?*  Every participating rank logs the
+The expansion answers one question per record: *which messages does a
+single caller's collective record inject?*  Every participating rank logs the
 collective, so translating only the caller's own sends — never the messages
 other ranks will send — keeps the union over all callers free of double
 counting.
@@ -35,17 +35,13 @@ Barrier                   0 (no payload, no messages)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core.communicator import Communicator
-from ..core.events import CollectiveEvent, CollectiveOp
+from ..core.events import CollectiveOp
 
 __all__ = [
-    "SendGroup",
     "check_root",
-    "expand_collective",
     "expand_collective_batch",
     "even_split",
     "even_split_rows",
@@ -77,36 +73,6 @@ def check_root(op: CollectiveOp, comm: Communicator, root: int) -> None:
             f"communicator {comm.name!r} of size {comm.size} "
             "(roots are communicator-local ranks)"
         )
-
-
-@dataclass(frozen=True)
-class SendGroup:
-    """A fan-out of identical-shape messages from one source rank.
-
-    ``src`` sends ``calls`` messages of ``bytes_per_msg[i]`` bytes to each
-    destination ``dsts[i]``.  Destinations and byte counts are parallel
-    arrays so uneven splits stay exact.  All ranks are **global** rank IDs.
-    """
-
-    src: int
-    dsts: np.ndarray  # int64[k]
-    bytes_per_msg: np.ndarray  # int64[k]
-    calls: int = 1
-
-    def __post_init__(self) -> None:
-        if self.dsts.shape != self.bytes_per_msg.shape:
-            raise ValueError("dsts and bytes_per_msg must be parallel arrays")
-        if self.calls < 1:
-            raise ValueError("calls must be >= 1")
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes injected across all destinations and calls."""
-        return int(self.bytes_per_msg.sum()) * self.calls
-
-    @property
-    def num_messages(self) -> int:
-        return len(self.dsts) * self.calls
 
 
 def even_split(total: int, parts: int) -> np.ndarray:
@@ -142,120 +108,6 @@ def even_split_rows(totals: np.ndarray, parts: int) -> np.ndarray:
     return base[:, None] + (np.arange(parts, dtype=np.int64)[None, :] < rem[:, None])
 
 
-def _uniform(src: int, dsts: np.ndarray, nbytes: int, calls: int) -> SendGroup:
-    return SendGroup(
-        src=src,
-        dsts=dsts.astype(np.int64, copy=False),
-        bytes_per_msg=np.full(len(dsts), nbytes, dtype=np.int64),
-        calls=calls,
-    )
-
-
-def expand_collective(
-    event: CollectiveEvent, comm: Communicator, element_size: int
-) -> list[SendGroup]:
-    """Expand one caller's collective record into its injected messages.
-
-    Parameters
-    ----------
-    event:
-        The collective record (caller is a **global** rank).
-    comm:
-        The communicator the record references.
-    element_size:
-        Byte size of one element of ``event.dtype``.
-
-    Returns
-    -------
-    list[SendGroup]
-        Zero or more fan-outs; empty when this caller sends nothing (e.g.
-        a non-root rank in a broadcast, or any rank in a barrier).
-    """
-    n = comm.size
-    check_root(event.op, comm, event.root)
-    if n == 1:
-        return []  # single-member communicator moves nothing on the network
-    local = comm.to_local(event.caller)
-    nbytes = event.count * element_size
-    calls = event.repeat
-    op = event.op
-
-    if op is CollectiveOp.BARRIER:
-        return []
-
-    if op is CollectiveOp.BCAST:
-        if local != event.root:
-            return []
-        members = np.asarray(comm.members, dtype=np.int64)
-        return [_uniform(event.caller, members, nbytes, calls)]
-
-    if op in (CollectiveOp.REDUCE, CollectiveOp.GATHER, CollectiveOp.GATHERV):
-        # ALL ranks send to the root, the root included (paper: "a gather
-        # call is performed by all ranks sending a p2p message to the root").
-        root_global = comm.to_global(event.root)
-        return [
-            _uniform(event.caller, np.array([root_global]), nbytes, calls)
-        ]
-
-    if op is CollectiveOp.ALLREDUCE:
-        # Flat reduce-to-root plus broadcast-from-root, rooted at local rank
-        # 0, self-messages included on both phases (paper convention).
-        groups: list[SendGroup] = []
-        root_global = comm.to_global(0)
-        groups.append(_uniform(event.caller, np.array([root_global]), nbytes, calls))
-        if local == 0:
-            members = np.asarray(comm.members, dtype=np.int64)
-            groups.append(_uniform(event.caller, members, nbytes, calls))
-        return groups
-
-    if op in (CollectiveOp.SCATTER, CollectiveOp.SCATTERV):
-        if local != event.root:
-            return []
-        members = np.asarray(comm.members, dtype=np.int64)
-        if op is CollectiveOp.SCATTER:
-            return [_uniform(event.caller, members, nbytes, calls)]
-        # Scatterv: count is the total at root; split evenly over all n
-        # members (paper §4.4), the root's own share included as a
-        # zero-hop self-message.
-        shares = even_split(nbytes, n)
-        return [SendGroup(event.caller, members, shares, calls)]
-
-    if op in (CollectiveOp.ALLGATHER, CollectiveOp.ALLGATHERV):
-        # Caller's contribution goes to every member, itself included.  For
-        # the vector form the even split already happened when count was
-        # recorded.
-        members = np.asarray(comm.members, dtype=np.int64)
-        return [_uniform(event.caller, members, nbytes, calls)]
-
-    if op is CollectiveOp.ALLTOALL:
-        members = np.asarray(comm.members, dtype=np.int64)
-        return [_uniform(event.caller, members, nbytes, calls)]
-
-    if op is CollectiveOp.ALLTOALLV:
-        # count is the caller's total send volume; split evenly across all n
-        # members, the self share travelling zero hops.
-        shares = even_split(nbytes, n)
-        members = np.asarray(comm.members, dtype=np.int64)
-        return [SendGroup(event.caller, members, shares, calls)]
-
-    if op is CollectiveOp.REDUCE_SCATTER:
-        # Rank i's block destined for rank j travels directly i -> j: each
-        # caller sends a 1/n slice of its input vector to every member (its
-        # own slice being a zero-hop self-message).
-        shares = even_split(nbytes, n)
-        members = np.asarray(comm.members, dtype=np.int64)
-        return [SendGroup(event.caller, members, shares, calls)]
-
-    if op in (CollectiveOp.SCAN, CollectiveOp.EXSCAN):
-        # Linear chain: partial results flow from local rank i to i+1.
-        if local == n - 1:
-            return []
-        nxt = comm.to_global(local + 1)
-        return [_uniform(event.caller, np.array([nxt]), nbytes, calls)]
-
-    raise NotImplementedError(f"no p2p expansion defined for {op}")
-
-
 def _fanout(
     callers: np.ndarray,
     members: np.ndarray,
@@ -286,17 +138,17 @@ def expand_collective_batch(
     roots: np.ndarray,
     calls: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Batched :func:`expand_collective`: many records of one op at once.
+    """The flat expansion of many records of one op on one communicator.
 
-    Parameters mirror the per-event form, columnar: ``callers`` are global
-    ranks, ``roots`` are communicator-local root ranks, ``nbytes`` is each
-    record's ``count * element_size``, and ``calls`` its repeat count.  All
-    arrays are parallel.
+    The arrays are parallel, one entry per caller record: ``callers`` are
+    global ranks, ``roots`` are communicator-local root ranks, ``nbytes``
+    is each record's ``count * element_size``, and ``calls`` its repeat
+    count.
 
     Returns a list of ``(src, dst, bytes_per_msg, calls)`` message-array
-    quadruples.  The multiset of messages equals the union of the per-event
-    expansions exactly (the equivalence suite pins this), only the grouping
-    differs.
+    quadruples.  The multiset of messages equals the union of the
+    per-record expansions in ``tests/oracles/collectives.py`` exactly (the
+    equivalence suite pins this); only the grouping differs.
     """
     n = comm.size
     if len(callers) and op in _ROOTED:

@@ -37,12 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.events import CollectiveOp
-from .patterns import SendGroup, even_split, even_split_rows
+from .patterns import even_split_rows
 
 __all__ = [
     "Schedule",
     "expand_batch_from_schedule",
-    "expand_event_from_schedule",
     "binomial_fanout",
     "binomial_fanin",
     "binomial_gatherv_paths",
@@ -154,44 +153,6 @@ def expand_batch_from_schedule(
         if sel.any():
             batches.append((src[sel], dst[sel], bpm[sel], out_calls[sel], flag))
     return batches
-
-
-def expand_event_from_schedule(
-    sched: Schedule, comm, event, element_size: int
-) -> list[SendGroup]:
-    """Per-event form: the caller's schedule rows as :class:`SendGroup`\\ s."""
-    local = comm.to_local(event.caller)
-    lo, hi = int(sched.starts[local]), int(sched.starts[local + 1])
-    if lo == hi:
-        return []
-    nbytes = event.count * element_size
-    shares = even_split(nbytes, sched.n) if sched.share_idx.size else None
-    members = comm.members
-    groups = []
-    i = lo
-    while i < hi:
-        j = i
-        while j < hi and sched.src[j] == sched.src[i]:
-            j += 1
-        sizes = []
-        for r in range(i, j):
-            b = nbytes * int(sched.mult[r])
-            s0, s1 = int(sched.share_starts[r]), int(sched.share_starts[r + 1])
-            if s1 > s0:
-                b += int(shares[sched.share_idx[s0:s1]].sum())
-            sizes.append(b)
-        groups.append(
-            SendGroup(
-                src=int(members[sched.src[i]]),
-                dsts=np.array(
-                    [members[d] for d in sched.dst[i:j]], dtype=np.int64
-                ),
-                bytes_per_msg=np.array(sizes, dtype=np.int64),
-                calls=event.repeat,
-            )
-        )
-        i = j
-    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,15 @@
 
 Walks a trace and expands every collective record into point-to-point
 messages through a pluggable :class:`~repro.collectives.base.CollectiveAlgorithm`
-engine (default ``flat``, the paper's §4.4 expansion).  Two forms:
-
-- :func:`iter_send_batches` — the columnar iterator every consumer uses:
-  whole :class:`~repro.core.blocks.EventBlock` runs expand into a handful
-  of fused :class:`SendBatch` arrays (one per block and traffic class /
-  collective group), which the traffic-matrix builder consumes without
-  per-message allocation.  It reads any block source — a
-  :class:`~repro.core.trace.Trace` or a
-  :class:`~repro.core.stream.BlockStream`.
-- :func:`iter_send_groups` — the independent per-event reference: one
-  :class:`SendGroup` per p2p send, one or two per collective record,
-  expanded through :meth:`CollectiveAlgorithm.expand`.  The
-  ``repro bench collectives`` identity gate, ``repro fuzz`` and the
-  equivalence tests rebuild matrices through it.
-
-Both produce the same multiset of messages; the equivalence suite pins the
-resulting matrices bit-for-bit.
+engine (default ``flat``, the paper's §4.4 expansion).
+:func:`iter_send_batches` is the iterator every consumer uses: whole
+:class:`~repro.core.blocks.EventBlock` runs expand into a handful of fused
+:class:`SendBatch` arrays (one per block and traffic class / collective
+group), which the traffic-matrix builder consumes without per-message
+allocation.  It reads any block source — a
+:class:`~repro.core.trace.Trace` or a
+:class:`~repro.core.stream.BlockStream`.  The per-event reference it is
+pinned against lives in ``tests/oracles/collectives.py``.
 """
 
 from __future__ import annotations
@@ -30,18 +22,14 @@ from typing import Iterator
 import numpy as np
 
 from ..core.blocks import KIND_COLLECTIVE, KIND_P2P_SEND, OPS, EventBlock
-from ..core.events import CollectiveEvent, P2PEvent
 from ..core.stream import BlockStream
 from ..core.trace import Trace
 from .base import CollectiveAlgorithm
-from .patterns import SendGroup
 from .registry import get_algorithm
 
 __all__ = [
     "TrafficClass",
-    "ClassifiedSends",
     "SendBatch",
-    "iter_send_groups",
     "iter_send_batches",
     "collective_volume",
 ]
@@ -52,14 +40,6 @@ class TrafficClass(enum.Enum):
 
     P2P = "p2p"
     COLLECTIVE = "collective"
-
-
-@dataclass(frozen=True)
-class ClassifiedSends:
-    """A :class:`SendGroup` plus the traffic class it came from."""
-
-    group: SendGroup
-    traffic_class: TrafficClass
 
 
 @dataclass(frozen=True)
@@ -90,60 +70,6 @@ class SendBatch:
     @property
     def num_messages(self) -> int:
         return int(self.calls.sum())
-
-
-def iter_send_groups(
-    trace: Trace,
-    include_p2p: bool = True,
-    include_collectives: bool = True,
-    collective: str | CollectiveAlgorithm = "flat",
-) -> Iterator[ClassifiedSends]:
-    """Yield every injected message fan-out of a trace, one group per event.
-
-    Point-to-point send records become single-destination groups; collective
-    records are expanded through the ``collective`` engine (default the
-    paper's flat patterns).  RECV records are skipped (traffic is accounted
-    on the send side).
-    """
-    assert trace.communicators is not None
-    engine = get_algorithm(collective)
-    size_of = trace.datatypes.size_of
-    if include_p2p:
-        # Gather all p2p send fields up front: one bulk array pair instead
-        # of a length-1 allocation per event (the groups below are views).
-        sends = [
-            ev
-            for ev in trace.events
-            if isinstance(ev, P2PEvent) and ev.is_send
-        ]
-        all_dsts = np.fromiter(
-            (ev.peer for ev in sends), dtype=np.int64, count=len(sends)
-        )
-        all_bytes = np.fromiter(
-            (ev.bytes_per_call(size_of(ev.dtype)) for ev in sends),
-            dtype=np.int64,
-            count=len(sends),
-        )
-        pos = 0
-    for ev in trace.events:
-        if isinstance(ev, P2PEvent):
-            if not include_p2p or not ev.is_send:
-                continue
-            group = SendGroup(
-                src=ev.caller,
-                dsts=all_dsts[pos : pos + 1],
-                bytes_per_msg=all_bytes[pos : pos + 1],
-                calls=ev.repeat,
-            )
-            pos += 1
-            yield ClassifiedSends(group, TrafficClass.P2P)
-        elif isinstance(ev, CollectiveEvent):
-            if not include_collectives:
-                continue
-            comm = trace.communicators.get(ev.comm)
-            elem = size_of(ev.dtype)
-            for group in engine.expand(ev, comm, elem):
-                yield ClassifiedSends(group, TrafficClass.COLLECTIVE)
 
 
 def _block_batches(
@@ -206,10 +132,9 @@ def iter_send_batches(
 
     One block is expanded at a time, so over a
     :class:`~repro.core.stream.BlockStream` peak memory is bounded by the
-    chunk size plus its fan-out, never the whole trace.  Yields the same
-    message multiset as :func:`iter_send_groups` (collective expansion is
-    per-caller-row independent, so a phase spanning a block boundary
-    expands identically).
+    chunk size plus its fan-out, never the whole trace.  Collective
+    expansion is per-caller-row independent, so a phase spanning a block
+    boundary expands identically.
     """
     engine = get_algorithm(collective)
     for block in source.blocks():

@@ -6,12 +6,11 @@ number of **packets** (4 kB max payload, paper §4.2.1).  It is the single
 input of every static analysis in this library: MPI-level metrics consume it
 directly; topology models consume it after rank→node mapping.
 
-Matrices are built incrementally from :class:`SendBatch` message arrays
-(or, on the per-event reference path, :class:`SendGroup` fan-outs) and then
-*finalized* into sorted columnar NumPy arrays (``src``, ``dst``, ``nbytes``,
-``messages``, ``packets``).  Accumulation is vectorized per batch; the
-finalize step merges duplicate pairs with ``np.add.at`` so no Python-level
-loop ever touches individual messages.
+Matrices are built incrementally from :class:`SendBatch` message arrays and
+then *finalized* into sorted columnar NumPy arrays (``src``, ``dst``,
+``nbytes``, ``messages``, ``packets``).  Accumulation is vectorized per
+batch; the finalize step merges duplicate pairs with ``np.add.at`` so no
+Python-level loop ever touches individual messages.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import timings
-from ..collectives.patterns import SendGroup
 from ..collectives.translate import SendBatch, iter_send_batches
-from ..core.packets import MAX_PAYLOAD_BYTES, packets_for_bytes_array
+from ..core.packets import MAX_PAYLOAD_BYTES, packets_for_bytes, packets_for_bytes_array
 from ..core.stream import BlockStream
 from ..core.trace import Trace
 
@@ -152,7 +150,7 @@ class CommMatrix:
 
 
 class CommMatrixBuilder:
-    """Accumulates fan-outs into a :class:`CommMatrix`.
+    """Accumulates message batches into a :class:`CommMatrix`.
 
     Chunks of (src, dst, bytes, messages, packets) are appended as arrays and
     merged once at :meth:`finalize`; duplicate pairs are summed.
@@ -174,21 +172,6 @@ class CommMatrixBuilder:
     def pending_rows(self) -> int:
         """Unmerged accumulated rows (bounds the builder's working set)."""
         return self._rows
-
-    def add_group(self, group: SendGroup) -> None:
-        """Add one fan-out: ``calls`` messages of ``bytes_per_msg[i]`` to ``dsts[i]``."""
-        k = len(group.dsts)
-        if k == 0:
-            return
-        calls = group.calls
-        pkts_per_msg = packets_for_bytes_array(group.bytes_per_msg, self.payload)
-        self.add_arrays(
-            np.full(k, group.src, dtype=np.int64),
-            group.dsts,
-            group.bytes_per_msg * calls,
-            np.full(k, calls, dtype=np.int64),
-            pkts_per_msg * calls,
-        )
 
     def add_arrays(
         self,
@@ -221,13 +204,10 @@ class CommMatrixBuilder:
 
     def add_message(self, src: int, dst: int, nbytes: int, calls: int = 1) -> None:
         """Convenience scalar form: ``calls`` messages of ``nbytes`` from src to dst."""
-        group = SendGroup(
-            src=src,
-            dsts=np.array([dst], dtype=np.int64),
-            bytes_per_msg=np.array([nbytes], dtype=np.int64),
-            calls=calls,
-        )
-        self.add_group(group)
+        if calls < 1:
+            raise ValueError("calls must be >= 1")
+        pkts_per_msg = packets_for_bytes(nbytes, self.payload)
+        self.add_arrays([src], [dst], [nbytes * calls], [calls], [pkts_per_msg * calls])
 
     def compact(self) -> None:
         """Fold pending rows in place, summing duplicate pairs.

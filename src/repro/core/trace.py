@@ -11,9 +11,9 @@ Records have one representation: columnar
 :class:`~repro.core.blocks.EventBlock` arrays, read through
 :meth:`Trace.blocks`.  Synthetic generators and the dumpi loader build
 traces straight from blocks; builders that append
-:class:`~repro.core.events.TraceEvent` objects (:meth:`Trace.add`, the
-per-event reference generator, tests) have them converted to one block on
-first read.  :attr:`Trace.events` is a derived view, materialized lazily
+:class:`~repro.core.events.TraceEvent` objects (:meth:`Trace.add`: the
+repro-dumpi parser, the tests' per-event oracles) have them converted to
+one block on first read.  :attr:`Trace.events` is a derived view, materialized lazily
 from the blocks for code that wants one object per record; every summary
 and every consumer in the library reads the blocks.
 

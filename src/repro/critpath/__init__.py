@@ -13,8 +13,7 @@ Layer map:
 
 - :mod:`repro.critpath.match` — vectorized FIFO send/recv matching per
   (src, dst, comm, tag) channel over columnar EventBlocks, with
-  repeat-compression expansion, collective instance alignment, and a
-  per-event oracle matcher pinned bit-identical.
+  repeat-compression expansion and collective instance alignment.
 - :mod:`repro.critpath.dag` — CSR-encoded happens-before DAG
   (program-order + message edges) with Kahn cycle detection.
 - :mod:`repro.critpath.cost` — the LogGP parameter set and per-edge cost
@@ -52,7 +51,6 @@ from .match import (
     expand_events,
     iter_collective_edges,
     match_events,
-    match_events_oracle,
 )
 
 __all__ = [
@@ -81,6 +79,5 @@ __all__ = [
     "latency_sensitivity",
     "latency_table",
     "match_events",
-    "match_events_oracle",
     "message_edge_hops",
 ]

@@ -6,9 +6,9 @@ receive, in each side's program order.  Over the repeat-expanded event
 stream that is a sort, not a search — both sides are lexsorted by channel
 (stably, so FIFO position within a channel is preserved), after which the
 k-th sorted send pairs with the k-th sorted recv.  The per-event oracle
-(:func:`match_events_oracle`) replays the same rule with per-channel
-queues one event at a time; ``repro bench critpath`` pins the two
-bit-identical on a 1728-rank AMG trace.
+in ``tests/oracles/critpath.py`` replays the same rule with per-channel
+queues one event at a time; ``tests/test_critpath.py`` pins the two
+bit-identical, up to a 1728-rank AMG trace.
 
 Collectives are aligned by *call sequence*: MPI orders collectives on a
 communicator by position alone, so the i-th collective call on a
@@ -49,7 +49,6 @@ __all__ = [
     "expand_events",
     "channel_audit",
     "match_events",
-    "match_events_oracle",
     "iter_collective_edges",
     "expand_collective_batch_phased",
 ]
@@ -445,45 +444,6 @@ def _channel_sort(
             code = ((src * maxes[1] + dst) * maxes[2] + comm) * maxes[3] + tag
             return np.argsort(code, kind="stable")
     return np.lexsort((tag, comm, dst, src))
-
-
-def match_events_oracle(table: EventTable) -> MatchResult:
-    """Per-event reference matcher: one channel queue at a time.
-
-    Walks the expanded event stream one record at a time, appending each
-    send and recv to its channel's queue, then pairs queues positionally in
-    sorted channel order — the textbook statement of the non-overtaking
-    rule.  Kept deliberately scalar as the semantic oracle the vectorized
-    matcher is pinned against (``repro bench critpath`` requires
-    bit-identical pair arrays and a >=5x vectorized speedup).
-    """
-    channels: dict[tuple[int, int, int, int], tuple[list[int], list[int]]] = {}
-    rank, kind, peer = table.rank, table.kind, table.peer
-    comm, tag = table.comm, table.tag
-    for e in range(len(table)):
-        k = kind[e]
-        if k == KIND_P2P_SEND:
-            key = (int(rank[e]), int(peer[e]), int(comm[e]), int(tag[e]))
-            channels.setdefault(key, ([], []))[0].append(e)
-        elif k == KIND_P2P_RECV:
-            key = (int(peer[e]), int(rank[e]), int(comm[e]), int(tag[e]))
-            channels.setdefault(key, ([], []))[1].append(e)
-    sends: list[int] = []
-    recvs: list[int] = []
-    for key in sorted(channels):
-        s, r = channels[key]
-        if len(s) != len(r):
-            src, dst, c, t = key
-            raise MatchError(
-                f"unmatched point-to-point traffic on 1 channel(s): "
-                f"(src={src}, dst={dst}, comm={table.comm_names[c]!r}, "
-                f"tag={t}): {len(s)} send(s) vs {len(r)} recv(s)"
-            )
-        sends.extend(s)
-        recvs.extend(r)
-    send_event = np.array(sends, dtype=np.int64)
-    recv_event = np.array(recvs, dtype=np.int64)
-    return MatchResult(send_event, recv_event, table.nbytes[send_event])
 
 
 # ------------------------------------------------------- collective instances

@@ -74,16 +74,6 @@ class CellScheduler:
         self._load[wid] += 1
         return wid
 
-    def requeue(self, worker_id: int, token: str, key: str) -> int:
-        """Re-assign an orphaned cell after its worker slot was respawned.
-
-        The slot survives a worker death (same queues, fresh process), and
-        its sticky tokens are still the right destination — the respawned
-        process re-warms from the disk tier exactly once per token.  The
-        dead worker's charged load was already released by the caller.
-        """
-        return self.assign(token, key)
-
     def release(self, worker_id: int) -> None:
         """One outstanding cell of the slot finished (or was orphaned)."""
         if worker_id in self._load and self._load[worker_id] > 0:

@@ -365,10 +365,11 @@ class SweepService:
             entry = self._inflight.get(key)
             if entry is None:
                 continue  # result landed just before the pipe broke
+            # The slot survives the death (same queues, fresh process)
+            # and its sticky tokens still point at it, so the respawned
+            # process re-warms from the disk tier once per token.
             self.scheduler.release(entry.worker_id)
-            entry.worker_id = self.scheduler.requeue(
-                handle.id, entry.token, key
-            )
+            entry.worker_id = self.scheduler.assign(entry.token, key)
             self.pool.submit(entry.worker_id, key, task)
 
     def _handles_current(self, handle: WorkerHandle) -> bool:

@@ -1,9 +1,9 @@
 """Cross-layer validation: invariant checker and differential fuzz harness.
 
-The pipeline keeps four interchangeable implementations of almost every
-stage (per-event vs columnar traces, reference vs batched simulators, five
-routing policies, cached vs cold paths).  This package makes their
-correctness an always-on artifact instead of a test-time hope:
+The pipeline keeps interchangeable implementations of several stages
+(reference vs batched simulators, five routing policies, five collective
+engines, cached vs cold paths).  This package makes their correctness an
+always-on artifact instead of a test-time hope:
 
 - :mod:`.base` / :mod:`.invariants` — a registry of cheap conservation
   checks runnable on any pipeline artifact (byte, hop, packet, and busy-
@@ -11,8 +11,8 @@ correctness an always-on artifact instead of a test-time hope:
 - :mod:`.suite` — runs the catalogue over the study grid
   (``repro check``);
 - :mod:`.fuzz` / :mod:`.shrink` — seeded differential fuzzing across
-  every implementation pair, with minimal-reproducer shrinking
-  (``repro fuzz``).
+  the two shipped implementation pairs (simulation engines, cache tiers),
+  with minimal-reproducer shrinking (``repro fuzz``).
 
 See ``docs/validation.md`` for the catalogue with references.
 """

@@ -1,19 +1,18 @@
-"""Differential fuzz harness: seeded random scenarios, four-way diffed.
+"""Differential fuzz harness: seeded random scenarios, diffed pairwise.
 
 Every seed draws one :class:`FuzzCase` — a (workload, topology, mapping,
 routing) configuration from the small end of the study grid — and drives it
-through each pair of interchangeable implementations the repo maintains:
+through each pair of interchangeable implementations the package ships:
 
-- **trace front-ends**: columnar (EventBlock) vs per-event generation must
-  be bit-identical, and the columnar matrix must equal one rebuilt from
-  the per-event trace through the independent per-event expansion
-  (``iter_send_groups`` feeding ``CommMatrixBuilder.add_group``);
 - **simulation engines**: batched NumPy kernel vs reference heap loop must
   agree on every observable and produce bitwise-equal telemetry;
 - **cache tiers**: a cold compute vs a disk-cache reload must return the
   identical artifact;
 
-and then runs the full invariant catalogue on the resulting context.  Any
+and then runs the full invariant catalogue on the resulting context.  (The
+trace front-end has one implementation in the package; its per-event
+oracle lives in the test tree, and ``tests/test_columnar_equivalence.py``
+diffs the two on every case of :data:`CI_SEEDS`.)  Any
 difference or invariant error is a *discrepancy*; the harness reports it
 together with a shrunken minimal reproducer (:mod:`.shrink`).
 
@@ -30,17 +29,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..apps.registry import get_app, iter_configurations
-from ..collectives.translate import iter_send_groups
-from ..comm.matrix import CommMatrixBuilder, matrix_from_trace
 from ..mapping.base import Mapping
 from ..routing import ROUTINGS
 from ..telemetry import TelemetryConfig, reports_equal
 from .base import run_invariants
-from .invariants import (
-    incidences_identical,
-    matrices_identical,
-    traces_identical,
-)
+from .invariants import incidences_identical, traces_identical
 from .suite import (
     TOPOLOGY_KINDS,
     attach_simulation,
@@ -200,24 +193,7 @@ def run_case(
     outcome = FuzzOutcome(case=case)
     app = get_app(case.app)
 
-    # Trace front-ends: columnar vs per-event must match bit for bit.
-    trace = app.generate(
-        case.ranks, variant=case.variant, seed=case.trace_seed, columnar=True
-    )
-    legacy = app.generate(
-        case.ranks, variant=case.variant, seed=case.trace_seed, columnar=False
-    )
-    if not traces_identical(trace, legacy):
-        outcome.discrepancies.append(
-            "columnar and per-event trace generation differ"
-        )
-    per_event = CommMatrixBuilder(legacy.meta.num_ranks)
-    for classified in iter_send_groups(legacy):
-        per_event.add_group(classified.group)
-    if not matrices_identical(matrix_from_trace(trace), per_event.finalize()):
-        outcome.discrepancies.append(
-            "columnar matrix differs from the per-event expansion"
-        )
+    trace = app.generate(case.ranks, variant=case.variant, seed=case.trace_seed)
 
     topology = build_topology(case.topology, case.ranks)
     if case.mapping == "random":

@@ -1,11 +1,14 @@
-"""Critical-path oracles: the per-frontier level schedule and a per-node DP.
+"""Critical-path oracles: a per-event matcher, the per-frontier level
+schedule and a per-node DP.
 
-:func:`frontier_level_schedule` is the level schedule as it was built
-before the flat layout: one NumPy round per Kahn frontier (``np.unique``
-over the frontier's out-edges plus two CSR span gathers), returning four
-per-level lists.  :func:`longest_path_reference` is the longest-path DP
-written node by node in plain Python floats, with the L-count tie-break
-spelled out as a comparison.
+:func:`match_events_oracle` is FIFO matching written as per-channel
+queues filled one event at a time.  :func:`frontier_level_schedule` is the
+level schedule as it was built before the flat layout: one NumPy round per
+Kahn frontier (``np.unique`` over the frontier's out-edges plus two CSR
+span gathers), returning four per-level lists.
+:func:`longest_path_reference` is the longest-path DP written node by node
+in plain Python floats, with the L-count tie-break spelled out as a
+comparison.
 """
 
 from __future__ import annotations
@@ -14,7 +17,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.blocks import KIND_P2P_RECV, KIND_P2P_SEND
 from repro.critpath.dag import CycleError, HappensBeforeDag
+from repro.critpath.match import EventTable, MatchError, MatchResult
+
+
+def match_events_oracle(table: EventTable) -> MatchResult:
+    """Per-event reference matcher: one channel queue at a time.
+
+    Walks the expanded event stream one record at a time, appending each
+    send and recv to its channel's queue, then pairs queues positionally in
+    sorted channel order — the textbook statement of the non-overtaking
+    rule.  Kept deliberately scalar as the semantic oracle the vectorized
+    matcher is pinned against (``tests/test_critpath.py`` requires
+    bit-identical pair arrays; ``benchmarks/test_oracle_speedup.py`` a
+    >=5x vectorized speedup).
+    """
+    channels: dict[tuple[int, int, int, int], tuple[list[int], list[int]]] = {}
+    rank, kind, peer = table.rank, table.kind, table.peer
+    comm, tag = table.comm, table.tag
+    for e in range(len(table)):
+        k = kind[e]
+        if k == KIND_P2P_SEND:
+            key = (int(rank[e]), int(peer[e]), int(comm[e]), int(tag[e]))
+            channels.setdefault(key, ([], []))[0].append(e)
+        elif k == KIND_P2P_RECV:
+            key = (int(peer[e]), int(rank[e]), int(comm[e]), int(tag[e]))
+            channels.setdefault(key, ([], []))[1].append(e)
+    sends: list[int] = []
+    recvs: list[int] = []
+    for key in sorted(channels):
+        s, r = channels[key]
+        if len(s) != len(r):
+            src, dst, c, t = key
+            raise MatchError(
+                f"unmatched point-to-point traffic on 1 channel(s): "
+                f"(src={src}, dst={dst}, comm={table.comm_names[c]!r}, "
+                f"tag={t}): {len(s)} send(s) vs {len(r)} recv(s)"
+            )
+        sends.extend(s)
+        recvs.extend(r)
+    send_event = np.array(sends, dtype=np.int64)
+    recv_event = np.array(recvs, dtype=np.int64)
+    return MatchResult(send_event, recv_event, table.nbytes[send_event])
 
 
 @dataclass

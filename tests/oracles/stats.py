@@ -1,16 +1,18 @@
 """Per-event Table-1 statistics: the reference for ``trace_stats``.
 
 Walks ``trace.events`` and expands every record through the per-event
-``iter_send_groups`` path, so it shares no code with the block-based
-:func:`repro.comm.stats.trace_stats` beyond the collective engines'
-per-event ``expand``.
+:func:`oracles.collectives.iter_send_groups`, so it shares no code with the
+block-based :func:`repro.comm.stats.trace_stats` beyond the collective
+schedules both expansions read.
 """
 
 from __future__ import annotations
 
-from repro.collectives.translate import TrafficClass, iter_send_groups
+from repro.collectives.translate import TrafficClass
 from repro.comm.stats import TraceStats
 from repro.core.events import CollectiveEvent
+
+from .collectives import iter_send_groups
 
 
 def trace_stats_per_event(trace) -> TraceStats:

@@ -82,15 +82,13 @@ class TestExitStatus:
     def test_failing_perf_only_gate_exits_0(self, monkeypatch, tmp_path):
         record = _committed("critpath")
         del record["gates"]
-        record["summary"]["match_speedup"] = 1.0
+        record["matcher"]["events"] = 1
         bench = dataclasses.replace(BENCHES["critpath"], run=lambda: record)
         monkeypatch.setitem(BENCHES, "critpath", bench)
         out = tmp_path / "bench.json"
         assert main(["bench", "critpath", "--out", str(out)]) == 0
         rows = json.loads(out.read_text())["gates"]
-        assert [r["label"] for r in rows if not r["ok"]] == [
-            "matcher speedup vs oracle"
-        ]
+        assert [r["label"] for r in rows if not r["ok"]] == ["matcher events"]
 
 
 class TestGate:

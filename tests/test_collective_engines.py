@@ -10,6 +10,8 @@ sizes with counts that do not divide evenly.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from repro.core.events import CollectiveEvent, CollectiveOp
 from repro.validation import REGISTRY
 from repro.validation.invariants import matrices_identical
 
-from oracles.collectives import expand_collective_tree
+from oracles.collectives import expand_collective_tree, expand_event
 
 ENGINES = COLLECTIVES
 TREE_ENGINES = tuple(a for a in COLLECTIVES if a != "flat")
@@ -59,7 +61,7 @@ def net_flows(algo, op, n, count=COUNT, root=0, counts=None):
     for caller in range(n):
         c = count if counts is None else counts[caller]
         ev = CollectiveEvent(caller=caller, op=op, count=c, root=root)
-        for g in engine.expand(ev, comm, 1):
+        for g in expand_event(engine, ev, comm, 1):
             for dst, size in zip(g.dsts, g.bytes_per_msg):
                 if int(dst) == g.src:
                     continue
@@ -119,7 +121,7 @@ class TestRootValidation:
             caller=0, op=CollectiveOp.BCAST, count=COUNT, root=bad_root
         )
         with pytest.raises(ValueError) as err:
-            engine.expand(ev, comm, 1)
+            expand_event(engine, ev, comm, 1)
         message = str(err.value)
         assert str(bad_root) in message
         assert "MPI_Bcast" in message
@@ -150,10 +152,16 @@ class TestRootValidation:
     @pytest.mark.parametrize("algo", ENGINES)
     def test_unrooted_ops_ignore_root_field(self, algo):
         comm = Communicator.world(8)
-        ev = CollectiveEvent(
-            caller=0, op=CollectiveOp.ALLREDUCE, count=COUNT, root=99
+        n = comm.size
+        batches = get_algorithm(algo).expand_batch(
+            CollectiveOp.ALLREDUCE,
+            comm,
+            np.arange(n, dtype=np.int64),
+            np.full(n, COUNT, dtype=np.int64),
+            np.full(n, 99, dtype=np.int64),
+            np.ones(n, dtype=np.int64),
         )
-        assert get_algorithm(algo).expand(ev, comm, 1) is not None
+        assert batches
 
 
 # --------------------------------------------------- byte conservation
@@ -244,6 +252,9 @@ class TestScattervRegressions:
 
 
 # ------------------------------------------------ batch/per-event parity
+#
+# The per-event side is ``tests/oracles/collectives.py``: each engine's
+# schedule read one caller record at a time, flat where it has none.
 
 
 def batch_multiset(engine, op, n, count=COUNT, root=0):
@@ -284,7 +295,7 @@ class TestBatchParity:
     def test_batch_equals_per_event_multiset(self, algo, op, n):
         engine = get_algorithm(algo)
         assert batch_multiset(engine, op, n) == per_event_multiset(
-            engine.expand, op, n
+            functools.partial(expand_event, engine), op, n
         )
 
 

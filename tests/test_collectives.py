@@ -1,19 +1,21 @@
-"""Tests for the flat collective-to-p2p expansion (paper §4.4 conventions)."""
+"""Tests for the flat collective-to-p2p expansion (paper §4.4 conventions).
+
+The conventions are spelled out on the per-event expansion in
+``tests/oracles/collectives.py``; ``tests/test_collective_engines.py`` pins
+every engine's batch path to it message for message.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.collectives.patterns import SendGroup, even_split, expand_collective
-from repro.collectives.translate import (
-    TrafficClass,
-    collective_volume,
-    iter_send_groups,
-)
+from repro.collectives.patterns import even_split
+from repro.collectives.translate import TrafficClass, collective_volume
 from repro.core.communicator import Communicator
 from repro.core.events import CollectiveEvent, CollectiveOp, P2PEvent
 
 from helpers import make_trace
+from oracles.collectives import SendGroup, expand_collective, iter_send_groups
 
 N = 8
 

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.collectives.patterns import expand_collective
 from repro.core.communicator import Communicator
 from repro.core.events import CollectiveEvent, CollectiveOp
 
-from oracles.collectives import expand_collective_tree
+from oracles.collectives import expand_collective, expand_collective_tree
 
 
 def union(op, n, count=100, root=0):

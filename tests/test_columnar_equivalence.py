@@ -1,14 +1,16 @@
-"""The columnar front-end is bit-identical to the legacy per-event path.
+"""The columnar front-end is bit-identical to the per-event reference.
 
-Every registered application is generated twice — ``columnar=True`` (native
-EventBlock arrays) and ``columnar=False`` (the original per-event loop) — at
-its two smallest calibrated scales, and every downstream artifact is compared
-exactly: event streams, traffic matrices (both collective settings), the §5
-MPI-level metrics, Table-1 statistics, and optimized mappings.  Every
-consumer reads blocks, so the reference artifacts are rebuilt from the
-per-event trace through independent per-event code: matrices through
-``iter_send_groups`` → ``CommMatrixBuilder.add_group`` and Table-1 rows
-through ``tests/oracles/stats.py``.  The vectorized mapping kernels are
+Every registered application is generated twice — by ``generate`` (native
+EventBlock arrays) and by the per-event emitter in ``tests/oracles/apps.py``
+— at its two smallest calibrated scales, and every downstream artifact is
+compared exactly: event streams, traffic matrices (both collective
+settings), the §5 MPI-level metrics, Table-1 statistics, and optimized
+mappings.  Every consumer reads blocks, so the reference artifacts are
+rebuilt from the per-event trace through independent per-event code:
+matrices through ``iter_send_groups`` → ``add_group``
+(``tests/oracles/collectives.py``) and Table-1 rows through
+``tests/oracles/stats.py``.  The same two diffs run on every case of the
+differential fuzz harness's CI seed set.  The vectorized mapping kernels are
 additionally pinned against their reference implementations on the same
 matrices, and greedy mappings through the slot path against the reference
 ordering placed by ``tests/oracles/mapping.py``.
@@ -27,7 +29,6 @@ from repro.collectives.translate import (
     TrafficClass,
     collective_volume,
     iter_send_batches,
-    iter_send_groups,
 )
 from repro.comm.matrix import CommMatrixBuilder, matrix_from_trace
 from repro.comm.stats import trace_stats
@@ -43,8 +44,11 @@ from repro.metrics.peers import peers_per_rank
 from repro.metrics.selectivity import per_rank_selectivity
 from repro.topology.fattree import FatTree
 from repro.topology.torus import Torus3D
+from repro.validation.fuzz import CI_SEEDS, draw_case
+from repro.validation.invariants import matrices_identical, traces_identical
 
-from oracles.apps import biased_scattered_reference
+from oracles.apps import biased_scattered_reference, emit_events
+from oracles.collectives import add_group, iter_send_groups
 from oracles.mapping import (
     greedy_ordering_reference,
     place_ordering,
@@ -69,21 +73,26 @@ SMALLEST = [(name, get_app(name).scales()[0]) for name in app_names()]
 @lru_cache(maxsize=None)
 def _pair(name: str, ranks: int, emit_receives: bool = False):
     app = get_app(name)
-    legacy = app.generate(ranks, emit_receives=emit_receives, columnar=False)
-    columnar = app.generate(ranks, emit_receives=emit_receives, columnar=True)
+    legacy = emit_events(app, ranks, emit_receives=emit_receives)
+    columnar = app.generate(ranks, emit_receives=emit_receives)
     return legacy, columnar
+
+
+def _rebuilt_matrix(trace, include_collectives: bool = True):
+    """``trace``'s matrix through the per-event expansion."""
+    builder = CommMatrixBuilder(trace.meta.num_ranks)
+    for classified in iter_send_groups(
+        trace, include_collectives=include_collectives
+    ):
+        add_group(builder, classified.group)
+    return builder.finalize()
 
 
 @lru_cache(maxsize=None)
 def _per_event_matrix(name: str, ranks: int, include_collectives: bool = True):
-    """The legacy trace's matrix through the per-event expansion."""
+    """The per-event trace's matrix through the per-event expansion."""
     legacy, _ = _pair(name, ranks)
-    builder = CommMatrixBuilder(legacy.meta.num_ranks)
-    for classified in iter_send_groups(
-        legacy, include_collectives=include_collectives
-    ):
-        builder.add_group(classified.group)
-    return builder.finalize()
+    return _rebuilt_matrix(legacy, include_collectives)
 
 
 def _assert_matrices_identical(a, b):
@@ -104,6 +113,22 @@ class TestGeneratorEquivalence:
         ranks = get_app(name).scales()[0]
         legacy, columnar = _pair(name, ranks, emit_receives=True)
         assert columnar.events == legacy.events
+
+
+class TestFuzzFrontEnds:
+    """The trace front-end diffs of every ``repro fuzz`` CI case."""
+
+    @pytest.mark.parametrize("seed", CI_SEEDS)
+    def test_generate_and_matrix_match_per_event(self, seed):
+        case = draw_case(seed)
+        app = get_app(case.app)
+        kwargs = dict(variant=case.variant, seed=case.trace_seed)
+        trace = app.generate(case.ranks, **kwargs)
+        legacy = emit_events(app, case.ranks, **kwargs)
+        assert traces_identical(trace, legacy), case.describe()
+        assert matrices_identical(
+            matrix_from_trace(trace), _rebuilt_matrix(legacy)
+        ), case.describe()
 
 
 class TestMatrixEquivalence:

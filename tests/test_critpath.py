@@ -29,11 +29,11 @@ from repro.critpath import (
     latency_sensitivity,
     latency_table,
     match_events,
-    match_events_oracle,
 )
 from repro.analysis.tables import render_latency_table
 
 from helpers import make_trace
+from oracles.critpath import match_events_oracle
 
 
 def _recv(caller, peer, count, **kw):
@@ -121,11 +121,21 @@ class TestMatching:
             match_events_oracle(expand_events(trace))
 
     @pytest.mark.parametrize(
-        "app,ranks", [("AMG", 8), ("LULESH", 64), ("BigFFT", 9)]
+        "app,ranks,max_repeat",
+        [
+            pytest.param("AMG", 8, 8, id="AMG-8"),
+            pytest.param("LULESH", 64, 8, id="LULESH-64"),
+            pytest.param("BigFFT", 9, 8, id="BigFFT-9"),
+            # exact expansion, ~5M events: the workload `repro bench
+            # critpath` times the matcher on
+            pytest.param("AMG", 1728, None, id="AMG-1728"),
+        ],
     )
-    def test_vectorized_matches_oracle_bit_identically(self, app, ranks):
+    def test_vectorized_matches_oracle_bit_identically(
+        self, app, ranks, max_repeat
+    ):
         trace = ensure_receives(generate_trace(app, ranks))
-        table = expand_events(trace, 8)
+        table = expand_events(trace, max_repeat)
         vec = match_events(table)
         orc = match_events_oracle(table)
         assert np.array_equal(vec.send_event, orc.send_event)
@@ -373,7 +383,7 @@ class TestIntegration:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        for name in ("critpath", "pipeline", "tenancy"):
+        for name in ("collectives", "critpath", "tenancy"):
             assert name in err
 
     def test_cli_table_exact_expansion(self, capsys):

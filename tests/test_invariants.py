@@ -62,7 +62,7 @@ EXPECTED_INVARIANTS = {
 @pytest.fixture(scope="module")
 def small_ctx():
     """AMG@8 on a torus under minimal routing, with a bounded simulation."""
-    trace = get_app("AMG").generate(8, columnar=True)
+    trace = get_app("AMG").generate(8)
     ctx = build_static_context(trace, Torus3D((2, 2, 2)), routing="minimal")
     return attach_simulation(ctx, target_packets=4000, windows=6)
 

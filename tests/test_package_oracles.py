@@ -18,8 +18,6 @@ ALLOWED = {
     # `repro simulate --engine reference`, and `engine="auto"` (simulate,
     # sweep, telemetry) sends sparse traffic to this per-event loop.
     "run_reference",
-    # `repro bench critpath`: the enforced gate "matcher edges == oracle edges".
-    "match_events_oracle",
 }
 
 #: Top-level names under which the test tree is importable.

@@ -303,6 +303,20 @@ class TestScheduler:
         sched.release(0)
         assert sched.assign("c", "k3") == 0
 
+    def test_orphaned_cell_returns_to_its_respawned_sticky_slot(self):
+        """The server's respawn path: release the dead slot's charge,
+        re-add the slot, assign the orphan again."""
+        sched = CellScheduler("affinity")
+        sched.add_worker(0)
+        sched.add_worker(1)
+        assert [sched.assign("a", k) for k in ("k1", "k2", "k3")] == [0, 0, 0]
+        assert sched.assign("b", "k4") == 1
+        sched.release(0)  # slot 0 died with k1 in flight
+        sched.add_worker(0)  # respawned: same slot, load kept
+        assert sched.load() == {0: 2, 1: 1}
+        assert sched.assign("a", "k1") == 0  # sticky, not least-loaded
+        assert sched.load() == {0: 3, 1: 1}
+
     def test_random_mode_is_stable_by_key_and_ignores_tokens(self):
         sched = CellScheduler("random")
         for wid in range(4):
