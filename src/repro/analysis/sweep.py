@@ -218,7 +218,11 @@ class SweepSpec:
         help="comma-separated collective-algorithm engines "
         f"({', '.join(COLLECTIVES)}; flat is the paper's expansion)",
     )
-    bandwidths: tuple[float, ...] = axis((BANDWIDTH_BYTES_PER_S,), _positive)
+    bandwidths: tuple[float, ...] = axis(
+        (BANDWIDTH_BYTES_PER_S,), _positive, flag="--bandwidths", parse=float,
+        help="comma-separated link bandwidths in bytes/s, one record each "
+        "(default: the paper's 12e9)",
+    )
     include_collectives: bool = axis(True, _bool)
     seed: int = axis(
         0, _int(0), flag="--seed", parse=int,
@@ -235,7 +239,9 @@ class SweepSpec:
     )
     sim_volume_scale: float = axis(
         1.0, _float(lambda v: 1.0 <= v < math.inf, ">= 1 and finite"),
-        gate="telemetry",
+        gate="telemetry", flag="--sim-volume-scale", parse=float,
+        help="with --telemetry: simulate 1/k of the volume at 1/k "
+        "bandwidth (for big traces)",
     )
     critpath: bool = axis(
         False, _bool, flag="--critpath",
@@ -321,16 +327,7 @@ def unique_points(spec: SweepSpec) -> tuple[list[tuple], int]:
 
 def _build_mapping(method: str, matrix, topology, seed: int) -> Mapping:
     if method == "random":
-        mapping = Mapping.random(
-            matrix.num_ranks, topology.num_nodes, seed=seed
-        )
-        # Seed-deterministic, so it can carry provenance like cached ones.
-        object.__setattr__(
-            mapping,
-            "_repro_cache_key",
-            ("mapping-random", matrix.num_ranks, topology.num_nodes, seed),
-        )
-        return mapping
+        return Mapping.random(matrix.num_ranks, topology.num_nodes, seed=seed)
     return cached_mapping(matrix, topology, method=method, seed=seed)
 
 

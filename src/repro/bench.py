@@ -31,7 +31,7 @@ import hashlib
 import json
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -324,8 +324,6 @@ def _dragonfly_setup(
 def _results_identical(a, b) -> bool:
     """Every field of two simulation results equal bit for bit, arrays and
     telemetry reports included."""
-    from dataclasses import fields
-
     from .telemetry import reports_equal
 
     for f in fields(a):
@@ -339,6 +337,22 @@ def _results_identical(a, b) -> bool:
         if not same:
             return False
     return True
+
+
+def _bits(value: Any) -> Any:
+    """A comparable form of a result that keeps every float bit: dataclasses
+    by field, floats as ``float.hex`` (so equal NaNs compare equal)."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return (type(value).__name__,) + tuple(
+            _bits(getattr(value, f.name)) for f in fields(value)
+        )
+    if isinstance(value, dict):
+        return tuple((key, _bits(item)) for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(item) for item in value)
+    if isinstance(value, float):
+        return value.hex()
+    return value
 
 
 def _sim_group_setups() -> list:
@@ -367,7 +381,8 @@ def run_sim_bench(repeats: int = 5) -> dict[str, Any]:
     per-event reference loop on the ~500k-packet Dragonfly(8,4,4)
     simulation (packet-hop throughput).  ``table3_cache``: a full Table-3
     reproduction cold and then warm through the content-keyed cache (the
-    incidence region is sized so the 41-config x 3-topology grid fits).
+    incidence region is sized so the 41-config x 3-topology grid fits);
+    the warm rows must equal the cold ones bit for bit (:func:`_bits`).
     ``groups``: the nine AMG@216 ``sim_telemetry`` cells with telemetry,
     run as :func:`repro.analysis.sweep.run_sweep` groups them (one
     :func:`~repro.sim.engine.run_group` per
@@ -411,8 +426,7 @@ def run_sim_bench(repeats: int = 5) -> dict[str, Any]:
         cache.clear()
     table3_cache = {
         "rows": len(cold_rows),
-        "warm_rows_identical": [r.label for r in warm_rows]
-        == [r.label for r in cold_rows],
+        "warm_rows_identical": _bits(warm_rows) == _bits(cold_rows),
         "cold_s": round(cold_s, 3),
         "warm_s": round(warm_s, 3),
         "speedup": round(cold_s / warm_s, 2),

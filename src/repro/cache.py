@@ -41,7 +41,10 @@ In-memory regions (``stats()``, ``memory()``, ``clear()`` and
 - ``critpath`` — happens-before DAGs with their level schedules
   (:func:`cached_critpath_dag`), bounded by bytes as well as entries;
 - ``critpath_result`` — the small frozen results of whole critical-path
-  analyses (:func:`cached_critpath_result`), looked up before any DAG.
+  analyses (:func:`cached_critpath_result`), looked up before any DAG;
+- ``model`` — the bandwidth-free static-model results
+  (:func:`cached_network_analysis`, keyed by :func:`model_key`), looked
+  up before any node-pair aggregate or route summary.
 
 Two tiers: a per-process in-memory LRU (always on) and an optional on-disk
 cache enabled with :func:`configure` or the ``REPRO_CACHE_DIR`` environment
@@ -72,7 +75,7 @@ import os
 import pickle
 import tempfile
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -95,6 +98,8 @@ __all__ = [
     "cached_route_summary",
     "cached_critpath_dag",
     "cached_critpath_result",
+    "cached_network_analysis",
+    "model_key",
     "trace_content_key",
     "matrix_content_key",
     "array_digest",
@@ -130,7 +135,10 @@ __all__ = [
 #: v10: the spectral mapping's eigensolver starts from a fixed vector (it
 #: started from a random one, so a spectral slot entry was one draw among
 #: several orderings); no random-start slot entry is read back.
-CACHE_VERSION = 10
+#: v11: ``Mesh3D`` has its own fingerprint (it inherited the torus's, so a
+#: mesh's route incidences and summaries were stored under torus keys); no
+#: v10 route entry is read back.
+CACHE_VERSION = 11
 
 
 @dataclass
@@ -293,6 +301,7 @@ _DEFAULT_SIZES = {
     "digests": 1024,
     "critpath": 1024,
     "critpath_result": 4096,
+    "model": 4096,
 }
 #: Byte bounds of regions whose entries vary by orders of magnitude in
 #: size.  Happens-before DAGs range from kilobytes to ~0.7 GB (BigFFT@1024,
@@ -701,13 +710,8 @@ def cached_mapping(matrix, topology, method: str = "greedy", seed: int = 0):
     from .mapping.optimized import optimize_mapping, place_slots
 
     if method == "consecutive":
-        value = optimize_mapping(matrix, topology, method=method, seed=seed)
-        # Deterministic by construction — provenance needs no digest.
-        _set_provenance(
-            value,
-            ("mapping-consecutive", matrix.num_ranks, topology.num_nodes),
-        )
-        return value
+        # Carries its own provenance (Mapping.consecutive declares it).
+        return optimize_mapping(matrix, topology, method=method, seed=seed)
     fingerprint = topology.fingerprint()
     if fingerprint is None:
         with timings.stage("mapping"):
@@ -888,6 +892,59 @@ def cached_critpath_result(
     value = region.get(key)
     if value is not _MISS:
         return value
+    value = compute()
+    region.put(key, value)
+    return value
+
+
+def model_key(
+    matrix, mapping, topology, policy, volume_mode: str, payload: int
+) -> tuple | None:
+    """The ``model`` region's key of one static-model query, or ``None``.
+
+    Every input that decides a :class:`~repro.model.engine.NetworkAnalysis`
+    apart from ``execution_time`` and ``bandwidth`` (which only enter
+    Eq. 5's denominator): the matrix's and the mapping's provenance, the
+    topology's class and ``fingerprint()``, the routing ``policy``'s
+    ``cache_token()`` (name, seed of randomized policies, victim loads of
+    ``interference_aware``) and ``volume_mode``, plus ``payload`` when
+    the mode is ``"padded"`` (raw volumes never read it).  ``None`` — the
+    query bypasses the region — when the matrix or mapping has no
+    provenance or the topology no fingerprint.
+    """
+    matrix_key = getattr(matrix, "_repro_cache_key", None)
+    mapping_key = getattr(mapping, "_repro_cache_key", None)
+    fingerprint = topology.fingerprint()
+    if matrix_key is None or mapping_key is None or fingerprint is None:
+        return None
+    return (
+        "model",
+        matrix_key,
+        mapping_key,
+        type(topology).__name__,
+        fingerprint,
+        policy.cache_token(),
+        volume_mode,
+        payload if volume_mode == "padded" else None,
+    )
+
+
+def cached_network_analysis(
+    compute, key: tuple | None, execution_time: float, bandwidth: float
+):
+    """Memoized static-model result: ``compute()`` under :func:`model_key`.
+
+    The region holds each query's result as first computed; a hit is that
+    result with this call's ``execution_time`` and ``bandwidth``, so a
+    sweep's extra bandwidths and every warm Table-3 row cost one lookup.
+    Memory-only: the entries hold no arrays.  ``key=None`` bypasses it.
+    """
+    if key is None:
+        return compute()
+    region = _regions["model"]
+    value = region.get(key)
+    if value is not _MISS:
+        return replace(value, execution_time=execution_time, bandwidth=bandwidth)
     value = compute()
     region.put(key, value)
     return value

@@ -46,7 +46,11 @@ class Mapping:
     def consecutive(
         num_ranks: int, num_nodes: int, ranks_per_node: int = 1
     ) -> "Mapping":
-        """Paper-style consecutive mapping: rank r -> node r // ranks_per_node."""
+        """Paper-style consecutive mapping: rank r -> node r // ranks_per_node.
+
+        Deterministic in its arguments, so it carries them as its
+        provenance key (``_repro_cache_key``, see :mod:`repro.cache`).
+        """
         if ranks_per_node < 1:
             raise ValueError("ranks_per_node must be >= 1")
         nodes = np.arange(num_ranks, dtype=np.int64) // ranks_per_node
@@ -56,7 +60,9 @@ class Mapping:
                 f"{num_ranks} ranks at {ranks_per_node}/node need {needed} nodes, "
                 f"topology has {num_nodes}"
             )
-        return Mapping(nodes, num_nodes)
+        return Mapping(nodes, num_nodes)._keyed(
+            ("mapping-consecutive", num_ranks, num_nodes, ranks_per_node)
+        )
 
     @staticmethod
     def from_permutation(
@@ -82,11 +88,20 @@ class Mapping:
         ranks_per_node: int = 1,
         seed: int = 0,
     ) -> "Mapping":
-        """Random placement baseline: a shuffled consecutive mapping."""
+        """Random placement baseline: a shuffled consecutive mapping.
+
+        Seed-deterministic, so it carries its arguments as its provenance
+        key like :meth:`consecutive`.
+        """
         rng = np.random.default_rng(seed)
         return Mapping.from_permutation(
             rng.permutation(num_ranks), num_nodes, ranks_per_node
-        )
+        )._keyed(("mapping-random", num_ranks, num_nodes, ranks_per_node, seed))
+
+    def _keyed(self, key: tuple) -> "Mapping":
+        # Frozen dataclass: provenance rides outside the fields.
+        object.__setattr__(self, "_repro_cache_key", key)
+        return self
 
     # -- queries ------------------------------------------------------------
 

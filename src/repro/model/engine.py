@@ -27,11 +27,17 @@ bandwidth assumed per message — identical to the paper's methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .. import timings
-from ..cache import cached_node_pairs, cached_route_summary
+from ..cache import (
+    cached_network_analysis,
+    cached_node_pairs,
+    cached_route_summary,
+    model_key,
+)
 
 # Not called here: perfbench's traced run wraps this module's binding by
 # name, and fails if it is missing.
@@ -39,7 +45,7 @@ from ..cache import cached_route_incidence  # noqa: F401
 from ..comm.matrix import CommMatrix
 from ..core.packets import MAX_PAYLOAD_BYTES
 from ..mapping.base import Mapping
-from ..routing import get_policy
+from ..routing import RoutingPolicy, get_policy
 from ..topology.base import Topology
 
 __all__ = ["BANDWIDTH_BYTES_PER_S", "NetworkAnalysis", "analyze_network"]
@@ -90,11 +96,18 @@ def _node_pair_aggregate(
     unique node pairs (self-pairs included; they carry the zero-hop packets).
     When the node-pair keys are already strictly increasing (the consecutive
     one-rank-per-node mapping of a sorted matrix), every pair is its own run
-    and the matrix's own ``nbytes``/``packets`` arrays are returned: callers
-    must not write into the result.
+    and the matrix's own ``nbytes``/``packets`` arrays are returned — and
+    its own ``src``/``dst`` too when the mapping is the identity on the
+    matrix's ranks, so a cached aggregate holds no array of its own:
+    callers must not write into the result.
     """
-    src_nodes = mapping.node_of(matrix.src)
-    dst_nodes = mapping.node_of(matrix.dst)
+    n = matrix.num_ranks
+    nodes = mapping.nodes
+    if len(nodes) >= n and np.array_equal(nodes[:n], np.arange(n)):
+        src_nodes, dst_nodes = matrix.src, matrix.dst
+    else:
+        src_nodes = mapping.node_of(matrix.src)
+        dst_nodes = mapping.node_of(matrix.dst)
     key = src_nodes * np.int64(mapping.num_nodes) + dst_nodes
     if not len(key):
         empty = np.zeros(0, dtype=np.int64)
@@ -152,6 +165,11 @@ def analyze_network(
         The default ``"minimal"`` reproduces the paper's deterministic
         shortest-path numbers exactly; non-minimal policies change hop
         counts, used links, and the dragonfly global-link share.
+
+    Everything but Eq. 5's denominator is independent of ``execution_time``
+    and ``bandwidth``, so a repeated query is answered from the ``model``
+    region of :mod:`repro.cache` (:func:`repro.cache.model_key`) with
+    only those two fields replaced.
     """
     if volume_mode not in ("padded", "raw"):
         raise ValueError(f"volume_mode must be 'padded' or 'raw', got {volume_mode!r}")
@@ -166,6 +184,29 @@ def analyze_network(
         )
 
     policy = get_policy(routing, seed=routing_seed)
+    key = model_key(matrix, mapping, topology, policy, volume_mode, payload)
+    return cached_network_analysis(
+        partial(
+            _analyze, matrix, topology, mapping, policy, execution_time,
+            bandwidth, volume_mode, payload,
+        ),
+        key,
+        execution_time,
+        bandwidth,
+    )
+
+
+def _analyze(
+    matrix: CommMatrix,
+    topology: Topology,
+    mapping: Mapping,
+    policy: RoutingPolicy,
+    execution_time: float,
+    bandwidth: float,
+    volume_mode: str,
+    payload: int,
+) -> NetworkAnalysis:
+    """The uncached body of :func:`analyze_network`."""
     with timings.stage("analysis"):
         src_n, dst_n, nbytes, packets = cached_node_pairs(matrix, mapping)
 

@@ -27,6 +27,10 @@ class Mesh3D(Torus3D):
     def __repr__(self) -> str:
         return f"Mesh3D{self.dims}"
 
+    def fingerprint(self) -> tuple:
+        # Its own: the torus's would alias a mesh and a torus of one size.
+        return ("mesh3d", self.dims)
+
     @property
     def diameter(self) -> int:
         return sum(d - 1 for d in self.dims)

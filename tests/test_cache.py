@@ -292,12 +292,38 @@ class TestKeys:
             "disk_hits": 0,
         }
 
-    def test_cache_version_is_10(self):
-        """v10 starts the spectral eigensolver from a fixed vector (v9
-        re-keyed foreign traces on their datatype sizes and communicator
-        members) — a version bump cold-starts the disk tier so no slot
-        assignment from the random-start solver is read back."""
-        assert cache.CACHE_VERSION == 10
+    def test_cache_version_is_11(self):
+        """v11 gives ``Mesh3D`` its own fingerprint (v10 started the
+        spectral eigensolver from a fixed vector) — a version bump
+        cold-starts the disk tier so no mesh route stored under a torus
+        key is read back."""
+        assert cache.CACHE_VERSION == 11
+
+    @pytest.mark.parametrize("first", ["torus", "mesh"])
+    def test_mesh_and_torus_of_one_size_never_share_routes(self, first):
+        """A mesh and a torus with the same dims route differently, so
+        neither may be answered from the other's entries, in either
+        order."""
+        from repro.routing.summary import summarize_routes
+        from repro.topology.mesh import Mesh3D
+
+        src = np.array([0, 0], dtype=np.int64)
+        dst = np.array([3, 63], dtype=np.int64)
+        topologies = {"torus": Torus3D((4, 4, 4)), "mesh": Mesh3D((4, 4, 4))}
+        order = [first] + [k for k in topologies if k != first]
+        for kind in order:
+            topo = topologies[kind]
+            summary = cache.cached_route_summary(topo, src, dst)
+            incidence = cached_route_incidence(topo, src, dst)
+            fresh = topo.route_incidence(src, dst)
+            assert np.array_equal(incidence.pair_index, fresh.pair_index)
+            assert np.array_equal(incidence.link_id, fresh.link_id)
+            expected = summarize_routes(fresh, len(src), topo)
+            assert np.array_equal(summary.pair_hops, expected.pair_hops)
+            assert summary.used_links == expected.used_links
+        assert cache.cached_route_summary(
+            topologies["mesh"], src, dst
+        ).pair_hops.tolist() == [3, 9]
 
     def test_policies_never_share_entries(self):
         """Different routing policies must never alias one cache entry —
@@ -543,9 +569,10 @@ class TestMemoryAccounting:
         assert all(entry["evictions"] == 0 for entry in held.values())
 
     def test_array_held_by_two_regions_counts_once(self):
-        # A consecutive mapping of a sorted matrix: the node-pair aggregate
-        # is the matrix's own nbytes/packets arrays, so they count in the
-        # matrix region (stored first), not again under pairs.
+        # A one-rank-per-node consecutive mapping of a sorted matrix: the
+        # node-pair aggregate is the matrix's own src/dst/nbytes/packets
+        # arrays, so they count in the matrix region (stored first), and
+        # the pairs region holds nothing of its own.
         from repro.mapping.base import Mapping
 
         cache.configure(disable_disk=True)
@@ -553,16 +580,17 @@ class TestMemoryAccounting:
         trace = cache.cached_trace("LULESH", 64)
         matrix = cache.cached_matrix(trace)
         mapping = Mapping.consecutive(matrix.num_ranks, matrix.num_ranks)
-        object.__setattr__(mapping, "_repro_cache_key", ("consecutive", 64))
         src, dst, nbytes, packets = cache.cached_node_pairs(matrix, mapping)
+        assert src is matrix.src and dst is matrix.dst
         assert nbytes is matrix.nbytes and packets is matrix.packets
         held = cache.memory()
+        assert held["pairs"]["entries"] == 1
         assert held["matrix"]["bytes"] == sum(
             a.nbytes
             for a in (matrix.src, matrix.dst, matrix.nbytes, matrix.messages,
                       matrix.packets)
         )
-        assert held["pairs"]["bytes"] == src.nbytes + dst.nbytes
+        assert held["pairs"]["bytes"] == 0
         arrays = {
             id(a): a
             for region in cache._regions.values()

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -53,6 +54,41 @@ class TestCommands:
         header, *rows = out.splitlines()
         assert header.split()[:2] == ["app", "ranks"]
         assert [row.split()[:2] for row in rows] == [["AMG", "8"], ["AMG", "27"]]
+
+    def test_sweep_reproduces_the_perfbench_sim_grid(self, capsys, monkeypatch):
+        """``--sim-volume-scale`` makes the ``sim_telemetry`` grid a CLI
+        sweep: its AMG@216 torus/minimal record, from the flags."""
+        import json
+
+        from repro.analysis.sweep import run_sweep
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        loader = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(loader)
+        monkeypatch.setitem(sys.modules, loader.name, workloads)
+        loader.loader.exec_module(workloads)
+        out = run(
+            capsys, "sweep", "--apps", "AMG:216", "--topologies", "torus3d",
+            "--telemetry", "--sim-volume-scale", "3200", "--format", "json",
+        )
+        grid = run_sweep(workloads.sim_spec(0, apps=(("AMG", 216),)))
+        expected = [
+            r for r in grid if (r["topology"], r["routing"]) == ("torus3d", "minimal")
+        ]
+        assert json.loads(out) == expected
+
+    def test_sweep_bandwidths_flag(self, capsys):
+        import json
+
+        out = run(
+            capsys, "sweep", "--apps", "LULESH:64", "--topologies", "torus3d",
+            "--bandwidths", "1.2e10,2.4e10", "--format", "json",
+        )
+        low, high = json.loads(out)
+        assert (low["bandwidth"], high["bandwidth"]) == (1.2e10, 2.4e10)
+        for field in ("packet_hops", "avg_hops", "used_links"):
+            assert low[field] == high[field]
+        assert high["utilization_percent"] < low["utilization_percent"]
 
     def test_table2(self, capsys):
         out = run(capsys, "table2")

@@ -113,7 +113,8 @@ class TestResultRegion:
         trace = generate_trace(*self.TRACE)
         analyze_trace(trace, max_repeat=4)
         topo = build_topology("torus3d", 8)
-        mapping = Mapping.consecutive(8, topo.num_nodes)
+        # Built directly: the Mapping constructors attach provenance.
+        mapping = Mapping(np.arange(8), topo.num_nodes)
         analyze_trace(cached_trace(*self.TRACE), topology=topo, mapping=mapping)
         assert _result_stats() == {"hits": 0, "misses": 0, "disk_hits": 0}
 
