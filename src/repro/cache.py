@@ -32,17 +32,22 @@ module gives the three hot producers a shared cache:
   that walk them (the simulators, interference, validation).
 
 In-memory regions (``stats()``, ``memory()``, ``clear()`` and
-``configure()`` cover each):
+``configure()`` cover each), with their bounds from :data:`REGIONS`
+(entries; bytes for the regions that hold arrays):
 
-- ``trace``, ``matrix``, ``mapping``, ``incidence``, ``summary`` — the
+- ``trace`` (64; 128 MiB), ``matrix`` (128; 256 MiB), ``mapping`` (256;
+  4 MiB), ``incidence`` (128; 32 MiB), ``summary`` (1024; 16 MiB) — the
   producers above (``mapping`` also holds the shared slot assignments);
-- ``pairs`` — node-pair aggregates (:func:`cached_node_pairs`);
-- ``digests`` — query-array digests memoized under provenance tokens;
-- ``critpath`` — happens-before DAGs with their level schedules
-  (:func:`cached_critpath_dag`), bounded by bytes as well as entries;
-- ``critpath_result`` — the small frozen results of whole critical-path
-  analyses (:func:`cached_critpath_result`), looked up before any DAG;
-- ``model`` — the bandwidth-free static-model results
+- ``pairs`` (64; 1 MiB) — node-pair aggregates (:func:`cached_node_pairs`),
+  held only while a sweep still re-reads them;
+- ``digests`` (1024) — query-array digests memoized under provenance
+  tokens;
+- ``critpath`` (1024; 256 MiB) — happens-before DAGs with their level
+  schedules (:func:`cached_critpath_dag`);
+- ``critpath_result`` (4096) — the small frozen results of whole
+  critical-path analyses (:func:`cached_critpath_result`), looked up
+  before any DAG;
+- ``model`` (4096) — the bandwidth-free static-model results
   (:func:`cached_network_analysis`, keyed by :func:`model_key`), looked
   up before any node-pair aggregate or route summary.
 
@@ -77,7 +82,7 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -90,6 +95,7 @@ __all__ = [
     "clear",
     "stats",
     "memory",
+    "REGIONS",
     "cached_trace",
     "cached_matrix",
     "cached_mapping",
@@ -156,12 +162,14 @@ class CacheStats:
 class _LRU:
     """A small OrderedDict-based LRU with per-region statistics.
 
-    Every region tallies the array bytes its entries hold
-    (:func:`_array_bytes`, measured when an entry is stored) and counts
-    its evictions.  ``maxbytes`` additionally bounds that tally: the
-    oldest entries are evicted past it.  The newest entry always stays, so
-    a value larger than the whole bound is held alone until :meth:`shed`
-    or the next :meth:`put` drops it.
+    Every region tallies the array bytes its entries hold and counts its
+    evictions.  An entry is credited only with the arrays no other held
+    entry reaches (:data:`_held`), so an array two regions share counts
+    once, in the region that stored it first, as :func:`memory` credits
+    it.  ``maxbytes`` bounds that tally: the oldest entries are evicted
+    past it.  The newest entry always stays, so a value larger than the
+    whole bound is held alone until :meth:`shed` or the next :meth:`put`
+    drops it.
     """
 
     def __init__(self, maxsize: int, maxbytes: int | None = None) -> None:
@@ -171,6 +179,10 @@ class _LRU:
         self.evictions = 0
         self._data: OrderedDict[Any, Any] = OrderedDict()
         self._sizes: dict[Any, int] = {}
+        #: Per entry, the ids of the arrays it reaches and of those it is
+        #: credited with.
+        self._reach: dict[Any, tuple[int, ...]] = {}
+        self._credit: dict[Any, tuple[int, ...]] = {}
         #: When each entry was stored, in one count shared by every region.
         self._stored: dict[Any, int] = {}
         self.stats = CacheStats()
@@ -189,12 +201,10 @@ class _LRU:
         return value
 
     def put(self, key: Any, value: Any) -> None:
-        size = _array_bytes(value)
-        self.nbytes += size - self._sizes.get(key, 0)
-        self._sizes[key] = size
-        self._stored[key] = next(_store_count)
+        if key in self._data and self._drop(key):
+            _measure()
+        self._hold(key, _arrays(value), next(_store_count))
         self._data[key] = value
-        self._data.move_to_end(key)
         while len(self._data) > 1 and (
             len(self._data) > self.maxsize or self._over_bytes()
         ):
@@ -209,49 +219,73 @@ class _LRU:
     def _over_bytes(self) -> bool:
         return self.maxbytes is not None and self.nbytes > self.maxbytes
 
+    def _hold(self, key: Any, arrays: dict[int, int], stored: int) -> None:
+        """Count an entry's ``arrays`` as held, crediting ``key`` with the
+        ones no other held entry reaches."""
+        credit = tuple(i for i in arrays if i not in _held)
+        for i in arrays:
+            _held[i] = _held.get(i, 0) + 1
+        self._reach[key] = tuple(arrays)
+        self._credit[key] = credit
+        self._sizes[key] = sum(arrays[i] for i in credit)
+        self.nbytes += self._sizes[key]
+        self._stored[key] = stored
+
+    def _drop(self, key: Any) -> bool:
+        """Forget ``key``; whether an array credited to it is still held
+        by another entry (which the tally must then credit instead)."""
+        del self._data[key]
+        del self._stored[key]
+        self.nbytes -= self._sizes.pop(key)
+        for i in self._reach.pop(key):
+            count = _held.pop(i, 0)
+            if count > 1:
+                _held[i] = count - 1
+        return any(i in _held for i in self._credit.pop(key))
+
     def _evict_oldest(self) -> None:
-        old, _ = self._data.popitem(last=False)
-        self.nbytes -= self._sizes.pop(old)
-        del self._stored[old]
         self.evictions += 1
+        if self._drop(next(iter(self._data))):
+            _measure()
 
     def clear(self) -> None:
-        self._data.clear()
-        self._sizes.clear()
-        self._stored.clear()
-        self.nbytes = 0
+        for key in list(self._data):
+            self._drop(key)
         self.evictions = 0
         self.stats = CacheStats()
 
 
-def _array_bytes(value: Any, seen: set[int] | None = None) -> int:
-    """Bytes of the NumPy arrays reachable from ``value``, each counted once.
+def _arrays(value: Any) -> dict[int, int]:
+    """``{id: nbytes}`` of the NumPy arrays reachable from ``value``.
 
     An array counts its ``nbytes`` (a memory-mapped trace column counts
     what it maps); an object with an integer ``nbytes`` (a DAG) reports
     itself; tuples, lists, dicts and ``repro`` objects are walked through
-    their items and attributes.  Pass one ``seen`` set across several
-    values to count an array they share once.
+    their items and attributes.
     """
-    if seen is None:
-        seen = set()
-    if id(value) in seen:
-        return 0
-    seen.add(id(value))
-    if isinstance(value, np.ndarray):
-        return value.nbytes
-    own = getattr(value, "nbytes", None)
-    if isinstance(own, int):
-        return own
-    if isinstance(value, dict):
-        items = value.values()
-    elif isinstance(value, (list, tuple)):
-        items = value
-    elif type(value).__module__.startswith("repro.") and hasattr(value, "__dict__"):
-        items = vars(value).values()
-    else:
-        return 0
-    return sum(_array_bytes(item, seen) for item in items)
+    found: dict[int, int] = {}
+    seen: set[int] = set()
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            found[id(value)] = value.nbytes
+            continue
+        own = getattr(value, "nbytes", None)
+        if isinstance(own, int):
+            found[id(value)] = own
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif type(value).__module__.startswith("repro.") and hasattr(
+            value, "__dict__"
+        ):
+            stack.extend(vars(value).values())
+    return found
 
 
 _MISS = object()
@@ -288,28 +322,52 @@ def _evict_corrupt(path: Path, exc: Exception) -> None:
     except OSError:
         pass  # already gone, or read-only cache dir: stays a plain miss
 
-#: In-memory regions.  Incidences can be large (one row per packet-route
-#: link), so that region is kept smaller than the trace/matrix ones;
-#: summaries hold about one byte per pair.
-_DEFAULT_SIZES = {
-    "trace": 64,
-    "matrix": 128,
-    "incidence": 128,
-    "summary": 1024,
-    "mapping": 256,
-    "pairs": 64,
-    "digests": 1024,
-    "critpath": 1024,
-    "critpath_result": 4096,
-    "model": 4096,
+
+class Bounds(NamedTuple):
+    """One in-memory region's bounds: entries, and bytes if it holds arrays."""
+
+    entries: int
+    max_bytes: int | None = None
+
+
+_MiB = 1 << 20
+
+#: Every in-memory region and its bounds, declared once: the LRUs,
+#: :func:`memory` and the ``--timings`` memory line derive from this table.
+#: Each region that holds arrays has a byte bound; the others hold small
+#: Python objects only.  Byte bounds sit above each region's high-water
+#: mark on the perfbench workloads, the full ``repro report`` and the
+#: 216-cell reference sweep (``docs/performance.md``, "Cache byte
+#: bounds"), except two sized to their reuse:
+#:
+#: - ``pairs``: a sweep re-reads an aggregate only from the other routings
+#:   of its placement, at most ``len(COLLECTIVES)`` aggregates later in
+#:   grid order, and a miss is one argsort (~1 ms at 20k pairs): the byte
+#:   bound holds a few small aggregates, or a larger one alone.  The entry
+#:   bound covers the report's collective-delta table, which re-reads
+#:   identity aggregates (they hold only their matrix's arrays, so no
+#:   bytes) dozens of aggregates later (up to 80 on ``report_critpath``).
+#: - ``critpath``: happens-before DAGs range from kilobytes to ~0.7 GB
+#:   (BigFFT@1024, 33.6 M edges, at the report's clamp); the bound pins the
+#:   many small ones, and a larger one alone, until the next DAG is built.
+REGIONS: dict[str, Bounds] = {
+    "trace": Bounds(64, 128 * _MiB),
+    "matrix": Bounds(128, 256 * _MiB),
+    "incidence": Bounds(128, 32 * _MiB),
+    "summary": Bounds(1024, 16 * _MiB),
+    "mapping": Bounds(256, 4 * _MiB),
+    "pairs": Bounds(64, 1 * _MiB),
+    "digests": Bounds(1024),
+    "critpath": Bounds(1024, 256 * _MiB),
+    "critpath_result": Bounds(4096),
+    "model": Bounds(4096),
 }
-#: Byte bounds of regions whose entries vary by orders of magnitude in
-#: size.  Happens-before DAGs range from kilobytes to ~0.7 GB (BigFFT@1024,
-#: 33.6 M edges, at the report's clamp): the bound pins the many small
-#: ones, and a larger one alone, until the next DAG is built.
-_MAX_BYTES = {"critpath": 256 << 20}
+
+#: How many held entries, over every region, reach each array (by ``id``).
+_held: dict[int, int] = {}
+
 _regions: dict[str, _LRU] = {
-    name: _LRU(size, _MAX_BYTES.get(name)) for name, size in _DEFAULT_SIZES.items()
+    name: _LRU(*bounds) for name, bounds in REGIONS.items()
 }
 
 _disk_dir: Path | None = (
@@ -326,8 +384,9 @@ def configure(
     """Reconfigure cache tiers.
 
     ``disk_dir`` enables (or moves) the on-disk tier; ``disable_disk`` turns
-    it off regardless of the environment.  ``memory_items`` resizes the
-    in-memory regions (``{"trace": 64, "matrix": 128, "incidence": 32}``).
+    it off regardless of the environment.  ``memory_items`` sets the entry
+    bounds of in-memory regions (``{"trace": 64, "incidence": 32}``); their
+    byte bounds stay those of :data:`REGIONS`.
     """
     global _disk_dir
     if disable_disk:
@@ -349,6 +408,7 @@ def clear(memory: bool = True, disk: bool = False) -> None:
     if memory:
         for region in _regions.values():
             region.clear()
+        _held.clear()  # and what an LRU outside the table left counted
     if disk and _disk_dir is not None and _disk_dir.is_dir():
         for path in _disk_dir.glob(f"v{CACHE_VERSION}-*"):
             if path.is_dir():  # spill-directory trace entries
@@ -368,11 +428,10 @@ def _measure() -> None:
     """Re-measure every entry of every region.
 
     Some entries memoize derived arrays after they are stored
-    (``RouteIncidence.used_links``, for one), and some hold arrays another
-    region stored first: a node-pair aggregate of a consecutive mapping
-    is its matrix's own ``nbytes``/``packets``.  Entries are measured in
-    the order they were stored, with one ``seen`` set, so a shared array
-    counts once, in the region that stored it first.
+    (``RouteIncidence.used_links``, for one), and an entry evicted from
+    one region can leave an array it was credited with to an entry of
+    another.  Entries are measured in the order they were stored, so a
+    shared array counts once, in the earliest held entry that reaches it.
     """
     stored = sorted(
         (
@@ -382,41 +441,43 @@ def _measure() -> None:
         ),
         key=lambda entry: entry[0],
     )
-    seen: set[int] = set()
+    _held.clear()
     for region in _regions.values():
-        region._sizes = {}
-    for _, region, key in stored:
-        region._sizes[key] = _array_bytes(region._data[key], seen)
-    for region in _regions.values():
-        region.nbytes = sum(region._sizes.values())
+        region.nbytes = 0
+    for stored_at, region, key in stored:
+        region._hold(key, _arrays(region._data[key]), stored_at)
 
 
-def memory() -> dict[str, dict[str, int]]:
-    """Entries, array bytes held (:func:`_array_bytes`) and evictions per region.
+def memory() -> dict[str, dict[str, int | None]]:
+    """Per region: entries, array bytes held, the byte bound and evictions.
 
     Bytes are re-measured at the call (:func:`_measure`), so they include
     arrays an entry memoized after it was stored, and an array several
-    regions hold counts once: the regions sum to the bytes held.
+    regions hold counts once: the regions sum to the bytes held.  The
+    bound is ``None`` for regions that hold no arrays (:data:`REGIONS`).
     """
     _measure()
-    out = {}
-    for name, region in _regions.items():
-        out[name] = {
+    return {
+        name: {
             "entries": len(region),
             "bytes": region.nbytes,
+            "bound": region.maxbytes,
             "evictions": region.evictions,
         }
-    return out
+        for name, region in _regions.items()
+    }
 
 
 def memory_summary() -> str:
-    """One line: the array megabytes each non-empty region holds."""
+    """One line: the array megabytes each non-empty region holds, over its
+    byte bound."""
     held = [
-        f"{name} {entry['bytes'] / (1 << 20):.2f}"
+        f"{name} {entry['bytes'] / _MiB:.2f}"
+        + ("" if entry["bound"] is None else f"/{entry['bound'] / _MiB:g}")
         for name, entry in memory().items()
         if entry["entries"]
     ]
-    return "cache MB held: " + (", ".join(held) if held else "none")
+    return "cache MB held/bound: " + (", ".join(held) if held else "none")
 
 
 # ------------------------------------------------------------------ keys
@@ -778,7 +839,10 @@ def cached_node_pairs(matrix, mapping):
 
     Memory-only by design: at one rank per node the aggregate is the size
     of the matrix itself, so spilling it to disk costs more in fsync'd I/O
-    than the argsort it saves — recompute is the cheaper miss path.
+    than the argsort it saves — recompute is the cheaper miss path.  For
+    the same reason the region is bounded to the reuse a sweep has
+    (:data:`REGIONS`): an aggregate larger than its byte bound is held
+    alone, and a miss drops it before folding the next one.
     """
     from .model.engine import _node_pair_aggregate
 
@@ -791,6 +855,7 @@ def cached_node_pairs(matrix, mapping):
     value = region.get(key)
     if value is not _MISS:
         return value
+    region.shed()
     value = _node_pair_aggregate(matrix, mapping)
     region.put(key, value)
     return value
@@ -810,8 +875,8 @@ def cached_critpath_dag(trace, max_repeat: int | None = None, collective: str = 
 
     The DAG is returned with its level schedule built (a cyclic graph
     raises :class:`~repro.critpath.dag.CycleError` here), so the region
-    bounds the bytes the DAG will hold: ``_MAX_BYTES["critpath"]`` in
-    all.  A larger DAG evicts every other one and is kept only until the
+    bounds the bytes the DAG will hold: ``REGIONS["critpath"].max_bytes``
+    in all.  A larger DAG evicts every other one and is kept only until the
     next miss, which drops it before building, so analyses of one large
     trace on several topologies or mappings in a row still share it.
     Memory-only by design: the arrays are expansion-sized.
@@ -856,9 +921,8 @@ def cached_critpath_result(
     input that decides the result: the trace's provenance, ``max_repeat``,
     the collective engine's ``cache_token()``, the LogGP ``params``,
     ``fd_check`` and the ``routing`` label; with a ``topology``, also its
-    class and ``fingerprint()``, the mapping's provenance (``None`` is
-    the consecutive default) and the routing ``policy``'s
-    ``cache_token()``, which covers its seed.  A trace or mapping without
+    class and ``fingerprint()``, the mapping's provenance and the routing
+    ``policy``'s ``cache_token()``, which covers its seed.  A trace or mapping without
     provenance, or a topology without a fingerprint, bypasses the region.
     """
     trace_key = getattr(trace, "_repro_cache_key", None)
@@ -875,11 +939,7 @@ def cached_critpath_result(
     )
     if topology is not None:
         fingerprint = topology.fingerprint()
-        mapping_key = (
-            "consecutive"
-            if mapping is None
-            else getattr(mapping, "_repro_cache_key", None)
-        )
+        mapping_key = getattr(mapping, "_repro_cache_key", None)
         if fingerprint is None or mapping_key is None:
             return compute()
         key += (

@@ -213,9 +213,14 @@ def analyze_trace(
     routing_name = routing if isinstance(routing, str) else routing.name
     policy = None
     if topology is not None:
+        from ..mapping.base import Mapping
         from ..routing import get_policy
 
         policy = get_policy(routing, seed=routing_seed)
+        if mapping is None:
+            # Built here, so the result is keyed by its provenance and an
+            # explicit consecutive mapping shares the entry.
+            mapping = Mapping.consecutive(trace.meta.num_ranks, topology.num_nodes)
     return cached_critpath_result(
         partial(
             _analyze, trace, topology, mapping, policy, routing_name,
@@ -244,10 +249,6 @@ def _analyze(
     hops = None
     topo_name = "none"
     if topology is not None:
-        if mapping is None:
-            from ..mapping.base import Mapping
-
-            mapping = Mapping.consecutive(dag.num_ranks, topology.num_nodes)
         hops = message_edge_hops(dag, topology, mapping, routing=policy)
         topo_name = type(topology).__name__
     if fd_check:

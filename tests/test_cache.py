@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,7 @@ from repro.mapping import optimized
 from repro.mapping.optimized import optimize_mapping
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.fattree import FatTree
+from repro.topology.configs import build_topology
 from repro.topology.torus import Torus3D
 
 from helpers import make_trace
@@ -601,6 +605,48 @@ class TestMemoryAccounting:
             a.nbytes for a in arrays.values()
         )
 
+    def test_byte_bound_counts_a_shared_array_once(self, monkeypatch):
+        # The tally a byte bound checks credits a shared array where
+        # memory() does: identity aggregates hold only their matrices'
+        # arrays, so no byte bound evicts them ...
+        from repro.mapping.base import Mapping
+
+        pairs = cache._regions["pairs"]
+        monkeypatch.setattr(pairs, "maxbytes", 1)
+        trace = cache.cached_trace("LULESH", 64)
+        matrices = [cache.cached_matrix(trace, payload=p) for p in (1024, 4096)]
+        for matrix in matrices:
+            cache.cached_node_pairs(matrix, Mapping.consecutive(64, 64))
+        assert len(pairs) == 2 and pairs.nbytes == 0 and pairs.evictions == 0
+
+        # ... until their matrices are evicted: then they hold those arrays.
+        monkeypatch.setattr(cache._regions["matrix"], "maxsize", 1)
+        cache.cached_matrix(trace, payload=2048)
+        held = sum(
+            a.nbytes
+            for m in matrices
+            for a in (m.src, m.dst, m.nbytes, m.packets)
+        )
+        assert pairs.nbytes == held
+        assert cache.memory()["pairs"]["bytes"] == held
+
+    def test_every_array_region_has_a_byte_bound(self):
+        from repro.critpath import analyze_trace
+
+        self._fill()
+        analyze_trace(cached_trace("LULESH", 64), topology=build_topology("torus3d", 64))
+        held = cache.memory()
+        assert set(held) == set(cache.REGIONS)
+        for name, entry in held.items():
+            bound = cache.REGIONS[name].max_bytes
+            assert entry["bound"] == bound == cache._regions[name].maxbytes
+            if bound is None:
+                assert entry["bytes"] == 0, name
+        assert all(
+            held[name]["bytes"] > 0
+            for name in ("trace", "matrix", "incidence", "summary", "critpath")
+        )
+
     def test_evictions_are_counted_and_cleared(self):
         cache.configure(memory_items={"summary": 2})
         try:
@@ -611,4 +657,149 @@ class TestMemoryAccounting:
         finally:
             cache.configure(memory_items={"summary": 1024})
         cache.clear()
-        assert cache.memory()["summary"] == {"entries": 0, "bytes": 0, "evictions": 0}
+        assert cache.memory()["summary"] == {
+            "entries": 0,
+            "bytes": 0,
+            "bound": cache.REGIONS["summary"].max_bytes,
+            "evictions": 0,
+        }
+
+
+def _traced(build):
+    """``build()`` and the bytes it left allocated, by ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = build()
+        gc.collect()
+        return value, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryProbe:
+    """The bytes ``cache.memory()`` reports per region agree with a
+    ``tracemalloc`` probe of building the region's entries."""
+
+    APP, RANKS = "LULESH", 512
+
+    def _steps(self):
+        """``(region, build)`` in dependency order; ``build`` takes the
+        values built so far, by region."""
+        topology = build_topology("torus3d", self.RANKS)
+
+        def nodes(v):
+            return v["mapping"].node_of(v["matrix"].src), v["mapping"].node_of(
+                v["matrix"].dst
+            )
+
+        return [
+            ("trace", lambda v: cached_trace(self.APP, self.RANKS)),
+            ("matrix", lambda v: cached_matrix(v["trace"])),
+            ("mapping", lambda v: cached_mapping(v["matrix"], topology, "greedy")),
+            ("pairs", lambda v: cache.cached_node_pairs(v["matrix"], v["mapping"])),
+            ("incidence", lambda v: cached_route_incidence(
+                topology, *nodes(v), routing="valiant")),
+            ("summary", lambda v: cache.cached_route_summary(topology, *nodes(v))),
+            ("critpath", lambda v: cache.cached_critpath_dag(v["trace"], max_repeat=4)),
+        ]
+
+    @pytest.mark.parametrize(
+        "region",
+        ["trace", "matrix", "mapping", "pairs", "incidence", "summary", "critpath"],
+    )
+    def test_reported_bytes_match_allocations(self, region):
+        steps = self._steps()
+        names = [name for name, _ in steps]
+        for _ in range(2):  # the first pass pays lazy set-up
+            cache.clear()
+            values = {}
+            for name, build in steps[: names.index(region)]:
+                values[name] = build(values)
+            build = dict(steps)[region]
+            _, allocated = _traced(lambda: build(values))
+        reported = cache.memory()[region]["bytes"]
+        assert reported > 0
+        # Python objects around the arrays cost a few KiB.
+        assert reported <= allocated <= reported + max(reported // 20, 32 << 10)
+
+    def test_regions_without_arrays_report_none(self):
+        from repro.critpath import analyze_trace
+        from repro.model.engine import analyze_network
+
+        trace = cached_trace("LULESH", 64)
+        matrix = cached_matrix(trace)
+        topology = build_topology("torus3d", 64)
+        mapping = cached_mapping(matrix, topology, "greedy")
+        for _ in range(2):  # the first pass pays lazy set-up
+            cache.clear()
+            _, allocated = _traced(lambda: (
+                analyze_network(matrix, topology, mapping=mapping),
+                analyze_trace(trace, topology=topology, max_repeat=4),
+            ))
+        held = cache.memory()
+        for name in ("digests", "model", "critpath_result"):
+            assert held[name]["entries"] > 0
+            assert held[name]["bytes"] == 0 and held[name]["bound"] is None
+        arrays = sum(held[name]["bytes"] for name in held)
+        assert arrays <= allocated <= arrays + max(arrays // 20, 32 << 10)
+
+    def test_mapped_trace_columns_count_what_they_map(self, tmp_path):
+        cache.configure(disk_dir=tmp_path)
+        cached_trace(self.APP, self.RANKS)
+        cache.clear(memory=True)
+        _, allocated = _traced(lambda: cached_trace(self.APP, self.RANKS))
+        assert cache.stats()["trace"]["disk_hits"] == 1
+        mapped = 0
+        for segment in tmp_path.glob("*.spill/**/*.npy"):
+            with segment.open("rb") as fh:
+                if np.lib.format.read_magic(fh) == (1, 0):
+                    np.lib.format.read_array_header_1_0(fh)
+                else:
+                    np.lib.format.read_array_header_2_0(fh)
+                mapped += segment.stat().st_size - fh.tell()
+        assert cache.memory()["trace"]["bytes"] == mapped > 0
+        assert allocated < mapped // 4  # mapped, not read in
+
+
+class TestPairsRegion:
+    """The ``pairs`` region's bounds keep every re-read a sweep makes."""
+
+    GRID = {
+        "apps": (("LULESH", 64), ("AMG", 27)),
+        "topologies": ("torus3d",),
+        "mappings": ("consecutive", "greedy"),
+        "routings": ("minimal", "ecmp"),
+        "collectives": ("flat", "binomial", "ring"),
+    }
+
+    @staticmethod
+    def _stats(**grid):
+        from repro.analysis.sweep import SweepSpec, run_sweep
+
+        cache.clear()
+        run_sweep(SweepSpec(**grid), workers=1)
+        return cache.stats()
+
+    def test_grid_reuse_is_kept_under_the_declared_bounds(self, monkeypatch):
+        bounded = self._stats(**self.GRID)
+        region = cache._regions["pairs"]
+        monkeypatch.setattr(region, "maxsize", 1 << 20)
+        monkeypatch.setattr(region, "maxbytes", None)
+        assert self._stats(**self.GRID) == bounded
+        assert bounded["pairs"] == {"hits": 12, "misses": 12, "disk_hits": 0}
+
+    def test_oversize_aggregate_is_held_alone_for_the_next_routing(self, monkeypatch):
+        region = cache._regions["pairs"]
+        monkeypatch.setattr(region, "maxbytes", 1)
+        stats = self._stats(
+            apps=(("LULESH", 64),),
+            topologies=("torus3d",),
+            mappings=("greedy", "bisection"),
+            routings=("minimal", "ecmp", "valiant"),
+        )
+        assert stats["pairs"] == {"hits": 4, "misses": 2, "disk_hits": 0}
+        # The second aggregate's miss dropped the first before folding.
+        assert len(region) == 1 and region.evictions == 1
+        assert region.nbytes > region.maxbytes

@@ -118,6 +118,18 @@ class TestResultRegion:
         analyze_trace(cached_trace(*self.TRACE), topology=topo, mapping=mapping)
         assert _result_stats() == {"hits": 0, "misses": 0, "disk_hits": 0}
 
+    def test_default_mapping_shares_the_explicit_consecutive_entry(self):
+        # analyze_trace's default is Mapping.consecutive, so both calls are
+        # one analysis and must be one entry.
+        trace = cached_trace("LULESH", 64)
+        topo = build_topology("torus3d", 64)
+        default = analyze_trace(trace, topology=topo)
+        explicit = analyze_trace(
+            trace, topology=topo, mapping=Mapping.consecutive(64, topo.num_nodes)
+        )
+        assert _result_stats() == {"hits": 1, "misses": 1, "disk_hits": 0}
+        assert explicit.makespan_s == default.makespan_s
+
     def test_clear_and_stats_cover_region(self):
         trace = cached_trace(*self.TRACE)
         first = analyze_trace(trace, max_repeat=4)
@@ -137,7 +149,7 @@ class TestResultRegion:
             assert analyze_trace(trace, max_repeat=4) is not first
         finally:
             cache.configure(
-                memory_items={"critpath_result": cache._DEFAULT_SIZES["critpath_result"]}
+                memory_items={"critpath_result": cache.REGIONS["critpath_result"].entries}
             )
 
 
