@@ -36,6 +36,7 @@ from ..core.blocks import (
     KIND_P2P_SEND,
     OP_CODE,
     EventBlock,
+    narrow,
 )
 from ..core.events import CollectiveOp
 from ..core.stream import DEFAULT_CHUNK_BYTES, BlockStream, rows_per_chunk
@@ -441,9 +442,9 @@ class SyntheticApp(abc.ABC):
                     count=count,
                     dtype_id=np.zeros(rows, dtype=np.int32),
                     op=np.full(rows, -1, dtype=np.int16),
-                    root=np.zeros(rows, dtype=np.int64),
+                    root=np.zeros(rows, dtype=np.int32),
                     comm_id=np.zeros(rows, dtype=np.int32),
-                    tag=np.zeros(rows, dtype=np.int64),
+                    tag=np.zeros(rows, dtype=np.int32),
                     func_id=func_id,
                     repeat=repeat,
                     t_enter=t0,
@@ -457,9 +458,11 @@ class SyntheticApp(abc.ABC):
             m = len(phases)
             rows = m * ranks
             op_arr = np.array([OP_CODE[op] for op, _, _, _ in phases], dtype=np.int16)
-            root_arr = np.array([root for _, root, _, _ in phases], dtype=np.int64)
-            count_arr = np.array([count for _, _, count, _ in phases], dtype=np.int64)
-            calls_arr = np.array([pc for _, _, _, pc in phases], dtype=np.int64)
+            # Per-phase values in the blocks' column dtype, checked once
+            # here rather than on every chunk's gathered copy.
+            root_arr = narrow([root for _, root, _, _ in phases], np.int32, "root")
+            count_arr = narrow([count for _, _, count, _ in phases], np.int32, "count")
+            calls_arr = narrow([pc for _, _, _, pc in phases], np.int32, "repeat")
             per_chunk = rows if max_rows is None else max_rows
             for a in range(0, rows, per_chunk):
                 b = min(a + per_chunk, rows)
@@ -470,13 +473,13 @@ class SyntheticApp(abc.ABC):
                 yield EventBlock(
                     kind=np.full(n, KIND_COLLECTIVE, dtype=np.uint8),
                     caller=idx % ranks,
-                    peer=np.full(n, -1, dtype=np.int64),
+                    peer=np.full(n, -1, dtype=np.int32),
                     count=count_arr[phase_i],
                     dtype_id=np.zeros(n, dtype=np.int32),
                     op=op_arr[phase_i],
                     root=root_arr[phase_i],
                     comm_id=np.zeros(n, dtype=np.int32),
-                    tag=np.zeros(n, dtype=np.int64),
+                    tag=np.zeros(n, dtype=np.int32),
                     func_id=np.full(n, -1, dtype=np.int16),
                     repeat=calls_arr[phase_i],
                     t_enter=t0,

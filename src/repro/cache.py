@@ -62,6 +62,16 @@ keys, so the disk cache never needs invalidation for same-version runs; bump
 :data:`CACHE_VERSION` when a generator or routing algorithm changes
 semantics.
 
+Cached integer columns are stored narrow, each in the dtype
+:data:`repro.core.blocks.CACHED_COLUMNS` declares: trace columns in
+``int32``, matrix ranks, route-incidence indexes and node-pair node IDs in
+the smallest unsigned dtype for their count, message and packet counts in
+``uint32`` when they fit.  Producers store them narrow once (an incidence
+when it is stored here, a matrix or block when it is built), and consumers
+widen to ``int64`` before arithmetic.  Arrays an entry memoizes after it
+is stored (a ``RouteIncidence``'s used links and compact link index) are
+counted against it when they are made (:func:`count_memo`).
+
 Cached objects are shared — treat them as immutable.  ``Trace`` is the one
 mutable type handled here; never ``add()`` events to a cached trace.
 
@@ -95,6 +105,7 @@ __all__ = [
     "clear",
     "stats",
     "memory",
+    "count_memo",
     "REGIONS",
     "cached_trace",
     "cached_matrix",
@@ -144,7 +155,11 @@ __all__ = [
 #: v11: ``Mesh3D`` has its own fingerprint (it inherited the torus's, so a
 #: mesh's route incidences and summaries were stored under torus keys); no
 #: v10 route entry is read back.
-CACHE_VERSION = 11
+#: v12: compact columns (:data:`repro.core.blocks.CACHED_COLUMNS`) — trace
+#: spills, pickled matrices and ``.npz`` incidences store narrow integer
+#: dtypes, and foreign-matrix content keys digest those dtypes; no v11
+#: entry, with its ``int64`` columns, is read back.
+CACHE_VERSION = 12
 
 
 @dataclass
@@ -205,6 +220,7 @@ class _LRU:
             _measure()
         self._hold(key, _arrays(value), next(_store_count))
         self._data[key] = value
+        _entry_of[id(value)] = (self, key)
         while len(self._data) > 1 and (
             len(self._data) > self.maxsize or self._over_bytes()
         ):
@@ -231,9 +247,26 @@ class _LRU:
         self.nbytes += self._sizes[key]
         self._stored[key] = stored
 
+    def _grow(self, key: Any) -> None:
+        """Count the arrays ``key``'s value memoized after it was stored,
+        crediting it with the ones no other held entry reaches."""
+        arrays = _arrays(self._data[key])
+        reach = set(self._reach[key])
+        new = tuple(i for i in arrays if i not in reach)
+        credit = tuple(i for i in new if i not in _held)
+        for i in new:
+            _held[i] = _held.get(i, 0) + 1
+        self._reach[key] += new
+        self._credit[key] += credit
+        grown = sum(arrays[i] for i in credit)
+        self._sizes[key] += grown
+        self.nbytes += grown
+
     def _drop(self, key: Any) -> bool:
         """Forget ``key``; whether an array credited to it is still held
         by another entry (which the tally must then credit instead)."""
+        if _entry_of.get(id(self._data[key])) == (self, key):
+            del _entry_of[id(self._data[key])]
         del self._data[key]
         del self._stored[key]
         self.nbytes -= self._sizes.pop(key)
@@ -366,6 +399,9 @@ REGIONS: dict[str, Bounds] = {
 #: How many held entries, over every region, reach each array (by ``id``).
 _held: dict[int, int] = {}
 
+#: The region and key of each held value (by ``id``), for :func:`count_memo`.
+_entry_of: dict[int, tuple[_LRU, Any]] = {}
+
 _regions: dict[str, _LRU] = {
     name: _LRU(*bounds) for name, bounds in REGIONS.items()
 }
@@ -409,6 +445,7 @@ def clear(memory: bool = True, disk: bool = False) -> None:
         for region in _regions.values():
             region.clear()
         _held.clear()  # and what an LRU outside the table left counted
+        _entry_of.clear()
     if disk and _disk_dir is not None and _disk_dir.is_dir():
         for path in _disk_dir.glob(f"v{CACHE_VERSION}-*"):
             if path.is_dir():  # spill-directory trace entries
@@ -424,14 +461,26 @@ def stats() -> dict[str, dict[str, int]]:
     return {name: region.stats.as_dict() for name, region in _regions.items()}
 
 
+def count_memo(value: Any) -> None:
+    """Count arrays ``value`` memoized after it was stored against its entry.
+
+    ``RouteIncidence`` memoizes its used links and its compact link index
+    on first use; this credits them to the entry holding the incidence at
+    once, so the region's byte bound sees them before :func:`memory`
+    re-measures.  A value no region holds is ignored.
+    """
+    entry = _entry_of.get(id(value))
+    if entry is not None and entry[0]._data.get(entry[1]) is value:
+        entry[0]._grow(entry[1])
+
+
 def _measure() -> None:
     """Re-measure every entry of every region.
 
-    Some entries memoize derived arrays after they are stored
-    (``RouteIncidence.used_links``, for one), and an entry evicted from
-    one region can leave an array it was credited with to an entry of
-    another.  Entries are measured in the order they were stored, so a
-    shared array counts once, in the earliest held entry that reaches it.
+    An entry evicted from one region can leave an array it was credited
+    with to an entry of another.  Entries are measured in the order they
+    were stored, so a shared array counts once, in the earliest held entry
+    that reaches it.
     """
     stored = sorted(
         (
@@ -1108,7 +1157,10 @@ def cached_route_incidence(
     if value is not _MISS:
         region.stats.disk_hits += 1
     else:
-        value = _walk_routes(policy, topology, src, dst, pair_weights)
+        # Stored narrow (CACHED_COLUMNS): the walk's int64 rows are dropped.
+        value = _walk_routes(policy, topology, src, dst, pair_weights).compacted(
+            len(src)
+        )
         _disk_store_npz(path, pair_index=value.pair_index, link_id=value.link_id)
     region.put(key, value)
     return value

@@ -86,25 +86,27 @@ def _block_batches(
     rows reference), so expansion is block-local and the translated
     message multiset is independent of where block boundaries fall.
     """
+    # Batches carry int64 columns: the block's narrow rank and repeat
+    # columns are widened here, before any expansion arithmetic.
     row_bytes = block.row_bytes(datatypes)
     if include_p2p:
         mask = block.kind == KIND_P2P_SEND
         if mask.any():
             yield SendBatch(
-                src=block.caller[mask],
-                dst=block.peer[mask],
+                src=block.caller[mask].astype(np.int64),
+                dst=block.peer[mask].astype(np.int64),
                 bytes_per_msg=row_bytes[mask],
-                calls=block.repeat[mask],
+                calls=block.repeat[mask].astype(np.int64),
                 traffic_class=TrafficClass.P2P,
             )
     if include_collectives:
         mask = block.kind == KIND_COLLECTIVE
         if not mask.any():
             return
-        callers = block.caller[mask]
+        callers = block.caller[mask].astype(np.int64)
         nbytes = row_bytes[mask]
-        roots = block.root[mask]
-        calls = block.repeat[mask]
+        roots = block.root[mask].astype(np.int64)
+        calls = block.repeat[mask].astype(np.int64)
         ops = block.op[mask].astype(np.int64)
         comm_ids = block.comm_id[mask].astype(np.int64)
         assert communicators is not None

@@ -21,6 +21,7 @@ import numpy as np
 
 from .. import timings
 from ..collectives.translate import SendBatch, iter_send_batches
+from ..core.blocks import narrow, stored_dtype
 from ..core.packets import MAX_PAYLOAD_BYTES, packets_for_bytes, packets_for_bytes_array
 from ..core.stream import BlockStream
 from ..core.trace import Trace
@@ -45,14 +46,19 @@ class CommMatrix:
     All five arrays are parallel and sorted by ``(src, dst)``.  Pairs with no
     traffic are absent; self-pairs (``src == dst``) may be present (they
     represent rank-local MPI messages and are skipped by network analyses).
+
+    Columns are stored in the dtypes :data:`repro.core.blocks.CACHED_COLUMNS`
+    declares: ranks in the smallest unsigned dtype for ``num_ranks``,
+    message and packet counts in ``uint32`` when they fit, bytes in
+    ``int64``.  Widen ranks and counts to ``int64`` before arithmetic.
     """
 
     num_ranks: int
-    src: np.ndarray  # int64[k]
-    dst: np.ndarray  # int64[k]
+    src: np.ndarray  # uint[k]
+    dst: np.ndarray  # uint[k]
     nbytes: np.ndarray  # int64[k]
-    messages: np.ndarray  # int64[k]
-    packets: np.ndarray  # int64[k]
+    messages: np.ndarray  # uint32[k] (int64 past uint32)
+    packets: np.ndarray  # uint32[k] (int64 past uint32)
 
     def __post_init__(self) -> None:
         k = len(self.src)
@@ -61,6 +67,14 @@ class CommMatrix:
                 raise ValueError("CommMatrix columns must be parallel arrays")
         if k and (self.src.max() >= self.num_ranks or self.dst.max() >= self.num_ranks):
             raise ValueError("rank IDs exceed num_ranks")
+        for name in ("src", "dst", "nbytes", "messages", "packets"):
+            values = np.asarray(getattr(self, name))
+            if name in ("src", "dst"):
+                bound = self.num_ranks
+            else:
+                bound = int(values.max()) if k else 0
+            dtype = stored_dtype("matrix", name, bound)
+            object.__setattr__(self, name, narrow(values, dtype, name))
 
     # -- totals -------------------------------------------------------------
 
@@ -181,7 +195,12 @@ class CommMatrixBuilder:
         messages: np.ndarray,
         packets: np.ndarray,
     ) -> None:
-        """Add pre-aggregated pair data (packets already computed)."""
+        """Add pre-aggregated pair data (packets already computed).
+
+        Every column is widened to ``int64`` here, so the pair keys and
+        sums of :meth:`_merged_columns` never wrap around in a narrow
+        dtype (a finalized matrix's columns are narrow).
+        """
         self._src.append(np.asarray(src, dtype=np.int64))
         self._dst.append(np.asarray(dst, dtype=np.int64))
         self._nbytes.append(np.asarray(nbytes, dtype=np.int64))

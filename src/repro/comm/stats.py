@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..collectives.translate import TrafficClass, iter_send_batches
 from ..core.trace import Trace
 
@@ -95,7 +97,9 @@ def trace_stats(trace: Trace) -> TraceStats:
     logical = 0
     for block in trace.blocks():
         mask = block.collective_mask()
-        nbytes = block.row_bytes(trace.datatypes)[mask] * block.repeat[mask]
+        nbytes = np.multiply(
+            block.row_bytes(trace.datatypes)[mask], block.repeat[mask], dtype=np.int64
+        )
         logical += int(nbytes.sum())
 
     return TraceStats(

@@ -53,6 +53,11 @@ __all__ = [
     "OPS",
     "OP_CODE",
     "EventBlock",
+    "CACHED_COLUMNS",
+    "index_dtype",
+    "count_dtype",
+    "stored_dtype",
+    "narrow",
     "decoded_columns",
     "same_records",
 ]
@@ -106,34 +111,41 @@ class EventBlock:
     """
 
     kind: np.ndarray  # uint8[k]
-    caller: np.ndarray  # int64[k]
-    peer: np.ndarray  # int64[k]   (-1 on collective rows)
-    count: np.ndarray  # int64[k]
+    caller: np.ndarray  # int32[k]
+    peer: np.ndarray  # int32[k]   (-1 on collective rows)
+    count: np.ndarray  # int32[k]
     dtype_id: np.ndarray  # int32[k]  -> dtype_names
     op: np.ndarray  # int16[k]  -> OPS  (-1 on p2p rows)
-    root: np.ndarray  # int64[k]  (0 on p2p rows)
+    root: np.ndarray  # int32[k]  (0 on p2p rows)
     comm_id: np.ndarray  # int32[k]  -> comm_names
-    tag: np.ndarray  # int64[k]  (0 on collective rows)
+    tag: np.ndarray  # int32[k]  (0 on collective rows)
     func_id: np.ndarray  # int16[k]  -> func_names  (-1 on collective rows)
-    repeat: np.ndarray  # int64[k]
+    repeat: np.ndarray  # int32[k]
     t_enter: np.ndarray  # float64[k]
     t_leave: np.ndarray  # float64[k]
     dtype_names: tuple[str, ...] = ("MPI_BYTE",)
     comm_names: tuple[str, ...] = ("MPI_COMM_WORLD",)
     func_names: tuple[str, ...] = field(default_factory=tuple)
 
+    #: Stored dtype of each column (see :data:`CACHED_COLUMNS`).  A block
+    #: does not know its trace's rank count, so its integer columns take
+    #: one width for every trace: ``int32``, the C ``int`` that MPI ranks,
+    #: tags and counts are.  They stay signed: ``peer`` uses the sentinel
+    #: -1, matching swaps callers and peers, and :meth:`check` must see a
+    #: negative count or repeat to reject it.  Arithmetic on these
+    #: columns widens them to ``int64`` first.
     _COLUMN_DTYPES = {
         "kind": np.uint8,
-        "caller": np.int64,
-        "peer": np.int64,
-        "count": np.int64,
+        "caller": np.int32,
+        "peer": np.int32,
+        "count": np.int32,
         "dtype_id": np.int32,
         "op": np.int16,
-        "root": np.int64,
+        "root": np.int32,
         "comm_id": np.int32,
-        "tag": np.int64,
+        "tag": np.int32,
         "func_id": np.int16,
-        "repeat": np.int64,
+        "repeat": np.int32,
         "t_enter": np.float64,
         "t_leave": np.float64,
     }
@@ -141,7 +153,7 @@ class EventBlock:
     def __post_init__(self) -> None:
         k = None
         for name, dtype in self._COLUMN_DTYPES.items():
-            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr = narrow(getattr(self, name), dtype, name)
             setattr(self, name, arr)
             if arr.ndim != 1:
                 raise ValueError(f"column {name!r} must be one-dimensional")
@@ -161,7 +173,7 @@ class EventBlock:
     @property
     def num_calls(self) -> int:
         """Repeat-expanded number of MPI calls in this block."""
-        return int(self.repeat.sum())
+        return int(self.repeat.sum(dtype=np.int64))
 
     # -- row masks ----------------------------------------------------------
 
@@ -182,7 +194,7 @@ class EventBlock:
             [datatypes.size_of(name) for name in self.dtype_names],
             dtype=np.int64,
         )
-        return self.count * sizes[self.dtype_id]
+        return np.multiply(self.count, sizes[self.dtype_id], dtype=np.int64)
 
     # -- validation ---------------------------------------------------------
 
@@ -350,6 +362,88 @@ class EventBlock:
             np.zeros(0), np.zeros(0),
             func_names=(),
         )
+
+
+#: Stored dtype of every cached integer column, declared once per cache
+#: region: the producers store narrow, and every arithmetic site widens to
+#: ``int64`` first, so no result depends on NumPy's promotion rules.  A
+#: dtype is fixed, or derived from the column's bound:
+#:
+#: - ``"index"``: an index below a rank, node, link or pair count, in the
+#:   smallest unsigned dtype that holds it (:func:`index_dtype`);
+#: - ``"count"``: a message or packet count, ``uint32`` when every value
+#:   fits and ``int64`` otherwise (:func:`count_dtype`).
+#:
+#: Byte totals, sums and times stay ``int64``/``float64``.  Trace columns
+#: are fixed (:attr:`EventBlock._COLUMN_DTYPES`).
+CACHED_COLUMNS: dict[str, dict[str, object]] = {
+    "trace": EventBlock._COLUMN_DTYPES,
+    "matrix": {
+        "src": "index",
+        "dst": "index",
+        "nbytes": np.int64,
+        "messages": "count",
+        "packets": "count",
+    },
+    "incidence": {"pair_index": "index", "link_id": "index"},
+    "pairs": {
+        "src_node": "index",
+        "dst_node": "index",
+        "nbytes": np.int64,
+        "packets": np.int64,
+    },
+}
+
+
+def index_dtype(n: int) -> np.dtype:
+    """The smallest unsigned dtype holding indexes ``0 .. n-1`` (``int64``
+    past ``uint32``, so index arithmetic never promotes to float)."""
+    dtype = np.min_scalar_type(max(int(n) - 1, 0))
+    return dtype if dtype.itemsize <= 4 else np.dtype(np.int64)
+
+
+def count_dtype(top: int) -> np.dtype:
+    """``uint32`` when every count up to ``top`` fits, else ``int64``."""
+    return np.dtype(np.uint32 if int(top) <= np.iinfo(np.uint32).max else np.int64)
+
+
+def stored_dtype(region: str, column: str, bound: int = 0) -> np.dtype:
+    """The dtype :data:`CACHED_COLUMNS` declares for ``region.column``.
+
+    ``bound`` is the index count of an ``"index"`` column, or the largest
+    value of a ``"count"`` column; fixed dtypes ignore it.
+    """
+    rule = CACHED_COLUMNS[region][column]
+    if rule == "index":
+        return index_dtype(bound)
+    if rule == "count":
+        return count_dtype(bound)
+    return np.dtype(rule)
+
+
+def narrow(values, dtype, name: str = "values") -> np.ndarray:
+    """``values`` as an array of ``dtype``, refusing values it cannot hold.
+
+    Inputs whose dtype casts safely (or is already ``dtype``) are converted
+    without a range check; wider integer inputs are checked, so a narrowed
+    column never wraps around silently.
+    """
+    arr = np.asarray(values)
+    dtype = np.dtype(dtype)
+    if arr.dtype == dtype:
+        return arr
+    if (
+        arr.size
+        and dtype.kind in "iu"
+        and arr.dtype.kind in "iub"
+        and not np.can_cast(arr.dtype, dtype)
+    ):
+        info = np.iinfo(dtype)
+        lo, hi = int(arr.min()), int(arr.max())
+        if lo < info.min or hi > info.max:
+            bad = lo if lo < info.min else hi
+            raise ValueError(f"{name} value {bad} does not fit in {dtype}")
+    return arr.astype(dtype)
 
 
 def decoded_columns(blocks: Iterable[EventBlock]) -> dict[str, np.ndarray]:

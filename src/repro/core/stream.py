@@ -68,7 +68,10 @@ ROW_BYTES = sum(
 DEFAULT_CHUNK_BYTES = 8 * 1024 * 1024
 
 SPILL_MANIFEST = "manifest.json"
-SPILL_FORMAT_VERSION = 1
+#: Bump when the segment layout or a column's dtype changes; other versions
+#: are refused.  v2: integer columns are stored narrow
+#: (:attr:`EventBlock._COLUMN_DTYPES`).
+SPILL_FORMAT_VERSION = 2
 
 
 def rows_per_chunk(chunk_bytes: int) -> int:

@@ -188,7 +188,11 @@ class Trace:
         total = 0
         for block in self.blocks():
             mask = block.p2p_send_mask()
-            nbytes = block.row_bytes(self.datatypes)[mask] * block.repeat[mask]
+            nbytes = np.multiply(
+                block.row_bytes(self.datatypes)[mask],
+                block.repeat[mask],
+                dtype=np.int64,
+            )
             total += int(nbytes.sum())
         return total
 

@@ -133,7 +133,8 @@ def expand_events(trace: Trace, max_repeat: int | None = None) -> EventTable:
         arrays = parts[name]
         if not arrays:
             return np.empty(0, dtype=dtype)
-        return np.concatenate(arrays)
+        # Widens the blocks' narrow columns into the table's dtypes.
+        return np.concatenate(arrays, dtype=dtype)
 
     names = [""] * len(comm_gids)
     for name, gid in comm_gids.items():
@@ -277,7 +278,7 @@ def channel_audit(trace: Trace) -> ChannelAudit:
             rep = block.repeat[mask]
             sides.append(np.full(len(rep), is_send, dtype=bool))
             calls.append(rep)
-            nbytes.append(rep * row_bytes[mask])
+            nbytes.append(np.multiply(rep, row_bytes[mask], dtype=np.int64))
     names = [""] * len(comm_gids)
     for name, gid in comm_gids.items():
         names[gid] = name
@@ -286,12 +287,13 @@ def channel_audit(trace: Trace) -> ChannelAudit:
         return ChannelAudit(
             empty, empty, empty, empty, empty, empty, empty, empty, tuple(names)
         )
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
+    # The audit's columns are int64: the blocks' narrow ones widen here.
+    src = np.concatenate(srcs, dtype=np.int64)
+    dst = np.concatenate(dsts, dtype=np.int64)
     comm = np.concatenate(comms)
-    tag = np.concatenate(tags)
+    tag = np.concatenate(tags, dtype=np.int64)
     side = np.concatenate(sides)
-    call = np.concatenate(calls)
+    call = np.concatenate(calls, dtype=np.int64)
     byte = np.concatenate(nbytes)
     order = np.lexsort((tag, comm, dst, src))
     src, dst, comm, tag = src[order], dst[order], comm[order], tag[order]
@@ -441,6 +443,8 @@ def _channel_sort(
         for m in maxes:
             span *= m
         if span < 2**62:
+            # Widened first: narrow keys times a Python int keep their dtype.
+            src = np.asarray(src, dtype=np.int64)
             code = ((src * maxes[1] + dst) * maxes[2] + comm) * maxes[3] + tag
             return np.argsort(code, kind="stable")
     return np.lexsort((tag, comm, dst, src))

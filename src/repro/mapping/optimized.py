@@ -64,8 +64,9 @@ def _symmetric_coo(matrix: CommMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     n = matrix.num_ranks
     mask = (matrix.src != matrix.dst) & (matrix.nbytes > 0)
-    s = matrix.src[mask]
-    d = matrix.dst[mask]
+    # Widened first: the keys below overflow a narrow rank dtype.
+    s = matrix.src[mask].astype(np.int64)
+    d = matrix.dst[mask].astype(np.int64)
     b = matrix.nbytes[mask]
     uu = np.concatenate([s, d])
     vv = np.concatenate([d, s])
@@ -149,8 +150,8 @@ def spectral_ordering(matrix: CommMatrix) -> np.ndarray:
     if n == 1:
         return np.zeros(1, dtype=np.int64)
     mask = matrix.src != matrix.dst
-    src = matrix.src[mask]
-    dst = matrix.dst[mask]
+    src = matrix.src[mask].astype(np.int64)
+    dst = matrix.dst[mask].astype(np.int64)
     w = matrix.nbytes[mask].astype(np.float64)
     if len(src) == 0:
         return np.arange(n, dtype=np.int64)

@@ -129,7 +129,12 @@ def rank_distance_nd(
     mask = matrix.src != matrix.dst
     if not mask.any():
         return float("nan")
-    dist = grid_distances(matrix.src[mask], matrix.dst[mask], shape, metric)
+    dist = grid_distances(
+        matrix.src[mask].astype(np.int64),
+        matrix.dst[mask].astype(np.int64),
+        shape,
+        metric,
+    )
     weights = matrix.nbytes[mask]
     if weights.sum() == 0:
         return float("nan")

@@ -34,8 +34,8 @@ def downsample(matrix: CommMatrix, bins: int = 32) -> np.ndarray:
         raise ValueError("bins must be positive")
     n = matrix.num_ranks
     bins = min(bins, n)
-    row = (matrix.src * bins) // n
-    col = (matrix.dst * bins) // n
+    row = (matrix.src.astype(np.int64) * bins) // n
+    col = (matrix.dst.astype(np.int64) * bins) // n
     out = np.zeros((bins, bins), dtype=np.float64)
     np.add.at(out, (row, col), matrix.nbytes)
     return out
@@ -93,8 +93,9 @@ def heatmap_summary(matrix: CommMatrix, band: int = 1) -> HeatmapSummary:
     """
     n = matrix.num_ranks
     off = matrix.src != matrix.dst
-    src = matrix.src[off]
-    dst = matrix.dst[off]
+    # Widened first: a difference of unsigned ranks would wrap around.
+    src = matrix.src[off].astype(np.int64)
+    dst = matrix.dst[off].astype(np.int64)
     vols = matrix.nbytes[off].astype(np.float64)
     possible = n * (n - 1)
     if len(vols) == 0 or vols.sum() == 0:

@@ -34,7 +34,10 @@ DEFAULT_SHARE = 0.9
 def pair_distances(matrix: CommMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Linear rank distances and byte weights for all off-diagonal pairs."""
     mask = matrix.src != matrix.dst
-    dist = np.abs(matrix.src[mask] - matrix.dst[mask])
+    # Widened first: a difference of unsigned ranks would wrap around.
+    dist = np.abs(
+        matrix.src[mask].astype(np.int64) - matrix.dst[mask].astype(np.int64)
+    )
     return dist, matrix.nbytes[mask]
 
 

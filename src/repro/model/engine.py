@@ -43,6 +43,7 @@ from ..cache import (
 # name, and fails if it is missing.
 from ..cache import cached_route_incidence  # noqa: F401
 from ..comm.matrix import CommMatrix
+from ..core.blocks import stored_dtype
 from ..core.packets import MAX_PAYLOAD_BYTES
 from ..mapping.base import Mapping
 from ..routing import RoutingPolicy, get_policy
@@ -99,25 +100,33 @@ def _node_pair_aggregate(
     and the matrix's own ``nbytes``/``packets`` arrays are returned — and
     its own ``src``/``dst`` too when the mapping is the identity on the
     matrix's ranks, so a cached aggregate holds no array of its own:
-    callers must not write into the result.
+    callers must not write into the result.  Node IDs the aggregate holds
+    itself take the smallest unsigned dtype for the node count
+    (:data:`repro.core.blocks.CACHED_COLUMNS`); sums are ``int64``.
     """
     n = matrix.num_ranks
     nodes = mapping.nodes
-    if len(nodes) >= n and np.array_equal(nodes[:n], np.arange(n)):
+    identity = len(nodes) >= n and np.array_equal(nodes[:n], np.arange(n))
+    if identity:
         src_nodes, dst_nodes = matrix.src, matrix.dst
     else:
         src_nodes = mapping.node_of(matrix.src)
         dst_nodes = mapping.node_of(matrix.dst)
-    key = src_nodes * np.int64(mapping.num_nodes) + dst_nodes
+    # Widened first: narrow node IDs times the node count would wrap.
+    key = src_nodes.astype(np.int64) * mapping.num_nodes + dst_nodes
+    node_t = stored_dtype("pairs", "src_node", mapping.num_nodes)
     if not len(key):
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy(), empty.copy()
+        return empty.astype(node_t), empty.astype(node_t), empty, empty.copy()
     if np.all(key[1:] > key[:-1]):
+        if not identity:
+            src_nodes, dst_nodes = src_nodes.astype(node_t), dst_nodes.astype(node_t)
         return src_nodes, dst_nodes, matrix.nbytes, matrix.packets
     # Grouped sums over sorted runs (bincount-style aggregation) instead of
     # np.unique + np.add.at: scatter-add is ~10x slower at these shapes, and
     # reduceat keeps the accumulation in exact int64 (bincount's float64
-    # weights would silently round sums past 2**53).
+    # weights would silently round sums past 2**53; the matrix's narrow
+    # packet counts would wrap in their own dtype).
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     run_start = np.empty(len(sorted_key), dtype=bool)
@@ -125,11 +134,11 @@ def _node_pair_aggregate(
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=run_start[1:])
     starts = np.flatnonzero(run_start)
     unique_keys = sorted_key[starts]
-    nbytes = np.add.reduceat(matrix.nbytes[order], starts)
-    packets = np.add.reduceat(matrix.packets[order], starts)
+    nbytes = np.add.reduceat(matrix.nbytes[order], starts, dtype=np.int64)
+    packets = np.add.reduceat(matrix.packets[order], starts, dtype=np.int64)
     return (
-        unique_keys // mapping.num_nodes,
-        unique_keys % mapping.num_nodes,
+        (unique_keys // mapping.num_nodes).astype(node_t),
+        (unique_keys % mapping.num_nodes).astype(node_t),
         nbytes,
         packets,
     )

@@ -57,7 +57,7 @@ def victim_link_loads(
     loads = np.zeros(topology.num_links, dtype=np.float64)
     if not len(src_n):
         return loads
-    packets = matrix.packets[crossing]
+    packets = matrix.packets[crossing].astype(np.int64)
     scaled = np.maximum(packets // int(volume_scale), 1)
     inc = cached_route_incidence(
         topology,

@@ -180,7 +180,7 @@ def prepare_simulation(
     crossing = src_n != dst_n
     src_n = src_n[crossing]
     dst_n = dst_n[crossing]
-    pair_packets = matrix.packets[crossing]
+    pair_packets = matrix.packets[crossing].astype(np.int64)
 
     scaled = np.maximum(pair_packets // int(volume_scale), 1) if len(
         pair_packets

@@ -16,7 +16,7 @@ Hop conventions (validated against the paper's Table 3):
 
 Routes are exposed in a vectorized form: arrays of node pairs in, arrays of
 hop counts or ``(pair_index, link_id)`` incidence pairs out.  Link IDs are
-opaque non-negative int64 identifiers, unique within one topology instance;
+opaque non-negative integer identifiers, unique within one topology instance;
 ``describe_link`` decodes them for humans.
 """
 
@@ -26,6 +26,8 @@ import abc
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..core.blocks import index_dtype, narrow, stored_dtype
 
 __all__ = ["Topology", "RouteIncidence", "compact_ids"]
 
@@ -39,8 +41,8 @@ class RouteIncidence:
     incidence rows; 0-hop (same node) routes contribute none.
     """
 
-    pair_index: np.ndarray  # int64[m]
-    link_id: np.ndarray  # int64[m]
+    pair_index: np.ndarray  # int64[m], or narrow once cached
+    link_id: np.ndarray  # int64[m], or narrow once cached
 
     def __post_init__(self) -> None:
         if self.pair_index.shape != self.link_id.shape:
@@ -49,6 +51,28 @@ class RouteIncidence:
     @property
     def num_incidences(self) -> int:
         return len(self.link_id)
+
+    def compacted(self, num_pairs: int) -> "RouteIncidence":
+        """These rows in the dtypes the cache stores them in: each column
+        in the smallest unsigned dtype holding its indexes (``num_pairs``
+        query pairs, link IDs up to the largest present)."""
+        top = int(self.link_id.max()) + 1 if len(self.link_id) else 0
+        return RouteIncidence(
+            narrow(
+                self.pair_index,
+                stored_dtype("incidence", "pair_index", num_pairs),
+                "pair_index",
+            ),
+            narrow(self.link_id, stored_dtype("incidence", "link_id", top), "link_id"),
+        )
+
+    def _memoize(self, name: str, value) -> None:
+        """Keep a derived array on this (shared, immutable) incidence and
+        count it against the cache entry that holds the incidence."""
+        from .. import cache
+
+        object.__setattr__(self, name, value)
+        cache.count_memo(self)
 
     def used_links(self) -> np.ndarray:
         """Sorted unique link IDs appearing in any route.
@@ -63,7 +87,7 @@ class RouteIncidence:
         cached = getattr(self, "_used_links", None)
         if cached is None:
             cached = np.flatnonzero(np.bincount(self.link_id))
-            object.__setattr__(self, "_used_links", cached)
+            self._memoize("_used_links", cached)
         return cached
 
     def link_loads(self, pair_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,9 +97,12 @@ class RouteIncidence:
         """
         cached = getattr(self, "_link_inverse", None)
         if cached is None:
-            cached = compact_ids(self.link_id)
-            object.__setattr__(self, "_used_links", cached[0])
-            object.__setattr__(self, "_link_inverse", cached)
+            ids, inverse = compact_ids(self.link_id)
+            # The inverse is as long as the incidence: keep it narrow.
+            cached = ids, inverse.astype(index_dtype(len(ids)))
+            if getattr(self, "_used_links", None) is None:
+                object.__setattr__(self, "_used_links", ids)
+            self._memoize("_link_inverse", cached)
         ids, inverse = cached
         # bincount beats np.add.at by ~10x at these shapes and
         # accumulates in the same input order, so the float sums are

@@ -81,7 +81,9 @@ def _p2p_sent_bytes_per_rank(trace) -> np.ndarray:
     sent = np.zeros(trace.meta.num_ranks, dtype=np.int64)
     for block in trace.blocks():
         mask = block.p2p_send_mask()
-        nbytes = block.row_bytes(trace.datatypes)[mask] * block.repeat[mask]
+        nbytes = np.multiply(
+            block.row_bytes(trace.datatypes)[mask], block.repeat[mask], dtype=np.int64
+        )
         np.add.at(sent, block.caller[mask], nbytes)
     return sent
 
@@ -750,11 +752,13 @@ def check_critpath_matching(ctx: CheckContext) -> Iterator[Violation]:
     # equal the p2p traffic matrix exactly — the matcher and the matrix
     # builder read the same rows, so any disagreement is a lost message.
     m = ctx.p2p_matrix
-    codes = audit.src * np.int64(m.num_ranks) + audit.dst
+    # Widened first: NumPy 1.x would keep narrow ranks times a scalar in
+    # their own dtype, and the pair codes overflow it.
+    codes = audit.src.astype(np.int64) * m.num_ranks + audit.dst
     order = np.argsort(codes, kind="stable")
     uniq, start = np.unique(codes[order], return_index=True)
     per_pair = np.add.reduceat(audit.send_bytes[order], start)
-    matrix_codes = m.src * np.int64(m.num_ranks) + m.dst
+    matrix_codes = m.src.astype(np.int64) * m.num_ranks + m.dst
     if not (
         np.array_equal(uniq, matrix_codes)
         and np.array_equal(per_pair, m.nbytes)

@@ -104,8 +104,8 @@ def node_pair_aggregate_reference(
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=run_start[1:])
     starts = np.flatnonzero(run_start)
     unique_keys = sorted_key[starts]
-    nbytes = np.add.reduceat(matrix.nbytes[order], starts)
-    packets = np.add.reduceat(matrix.packets[order], starts)
+    nbytes = np.add.reduceat(matrix.nbytes[order], starts, dtype=np.int64)
+    packets = np.add.reduceat(matrix.packets[order], starts, dtype=np.int64)
     return (
         unique_keys // mapping.num_nodes,
         unique_keys % mapping.num_nodes,

@@ -82,13 +82,15 @@ class TestExitStatus:
     def test_failing_perf_only_gate_exits_0(self, monkeypatch, tmp_path):
         record = _committed("critpath")
         del record["gates"]
-        record["matcher"]["events"] = 1
+        record["sensitivity"]["coverage_gap"] = ["Nonesuch"]
         bench = dataclasses.replace(BENCHES["critpath"], run=lambda: record)
         monkeypatch.setitem(BENCHES, "critpath", bench)
         out = tmp_path / "bench.json"
         assert main(["bench", "critpath", "--out", str(out)]) == 0
         rows = json.loads(out.read_text())["gates"]
-        assert [r["label"] for r in rows if not r["ok"]] == ["matcher events"]
+        assert [r["label"] for r in rows if not r["ok"]] == [
+            "registry apps not covered"
+        ]
 
 
 class TestGate:

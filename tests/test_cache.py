@@ -296,12 +296,11 @@ class TestKeys:
             "disk_hits": 0,
         }
 
-    def test_cache_version_is_11(self):
-        """v11 gives ``Mesh3D`` its own fingerprint (v10 started the
-        spectral eigensolver from a fixed vector) — a version bump
-        cold-starts the disk tier so no mesh route stored under a torus
-        key is read back."""
-        assert cache.CACHE_VERSION == 11
+    def test_cache_version_is_12(self):
+        """v12 stores compact (narrow-dtype) columns (v11 gave ``Mesh3D``
+        its own fingerprint) — a version bump cold-starts the disk tier so
+        no ``int64`` entry of an older layout is read back."""
+        assert cache.CACHE_VERSION == 12
 
     @pytest.mark.parametrize("first", ["torus", "mesh"])
     def test_mesh_and_torus_of_one_size_never_share_routes(self, first):

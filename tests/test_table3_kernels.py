@@ -28,6 +28,7 @@ from oracles.metrics import (
 from repro.apps.registry import iter_configurations
 from repro.cache import cached_matrix, cached_trace
 from repro.comm.matrix import CommMatrix
+from repro.core.blocks import CACHED_COLUMNS, stored_dtype
 from repro.mapping.base import Mapping
 from repro.metrics.selectivity import (
     mean_selectivity_curve,
@@ -48,11 +49,15 @@ def _same_float(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-def _assert_same_arrays(got, want) -> None:
+def _assert_same_aggregate(got, want, matrix, mapping) -> None:
+    """Equal values; arrays the aggregate holds itself in the dtypes
+    ``CACHED_COLUMNS`` declares (the oracle computes in ``int64``)."""
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype
+    own = [getattr(matrix, c) for c in ("src", "dst", "nbytes", "packets")]
+    for name, a, b in zip(CACHED_COLUMNS["pairs"], got, want):
         assert np.array_equal(a, b)
+        if not any(a is array for array in own):
+            assert a.dtype == stored_dtype("pairs", name, mapping.num_nodes)
 
 
 def _assert_selectivity_matches(matrix: CommMatrix, share: float) -> None:
@@ -153,7 +158,9 @@ class TestNodePairShortcut:
         mapping = Mapping.consecutive(64, 64)
         got = _node_pair_aggregate(matrix, mapping)
         assert got[2] is matrix.nbytes and got[3] is matrix.packets
-        _assert_same_arrays(got, node_pair_aggregate_reference(matrix, mapping))
+        _assert_same_aggregate(
+            got, node_pair_aggregate_reference(matrix, mapping), matrix, mapping
+        )
 
     @pytest.mark.parametrize(
         "mapping",
@@ -168,7 +175,9 @@ class TestNodePairShortcut:
         matrix = _full_matrix("LULESH", 64)
         got = _node_pair_aggregate(matrix, mapping)
         assert got[2] is not matrix.nbytes
-        _assert_same_arrays(got, node_pair_aggregate_reference(matrix, mapping))
+        _assert_same_aggregate(
+            got, node_pair_aggregate_reference(matrix, mapping), matrix, mapping
+        )
 
     @pytest.mark.parametrize(
         "src,dst",
@@ -185,15 +194,19 @@ class TestNodePairShortcut:
         mapping = Mapping.consecutive(3, 3)
         got = _node_pair_aggregate(matrix, mapping)
         assert got[2] is not matrix.nbytes
-        _assert_same_arrays(got, node_pair_aggregate_reference(matrix, mapping))
+        _assert_same_aggregate(
+            got, node_pair_aggregate_reference(matrix, mapping), matrix, mapping
+        )
 
     def test_empty_matrix(self):
         empty = np.zeros(0, dtype=np.int64)
         matrix = CommMatrix(4, empty, empty, empty, empty, empty)
         mapping = Mapping.consecutive(4, 4)
-        _assert_same_arrays(
+        _assert_same_aggregate(
             _node_pair_aggregate(matrix, mapping),
             node_pair_aggregate_reference(matrix, mapping),
+            matrix,
+            mapping,
         )
 
     @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
