@@ -32,125 +32,40 @@ Quick start::
     print(result.avg_hops, result.utilization_percent)
 """
 
-from .apps import APPS, app_names, generate_trace, get_app, iter_configurations
-from .comm import CommMatrix, CommMatrixBuilder, TraceStats, matrix_from_trace, trace_stats
-from .core import (
-    CollectiveEvent,
-    CollectiveOp,
-    Communicator,
-    DatatypeRegistry,
-    MAX_PAYLOAD_BYTES,
-    MPIDatatype,
-    P2PEvent,
-    Trace,
-    TraceMetadata,
-)
-from .dumpi import TraceKey, TraceRepository, dump_trace, load_trace
-from .mapping import Mapping, multicore_sweep, optimize_mapping, weighted_hop_cost
-from .metrics import (
-    MPILevelMetrics,
-    grid_shape,
-    locality_by_dimension,
-    mean_selectivity_curve,
-    mpi_level_metrics,
-    partner_volumes,
-    peers,
-    rank_distance,
-    rank_locality,
-    selectivity,
-    selectivity_curve,
-)
-from .paper import compare_table3, deviation_summary, table1_row, table3_row
-from .routing import ROUTINGS, RoutingPolicy, get_policy
-from .sim import SimulationResult, simulate_network
-from .telemetry import TelemetryConfig, TelemetryReport, congestion_summary
-from .model import (
-    BANDWIDTH_BYTES_PER_S,
-    EnergyModel,
-    LatencyModel,
-    NetworkAnalysis,
-    analyze_network,
-    bandwidth_slack,
-    link_load_stats,
-)
-from .topology import (
-    Dragonfly,
-    FatTree,
-    Mesh3D,
-    TABLE2,
-    TopologyConfig,
-    Torus3D,
-    build_all,
-    config_for,
-)
+from time import perf_counter as _perf_counter
+
+#: When ``import repro`` began; ``--timings`` reports start-up from here.
+_IMPORT_STARTED = _perf_counter()
+
+from ._exports import lazy_exports  # noqa: E402
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "APPS",
-    "app_names",
-    "generate_trace",
-    "get_app",
-    "iter_configurations",
-    "CommMatrix",
-    "CommMatrixBuilder",
-    "TraceStats",
-    "matrix_from_trace",
-    "trace_stats",
-    "CollectiveEvent",
-    "CollectiveOp",
-    "Communicator",
-    "DatatypeRegistry",
-    "MAX_PAYLOAD_BYTES",
-    "MPIDatatype",
-    "P2PEvent",
-    "Trace",
-    "TraceMetadata",
-    "TraceKey",
-    "TraceRepository",
-    "dump_trace",
-    "load_trace",
-    "Mapping",
-    "multicore_sweep",
-    "optimize_mapping",
-    "weighted_hop_cost",
-    "MPILevelMetrics",
-    "grid_shape",
-    "locality_by_dimension",
-    "mean_selectivity_curve",
-    "mpi_level_metrics",
-    "partner_volumes",
-    "peers",
-    "rank_distance",
-    "rank_locality",
-    "selectivity",
-    "selectivity_curve",
-    "BANDWIDTH_BYTES_PER_S",
-    "EnergyModel",
-    "NetworkAnalysis",
-    "analyze_network",
-    "bandwidth_slack",
-    "LatencyModel",
-    "link_load_stats",
-    "SimulationResult",
-    "simulate_network",
-    "TelemetryConfig",
-    "TelemetryReport",
-    "congestion_summary",
-    "ROUTINGS",
-    "RoutingPolicy",
-    "get_policy",
-    "compare_table3",
-    "deviation_summary",
-    "table1_row",
-    "table3_row",
-    "Dragonfly",
-    "FatTree",
-    "Mesh3D",
-    "TABLE2",
-    "TopologyConfig",
-    "Torus3D",
-    "build_all",
-    "config_for",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".apps": ("APPS", "app_names", "generate_trace", "get_app", "iter_configurations"),
+    ".comm": ("CommMatrix", "CommMatrixBuilder", "TraceStats", "matrix_from_trace", "trace_stats"),
+    ".core": (
+        "CollectiveEvent", "CollectiveOp", "Communicator", "DatatypeRegistry", "MAX_PAYLOAD_BYTES",
+        "MPIDatatype", "P2PEvent", "Trace", "TraceMetadata",
+    ),
+    ".dumpi": ("TraceKey", "TraceRepository", "dump_trace", "load_trace"),
+    ".mapping": ("Mapping", "multicore_sweep", "optimize_mapping", "weighted_hop_cost"),
+    ".metrics": (
+        "MPILevelMetrics", "grid_shape", "locality_by_dimension", "mean_selectivity_curve",
+        "mpi_level_metrics", "partner_volumes", "peers", "rank_distance", "rank_locality",
+        "selectivity", "selectivity_curve",
+    ),
+    ".model": (
+        "BANDWIDTH_BYTES_PER_S", "EnergyModel", "LatencyModel", "NetworkAnalysis",
+        "analyze_network", "bandwidth_slack", "link_load_stats",
+    ),
+    ".paper": ("compare_table3", "deviation_summary", "table1_row", "table3_row"),
+    ".routing": ("ROUTINGS", "RoutingPolicy", "get_policy"),
+    ".sim": ("SimulationResult", "simulate_network"),
+    ".telemetry": ("TelemetryConfig", "TelemetryReport", "congestion_summary"),
+    ".topology": (
+        "Dragonfly", "FatTree", "Mesh3D", "TABLE2", "TopologyConfig", "Torus3D", "build_all",
+        "config_for",
+    ),
+})
+__all__.append("__version__")

@@ -30,7 +30,6 @@ import itertools
 import logging
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterator
 
@@ -607,6 +606,8 @@ def run_sweep(
             if progress is not None:
                 progress(len(per_point), total)
     else:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         chunksize = max(1, -(-total // workers))
         chunks = [points[i : i + chunksize] for i in range(0, total, chunksize)]
         results: list[list[list[dict[str, Any]]] | None] = [None] * len(chunks)

@@ -1,38 +1,12 @@
 """Synthetic trace generators for the paper's 16 proxy-app configurations."""
 
-from .base import (
-    AppPattern,
-    CalibrationPoint,
-    Channels,
-    CollectivePhase,
-    SyntheticApp,
-)
-from .registry import (
-    APPS,
-    SCALE_APPS,
-    app_names,
-    generate_trace,
-    get_app,
-    iter_configurations,
-    stream_trace,
-)
-from .validation import ValidationIssue, ValidationResult, validate_all, validate_app
+from .._exports import lazy_exports
 
-__all__ = [
-    "AppPattern",
-    "CalibrationPoint",
-    "Channels",
-    "CollectivePhase",
-    "SyntheticApp",
-    "APPS",
-    "SCALE_APPS",
-    "app_names",
-    "generate_trace",
-    "get_app",
-    "iter_configurations",
-    "stream_trace",
-    "ValidationIssue",
-    "ValidationResult",
-    "validate_all",
-    "validate_app",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("AppPattern", "CalibrationPoint", "Channels", "CollectivePhase", "SyntheticApp"),
+    ".registry": (
+        "APPS", "SCALE_APPS", "app_names", "generate_trace", "get_app", "iter_configurations",
+        "stream_trace",
+    ),
+    ".validation": ("ValidationIssue", "ValidationResult", "validate_all", "validate_app"),
+})

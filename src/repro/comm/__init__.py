@@ -1,13 +1,8 @@
 """Traffic-matrix extraction and trace statistics."""
 
-from .matrix import CommMatrix, CommMatrixBuilder, matrix_from_stream, matrix_from_trace
-from .stats import TraceStats, trace_stats
+from .._exports import lazy_exports
 
-__all__ = [
-    "CommMatrix",
-    "CommMatrixBuilder",
-    "matrix_from_stream",
-    "matrix_from_trace",
-    "TraceStats",
-    "trace_stats",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".matrix": ("CommMatrix", "CommMatrixBuilder", "matrix_from_stream", "matrix_from_trace"),
+    ".stats": ("TraceStats", "trace_stats"),
+})

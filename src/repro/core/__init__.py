@@ -1,76 +1,24 @@
 """Core MPI trace data model: datatypes, communicators, events, traces, packets."""
 
-from .blocks import (
-    EventBlock,
-    KIND_COLLECTIVE,
-    KIND_P2P_RECV,
-    KIND_P2P_SEND,
-    OPS,
-    OP_CODE,
-)
-from .communicator import CartesianCommunicator, Communicator, CommunicatorTable
-from .datatypes import (
-    DERIVED_SIZE_CONVENTION,
-    DatatypeRegistry,
-    DerivedDatatype,
-    DerivedKind,
-    MPIDatatype,
-)
-from .events import (
-    CollectiveEvent,
-    CollectiveOp,
-    Direction,
-    P2PEvent,
-    ROOTED_OPS,
-    TraceEvent,
-    VECTOR_OPS,
-)
-from .packets import MAX_PAYLOAD_BYTES, packets_for_bytes, packets_for_bytes_array
-from .stream import (
-    DEFAULT_CHUNK_BYTES,
-    ROW_BYTES,
-    BlockStream,
-    load_spill_trace,
-    open_spill,
-    rechunk_blocks,
-    slice_block,
-    write_spill,
-)
-from .trace import Trace, TraceMetadata
+from .._exports import lazy_exports
 
-__all__ = [
-    "EventBlock",
-    "KIND_COLLECTIVE",
-    "KIND_P2P_RECV",
-    "KIND_P2P_SEND",
-    "OPS",
-    "OP_CODE",
-    "CartesianCommunicator",
-    "Communicator",
-    "CommunicatorTable",
-    "DatatypeRegistry",
-    "DerivedDatatype",
-    "DerivedKind",
-    "MPIDatatype",
-    "DERIVED_SIZE_CONVENTION",
-    "CollectiveEvent",
-    "CollectiveOp",
-    "Direction",
-    "P2PEvent",
-    "ROOTED_OPS",
-    "TraceEvent",
-    "VECTOR_OPS",
-    "MAX_PAYLOAD_BYTES",
-    "packets_for_bytes",
-    "packets_for_bytes_array",
-    "BlockStream",
-    "DEFAULT_CHUNK_BYTES",
-    "ROW_BYTES",
-    "load_spill_trace",
-    "open_spill",
-    "rechunk_blocks",
-    "slice_block",
-    "write_spill",
-    "Trace",
-    "TraceMetadata",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".blocks": (
+        "EventBlock", "KIND_COLLECTIVE", "KIND_P2P_RECV", "KIND_P2P_SEND", "OPS", "OP_CODE",
+    ),
+    ".communicator": ("CartesianCommunicator", "Communicator", "CommunicatorTable"),
+    ".datatypes": (
+        "DERIVED_SIZE_CONVENTION", "DatatypeRegistry", "DerivedDatatype", "DerivedKind",
+        "MPIDatatype",
+    ),
+    ".events": (
+        "CollectiveEvent", "CollectiveOp", "Direction", "P2PEvent", "ROOTED_OPS", "TraceEvent",
+        "VECTOR_OPS",
+    ),
+    ".packets": ("MAX_PAYLOAD_BYTES", "packets_for_bytes", "packets_for_bytes_array"),
+    ".stream": (
+        "DEFAULT_CHUNK_BYTES", "ROW_BYTES", "BlockStream", "load_spill_trace", "open_spill",
+        "rechunk_blocks", "slice_block", "write_spill",
+    ),
+    ".trace": ("Trace", "TraceMetadata"),
+})

@@ -48,6 +48,7 @@ class Direction(enum.Enum):
 P2P_CALLS: dict[str, Direction] = {
     "MPI_Send": Direction.SEND,
     "MPI_Isend": Direction.SEND,
+    "MPI_Issend": Direction.SEND,
     "MPI_Ssend": Direction.SEND,
     "MPI_Rsend": Direction.SEND,
     "MPI_Bsend": Direction.SEND,

@@ -23,61 +23,20 @@ Layer map:
   registry mini-apps.
 """
 
-from .analyze import (
-    DEFAULT_MAX_REPEAT,
-    CritPathAnalysis,
-    CriticalPath,
-    analyze_trace,
-    critical_path,
-    latency_sensitivity,
-    latency_table,
-)
-from .cost import DEFAULT_PARAMS, LogGPParams, edge_costs, message_edge_hops
-from .dag import (
-    EDGE_COLLECTIVE,
-    EDGE_P2P,
-    EDGE_PROGRAM,
-    CycleError,
-    HappensBeforeDag,
-    build_dag,
-)
-from .match import (
-    ChannelAudit,
-    EventTable,
-    MatchError,
-    MatchResult,
-    channel_audit,
-    ensure_receives,
-    expand_events,
-    iter_collective_edges,
-    match_events,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_MAX_REPEAT",
-    "DEFAULT_PARAMS",
-    "ChannelAudit",
-    "CritPathAnalysis",
-    "CriticalPath",
-    "CycleError",
-    "EDGE_COLLECTIVE",
-    "EDGE_P2P",
-    "EDGE_PROGRAM",
-    "EventTable",
-    "HappensBeforeDag",
-    "LogGPParams",
-    "MatchError",
-    "MatchResult",
-    "analyze_trace",
-    "build_dag",
-    "channel_audit",
-    "critical_path",
-    "edge_costs",
-    "ensure_receives",
-    "expand_events",
-    "iter_collective_edges",
-    "latency_sensitivity",
-    "latency_table",
-    "match_events",
-    "message_edge_hops",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".analyze": (
+        "DEFAULT_MAX_REPEAT", "CritPathAnalysis", "CriticalPath", "analyze_trace", "critical_path",
+        "latency_sensitivity", "latency_table",
+    ),
+    ".cost": ("DEFAULT_PARAMS", "LogGPParams", "edge_costs", "message_edge_hops"),
+    ".dag": (
+        "EDGE_COLLECTIVE", "EDGE_P2P", "EDGE_PROGRAM", "CycleError", "HappensBeforeDag",
+        "build_dag",
+    ),
+    ".match": (
+        "ChannelAudit", "EventTable", "MatchError", "MatchResult", "channel_audit",
+        "ensure_receives", "expand_events", "iter_collective_edges", "match_events",
+    ),
+})

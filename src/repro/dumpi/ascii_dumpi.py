@@ -26,6 +26,13 @@ treatment of underdocumented derived types), and per-call fields are
 matched by name with sensible fallbacks (``sendcount``/``count``,
 ``dest``/``source``/``root``).
 
+Calls that carry traffic the converter does not decode
+(:data:`UNDECODED_CALLS`: ``MPI_Sendrecv``, persistent requests,
+nonblocking collectives, one-sided RMA) are never dropped silently: they
+raise :class:`UndecodedCallError` naming the rank file, line and function,
+or with ``strict=False`` are skipped with one warning per load that counts
+them per function.
+
 Cartesian/sub-communicator calls cannot be reconstructed from dumpi output
 (the paper excludes such traces, §4.3); records referencing a communicator
 other than ``MPI_COMM_WORLD``/``MPI_COMM_SELF`` raise
@@ -34,7 +41,9 @@ other than ``MPI_COMM_WORLD``/``MPI_COMM_SELF`` raise
 
 from __future__ import annotations
 
+import logging
 import re
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -52,6 +61,8 @@ from ..core.events import CollectiveOp, Direction, P2P_CALLS
 from ..core.trace import Trace, TraceMetadata
 
 __all__ = [
+    "UNDECODED_CALLS",
+    "UndecodedCallError",
     "UnsupportedCommunicatorError",
     "parse_rank_stream",
     "load_rank_file",
@@ -75,6 +86,22 @@ _FIELD_RE = re.compile(
 
 _COLLECTIVE_BY_NAME = {op.value: op for op in CollectiveOp}
 
+#: Traffic-bearing calls the converter does not decode: combined
+#: send-receives, one-sided RMA, and the nonblocking form of every decoded
+#: collective.  Persistent requests (``MPI_*_init`` plus ``MPI_Start``/
+#: ``MPI_Startall``) are matched by :data:`_PERSISTENT_RE`.
+UNDECODED_CALLS = frozenset(
+    {
+        "MPI_Sendrecv", "MPI_Sendrecv_replace", "MPI_Start", "MPI_Startall",
+        "MPI_Put", "MPI_Get", "MPI_Accumulate", "MPI_Get_accumulate",
+        "MPI_Rput", "MPI_Rget", "MPI_Raccumulate",
+    }
+    | {"MPI_I" + op.value[len("MPI_"):].lower() for op in CollectiveOp}
+)
+_PERSISTENT_RE = re.compile(r"^MPI_\w+_init$")
+
+_log = logging.getLogger(__name__)
+
 #: World-like communicator names dumpi prints; everything else is a
 #: sub-communicator we cannot resolve.
 _WORLD_COMMS = {"MPI_COMM_WORLD", "MPI_COMM_SELF"}
@@ -89,13 +116,32 @@ class UnsupportedCommunicatorError(ValueError):
     """A record references a communicator whose rank mapping is unknown."""
 
 
+class UndecodedCallError(ValueError):
+    """A record carries traffic the converter does not decode."""
+
+
+def _undecoded(func: str) -> bool:
+    return func in UNDECODED_CALLS or _PERSISTENT_RE.match(func) is not None
+
+
+def _warn_skipped(skipped: Counter, source: object) -> None:
+    """One warning per load for the undecoded calls ``strict=False`` skipped."""
+    if skipped:
+        counts = ", ".join(f"{func} x{n}" for func, n in sorted(skipped.items()))
+        _log.warning(
+            "skipped %d traffic-bearing records the converter does not decode "
+            "in %s: %s", sum(skipped.values()), source, counts,
+        )
+
+
 class _Record:
     """One MPI call being assembled."""
 
-    __slots__ = ("func", "t_enter", "t_leave", "ints", "names")
+    __slots__ = ("func", "line", "t_enter", "t_leave", "ints", "names")
 
-    def __init__(self, func: str, t_enter: float) -> None:
+    def __init__(self, func: str, line: int, t_enter: float) -> None:
         self.func = func
+        self.line = line
         self.t_enter = t_enter
         self.t_leave = t_enter
         self.ints: dict[str, int] = {}
@@ -219,27 +265,40 @@ def _parse_columns(
     stream: TextIO | Iterable[str],
     columns: _Columns,
     strict: bool,
+    source: object,
+    skipped: Counter,
 ) -> tuple[float, float]:
     """Decode one rank's dumpi2ascii text into ``columns``.
 
-    Returns ``(first_walltime, last_walltime)``.
+    ``source`` names the rank file in errors; undecoded calls that
+    ``strict=False`` lets through are counted into ``skipped``.  Returns
+    ``(first_walltime, last_walltime)``.
     """
     t_min = float("inf")
     t_max = float("-inf")
     current: _Record | None = None
 
-    for line in stream:
+    for number, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
         enter = _ENTER_RE.match(line)
         if enter:
-            current = _Record(enter.group(1), float(enter.group(2)))
+            current = _Record(enter.group(1), number, float(enter.group(2)))
             t_min = min(t_min, current.t_enter)
             continue
         ret = _RETURN_RE.match(line)
         if ret and current is not None and ret.group(1) == current.func:
             current.t_leave = float(ret.group(2))
             t_max = max(t_max, current.t_leave)
-            _translate(current, columns, strict)
+            if not _undecoded(current.func):
+                _translate(current, columns, strict)
+            elif strict:
+                raise UndecodedCallError(
+                    f"{source}:{current.line}: {current.func} carries traffic "
+                    "the dumpi2ascii converter does not decode (strict=False "
+                    "skips it with a warning)"
+                )
+            else:
+                skipped[current.func] += 1
             current = None
             continue
         if current is not None:
@@ -266,7 +325,10 @@ def parse_rank_stream(
     complete the record, as in real traces).
     """
     columns = _Columns(_Interner(), _Interner())
-    t_min, t_max = _parse_columns(stream, columns, strict)
+    source = getattr(stream, "name", f"<rank {rank} stream>")
+    skipped: Counter = Counter()
+    t_min, t_max = _parse_columns(stream, columns, strict, source, skipped)
+    _warn_skipped(skipped, source)
     return columns.to_block(rank).to_events(), t_min, t_max
 
 
@@ -341,11 +403,13 @@ def _rank_files(directory: Path) -> dict[int, Path]:
     return rank_files
 
 
-def _parse_rank(path: Path, strict: bool) -> tuple[_Columns, float, float]:
+def _parse_rank(
+    path: Path, strict: bool, skipped: Counter
+) -> tuple[_Columns, float, float]:
     """Decode one rank file into fresh columns (file-local name tables)."""
     columns = _Columns(_Interner(), _Interner())
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lo, hi = _parse_columns(fh, columns, strict)
+        lo, hi = _parse_columns(fh, columns, strict, path, skipped)
     return columns, lo, hi
 
 
@@ -369,18 +433,19 @@ def load_dumpi2ascii_dir(
     dtypes = _Interner()
     funcs = _Interner()
     blocks: list[EventBlock] = []
+    skipped: Counter = Counter()
     t_min = float("inf")
     t_max = float("-inf")
     for rank in range(num_ranks):
         columns = _Columns(dtypes, funcs)
-        with open(
-            rank_files[rank], "r", encoding="utf-8", errors="replace"
-        ) as fh:
-            lo, hi = _parse_columns(fh, columns, strict)
+        path = rank_files[rank]
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            lo, hi = _parse_columns(fh, columns, strict, path, skipped)
         if len(columns):
             blocks.append(columns.to_block(rank))
             t_min = min(t_min, lo)
             t_max = max(t_max, hi)
+    _warn_skipped(skipped, directory)
     duration = max(t_max - t_min, 1e-9) if t_min <= t_max else 1e-9
 
     meta = TraceMetadata(app=app, num_ranks=num_ranks, execution_time=duration)
@@ -461,18 +526,21 @@ def stream_dumpi2ascii_dir(
 
     t_min = float("inf")
     t_max = float("-inf")
+    skipped: Counter = Counter()
     for rank in range(num_ranks):
-        columns, lo, hi = _parse_rank(rank_files[rank], strict)
+        columns, lo, hi = _parse_rank(rank_files[rank], strict, skipped)
         if len(columns):
             t_min = min(t_min, lo)
             t_max = max(t_max, hi)
+    _warn_skipped(skipped, directory)
     duration = max(t_max - t_min, 1e-9) if t_min <= t_max else 1e-9
     offset = t_min if t_min <= t_max else 0.0
     meta = TraceMetadata(app=app, num_ranks=num_ranks, execution_time=duration)
 
     def rank_blocks():
         for rank in range(num_ranks):
-            columns, _, _ = _parse_rank(rank_files[rank], strict)
+            # The up-front pass raised or warned for this directory already.
+            columns, _, _ = _parse_rank(rank_files[rank], strict, Counter())
             if not len(columns):
                 continue
             block = columns.to_block(rank)

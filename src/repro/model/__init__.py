@@ -1,23 +1,11 @@
 """Static network model: hops, utilization, link loads, latency, energy."""
 
-from .energy import SERDES_POWER_SHARE, EnergyModel, EnergyReport
-from .engine import BANDWIDTH_BYTES_PER_S, NetworkAnalysis, analyze_network
-from .latency import LatencyModel, LatencyReport
-from .linkload import LinkLoadStats, link_load_stats, link_loads
-from .slack import SlackReport, bandwidth_slack
+from .._exports import lazy_exports
 
-__all__ = [
-    "SERDES_POWER_SHARE",
-    "EnergyModel",
-    "EnergyReport",
-    "BANDWIDTH_BYTES_PER_S",
-    "NetworkAnalysis",
-    "analyze_network",
-    "LatencyModel",
-    "LatencyReport",
-    "LinkLoadStats",
-    "link_load_stats",
-    "link_loads",
-    "SlackReport",
-    "bandwidth_slack",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".energy": ("SERDES_POWER_SHARE", "EnergyModel", "EnergyReport"),
+    ".engine": ("BANDWIDTH_BYTES_PER_S", "NetworkAnalysis", "analyze_network"),
+    ".latency": ("LatencyModel", "LatencyReport"),
+    ".linkload": ("LinkLoadStats", "link_load_stats", "link_loads"),
+    ".slack": ("SlackReport", "bandwidth_slack"),
+})

@@ -1,26 +1,11 @@
 """The paper's published values and paper-vs-measured comparison tooling."""
 
-from .compare import CellComparison, DeviationSummary, compare_table3, deviation_summary
-from .values import (
-    TABLE1,
-    TABLE3,
-    TABLE4,
-    PaperTable1Row,
-    PaperTable3Row,
-    table1_row,
-    table3_row,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "CellComparison",
-    "DeviationSummary",
-    "compare_table3",
-    "deviation_summary",
-    "TABLE1",
-    "TABLE3",
-    "TABLE4",
-    "PaperTable1Row",
-    "PaperTable3Row",
-    "table1_row",
-    "table3_row",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".compare": ("CellComparison", "DeviationSummary", "compare_table3", "deviation_summary"),
+    ".values": (
+        "TABLE1", "TABLE3", "TABLE4", "PaperTable1Row", "PaperTable3Row", "table1_row",
+        "table3_row",
+    ),
+})

@@ -26,22 +26,12 @@ final record order is the spec's canonical deduplicated grid order — under
 any worker count, scheduler mode, and crash/resume pattern.
 """
 
-from .cells import Cell, cell_key, expand_cells, spec_from_dict, spec_to_dict
-from .client import ServiceError, SweepClient
-from .journal import JobJournal
-from .scheduler import CellScheduler
-from .server import SweepService, run_server
+from .._exports import lazy_exports
 
-__all__ = [
-    "Cell",
-    "cell_key",
-    "expand_cells",
-    "spec_from_dict",
-    "spec_to_dict",
-    "JobJournal",
-    "CellScheduler",
-    "SweepService",
-    "run_server",
-    "SweepClient",
-    "ServiceError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cells": ("Cell", "cell_key", "expand_cells", "spec_from_dict", "spec_to_dict"),
+    ".client": ("ServiceError", "SweepClient"),
+    ".journal": ("JobJournal",),
+    ".scheduler": ("CellScheduler",),
+    ".server": ("SweepService", "run_server"),
+})

@@ -6,23 +6,12 @@ once) and the per-event heap loop :func:`run_reference`, the semantic
 ground truth, which ``engine="auto"`` picks for sparse traffic.
 """
 
-from .common import SimSetup, prepare_simulation
-from .engine import (
-    SimulationResult,
-    run_batched,
-    run_group,
-    simulate_network,
-    simulate_stream,
-)
-from .reference import run_reference
+from .._exports import lazy_exports
 
-__all__ = [
-    "SimulationResult",
-    "SimSetup",
-    "prepare_simulation",
-    "run_batched",
-    "run_group",
-    "run_reference",
-    "simulate_network",
-    "simulate_stream",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".common": ("SimSetup", "prepare_simulation"),
+    ".engine": (
+        "SimulationResult", "run_batched", "run_group", "simulate_network", "simulate_stream",
+    ),
+    ".reference": ("run_reference",),
+})

@@ -17,46 +17,17 @@ Quick start::
     print(congestion_summary(result.telemetry, topo, threshold=0.7))
 """
 
-from .collector import (
-    NullCollector,
-    TelemetryCollector,
-    TelemetryConfig,
-    TelemetryReport,
-    WindowedCollector,
-    reports_equal,
-)
-from .compare import adversarial_hot_group_matrix, congestion_by_routing
-from .congestion import (
-    CongestionRegion,
-    CongestionSummary,
-    congestion_summary,
-    find_congestion_regions,
-)
-from .export import (
-    load_report_npz,
-    report_to_json_dict,
-    save_report_json,
-    save_report_npz,
-)
-from .render import render_congestion_timeline, render_summary
+from .._exports import lazy_exports
 
-__all__ = [
-    "TelemetryConfig",
-    "TelemetryCollector",
-    "NullCollector",
-    "WindowedCollector",
-    "TelemetryReport",
-    "reports_equal",
-    "CongestionRegion",
-    "CongestionSummary",
-    "find_congestion_regions",
-    "congestion_summary",
-    "congestion_by_routing",
-    "adversarial_hot_group_matrix",
-    "render_congestion_timeline",
-    "render_summary",
-    "save_report_npz",
-    "load_report_npz",
-    "save_report_json",
-    "report_to_json_dict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".collector": (
+        "NullCollector", "TelemetryCollector", "TelemetryConfig", "TelemetryReport",
+        "WindowedCollector", "reports_equal",
+    ),
+    ".compare": ("adversarial_hot_group_matrix", "congestion_by_routing"),
+    ".congestion": (
+        "CongestionRegion", "CongestionSummary", "congestion_summary", "find_congestion_regions",
+    ),
+    ".export": ("load_report_npz", "report_to_json_dict", "save_report_json", "save_report_npz"),
+    ".render": ("render_congestion_timeline", "render_summary"),
+})

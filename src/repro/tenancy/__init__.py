@@ -24,33 +24,14 @@ routing policy that prices links with a victim's traffic matrix lives in
 :mod:`repro.routing.interference`.
 """
 
-from .allocate import ALLOCATIONS, allocate_ranks, job_of_rank_table
-from .attribution import (
-    InterferenceReport,
-    JobInterference,
-    RegionBlame,
-    attribute_regions,
-    interference_report,
-    per_job_link_loads,
-    render_interference_report,
-    victim_peak_link_load,
-)
-from .compose import ComposedWorkload, JobPlacement, TenantSpec, compose_workload
+from .._exports import lazy_exports
 
-__all__ = [
-    "ALLOCATIONS",
-    "allocate_ranks",
-    "job_of_rank_table",
-    "TenantSpec",
-    "JobPlacement",
-    "ComposedWorkload",
-    "compose_workload",
-    "per_job_link_loads",
-    "RegionBlame",
-    "attribute_regions",
-    "JobInterference",
-    "InterferenceReport",
-    "interference_report",
-    "render_interference_report",
-    "victim_peak_link_load",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".allocate": ("ALLOCATIONS", "allocate_ranks", "job_of_rank_table"),
+    ".attribution": (
+        "InterferenceReport", "JobInterference", "RegionBlame", "attribute_regions",
+        "interference_report", "per_job_link_loads", "render_interference_report",
+        "victim_peak_link_load",
+    ),
+    ".compose": ("ComposedWorkload", "JobPlacement", "TenantSpec", "compose_workload"),
+})

@@ -17,54 +17,19 @@ always-on artifact instead of a test-time hope:
 See ``docs/validation.md`` for the catalogue with references.
 """
 
-from .base import (
-    REGISTRY,
-    CheckContext,
-    Invariant,
-    Violation,
-    all_invariants,
-    invariant,
-    run_invariants,
-)
-from .fuzz import (
-    CI_SEEDS,
-    FuzzCase,
-    FuzzOutcome,
-    FuzzReport,
-    draw_case,
-    run_case,
-    run_fuzz,
-)
-from .shrink import shrink_case
-from .suite import (
-    ScenarioResult,
-    SuiteReport,
-    attach_simulation,
-    build_static_context,
-    cache_roundtrip_context,
-    run_check_suite,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "REGISTRY",
-    "CheckContext",
-    "Invariant",
-    "Violation",
-    "all_invariants",
-    "invariant",
-    "run_invariants",
-    "CI_SEEDS",
-    "FuzzCase",
-    "FuzzOutcome",
-    "FuzzReport",
-    "draw_case",
-    "run_case",
-    "run_fuzz",
-    "shrink_case",
-    "ScenarioResult",
-    "SuiteReport",
-    "attach_simulation",
-    "build_static_context",
-    "cache_roundtrip_context",
-    "run_check_suite",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": (
+        "REGISTRY", "CheckContext", "Invariant", "Violation", "all_invariants", "invariant",
+        "run_invariants",
+    ),
+    ".fuzz": (
+        "CI_SEEDS", "FuzzCase", "FuzzOutcome", "FuzzReport", "draw_case", "run_case", "run_fuzz",
+    ),
+    ".shrink": ("shrink_case",),
+    ".suite": (
+        "ScenarioResult", "SuiteReport", "attach_simulation", "build_static_context",
+        "cache_roundtrip_context", "run_check_suite",
+    ),
+})

@@ -7,9 +7,11 @@ import pytest
 
 from repro.comm.stats import trace_stats
 from repro.dumpi.ascii_dumpi import (
+    UndecodedCallError,
     UnsupportedCommunicatorError,
     load_dumpi2ascii_dir,
     parse_rank_stream,
+    stream_dumpi2ascii_dir,
 )
 
 SEND = textwrap.dedent(
@@ -68,6 +70,77 @@ SUBCOMM = textwrap.dedent(
     """
 )
 
+ISSEND = textwrap.dedent(
+    """\
+    MPI_Issend entering at walltime 100.70, cputime 0.3 seconds in thread 0.
+    int count=512
+    MPI_Datatype datatype=2 (MPI_CHAR)
+    int dest=4
+    int tag=9
+    MPI_Comm comm=2 (MPI_COMM_WORLD)
+    MPI_Request* request=[0]
+    MPI_Issend returning at walltime 100.80, cputime 0.3 seconds in thread 0.
+    """
+)
+
+
+def _record(func, *fields):
+    """One dumpi2ascii record of ``func`` with the given field lines."""
+    body = "".join(f"{field}\n" for field in fields)
+    return (
+        f"{func} entering at walltime 104.00, cputime 1.0 seconds in thread 0.\n"
+        f"{body}"
+        f"{func} returning at walltime 104.10, cputime 1.1 seconds in thread 0.\n"
+    )
+
+
+WORLD = "MPI_Comm comm=2 (MPI_COMM_WORLD)"
+WIN = "MPI_Win win=1"
+
+#: Traffic-bearing calls the converter does not decode, one record each.
+UNDECODED = {
+    "MPI_Sendrecv": _record(
+        "MPI_Sendrecv", "int sendcount=64", "MPI_Datatype sendtype=11 (MPI_DOUBLE)",
+        "int dest=1", "int sendtag=3", "int recvcount=64",
+        "MPI_Datatype recvtype=11 (MPI_DOUBLE)", "int source=1", "int recvtag=3",
+        WORLD, "MPI_Status* status=<IGNORED>",
+    ),
+    "MPI_Sendrecv_replace": _record(
+        "MPI_Sendrecv_replace", "int count=64", "MPI_Datatype datatype=11 (MPI_DOUBLE)",
+        "int dest=1", "int sendtag=3", "int source=1", "int recvtag=3", WORLD,
+        "MPI_Status* status=<IGNORED>",
+    ),
+    "MPI_Send_init": _record(
+        "MPI_Send_init", "int count=32", "MPI_Datatype datatype=4 (MPI_INT)",
+        "int dest=2", "int tag=0", WORLD, "MPI_Request* request=[7]",
+    ),
+    "MPI_Start": _record("MPI_Start", "MPI_Request* request=[7]"),
+    "MPI_Startall": _record("MPI_Startall", "int count=2", "MPI_Request* requests=[7, 8]"),
+    "MPI_Ibcast": _record(
+        "MPI_Ibcast", "int count=8", "MPI_Datatype datatype=4 (MPI_INT)", "int root=0",
+        WORLD, "MPI_Request* request=[9]",
+    ),
+    "MPI_Iallreduce": _record(
+        "MPI_Iallreduce", "int count=16", "MPI_Datatype datatype=11 (MPI_DOUBLE)",
+        "MPI_Op op=1 (MPI_SUM)", WORLD, "MPI_Request* request=[10]",
+    ),
+    "MPI_Put": _record(
+        "MPI_Put", "int origincount=128", "MPI_Datatype origintype=11 (MPI_DOUBLE)",
+        "int targetrank=3", "MPI_Aint targetdisp=0", "int targetcount=128",
+        "MPI_Datatype targettype=11 (MPI_DOUBLE)", WIN,
+    ),
+    "MPI_Get": _record(
+        "MPI_Get", "int origincount=128", "MPI_Datatype origintype=11 (MPI_DOUBLE)",
+        "int targetrank=3", "MPI_Aint targetdisp=0", "int targetcount=128",
+        "MPI_Datatype targettype=11 (MPI_DOUBLE)", WIN,
+    ),
+    "MPI_Accumulate": _record(
+        "MPI_Accumulate", "int origincount=128", "MPI_Datatype origintype=11 (MPI_DOUBLE)",
+        "int targetrank=3", "MPI_Aint targetdisp=0", "int targetcount=128",
+        "MPI_Datatype targettype=11 (MPI_DOUBLE)", "MPI_Op op=1 (MPI_SUM)", WIN,
+    ),
+}
+
 
 def parse(text, rank=0, strict=True):
     return parse_rank_stream(io.StringIO(text), rank, strict)
@@ -117,6 +190,30 @@ class TestParseRankStream:
         events, lo, hi = parse(SEND + RECV + ALLREDUCE)
         assert len(events) == 3
         assert (lo, hi) == (100.50, 102.20)
+
+    def test_issend_is_a_send(self):
+        events, _, _ = parse(ISSEND, rank=2)
+        assert [(ev.func, ev.peer, ev.count, ev.is_send) for ev in events] == [
+            ("MPI_Issend", 4, 512, True)
+        ]
+
+    @pytest.mark.parametrize("func", sorted(UNDECODED))
+    def test_undecoded_call_strict_names_line_and_function(self, func):
+        # BOOKKEEPING is four lines, so the undecoded record enters on line 5.
+        text = BOOKKEEPING + UNDECODED[func] + SEND
+        with pytest.raises(UndecodedCallError, match=rf"^<rank 0 stream>:5: {func} "):
+            parse(text)
+
+    @pytest.mark.parametrize("func", sorted(UNDECODED))
+    def test_undecoded_call_lenient_warns_once(self, func, caplog):
+        text = UNDECODED[func] + SEND + UNDECODED[func]
+        with caplog.at_level("WARNING", logger="repro.dumpi.ascii_dumpi"):
+            events, _, _ = parse(text, strict=False)
+        assert [ev.func for ev in events] == ["MPI_Send"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipped 2 traffic-bearing records the converter does not decode in "
+            f"<rank 0 stream>: {func} x2"
+        ]
 
     def test_negative_peer_skipped(self):
         text = SEND.replace("int dest=5", "int dest=-1")  # MPI_PROC_NULL
@@ -171,3 +268,32 @@ class TestDirectoryLoader:
         trace = load_dumpi2ascii_dir(tmp_path, app="x")
         matrix = matrix_from_trace(trace, include_collectives=False)
         assert peers(matrix) == 1
+
+    def test_undecoded_call_strict_names_rank_file(self, tmp_path):
+        for rank in range(6):
+            self._write(tmp_path, rank, SEND if rank == 0 else ALLREDUCE)
+        self._write(tmp_path, 3, ALLREDUCE + UNDECODED["MPI_Put"])
+        path = tmp_path / "dumpi-2020-0003.txt"
+        for load in (load_dumpi2ascii_dir, stream_dumpi2ascii_dir):
+            with pytest.raises(UndecodedCallError, match=rf"^{path}:7: MPI_Put "):
+                load(tmp_path, app="x")
+
+    def test_undecoded_calls_lenient_one_warning_per_load(self, tmp_path, caplog):
+        for rank in range(6):
+            self._write(tmp_path, rank, SEND if rank == 0 else ALLREDUCE)
+        self._write(tmp_path, 1, UNDECODED["MPI_Sendrecv"] + RECV + UNDECODED["MPI_Put"])
+        self._write(tmp_path, 2, UNDECODED["MPI_Sendrecv"] + ALLREDUCE)
+        expected = (
+            "skipped 3 traffic-bearing records the converter does not decode in "
+            f"{tmp_path}: MPI_Put x1, MPI_Sendrecv x2"
+        )
+        with caplog.at_level("WARNING", logger="repro.dumpi.ascii_dumpi"):
+            trace = load_dumpi2ascii_dir(tmp_path, app="x", strict=False)
+        assert [r.getMessage() for r in caplog.records] == [expected]
+        assert trace_stats(trace).p2p_bytes == 4096
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="repro.dumpi.ascii_dumpi"):
+            stream = stream_dumpi2ascii_dir(tmp_path, app="x", strict=False)
+            list(stream.blocks())
+            list(stream.blocks())
+        assert [r.getMessage() for r in caplog.records] == [expected]
