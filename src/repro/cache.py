@@ -3,64 +3,32 @@
 The study grid re-derives the same intermediate artifacts many times: the
 41-configuration Table-3 reproduction regenerates traces that Figure 3/5 and
 the claims report need again; a sweep evaluates one traffic matrix against
-several bandwidths, recomputing identical route incidences per point.  This
-module gives the three hot producers a shared cache:
+several bandwidths and routing policies, recomputing identical mappings,
+route summaries and static-model results per point.  Each ``cached_*``
+producer here builds the content key of one artifact, in one place, and
+looks it up through :func:`_memo`, the one lookup path of every region.
 
-- :func:`cached_trace` — synthetic traces, keyed on
-  ``(app, ranks, variant, seed, emit_receives)`` (the full determinism
-  domain of :func:`repro.apps.registry.generate_trace`);
-- :func:`cached_matrix` — traffic matrices, keyed on the trace's content
-  key plus ``(include_p2p, include_collectives, payload)``;
-- :func:`cached_mapping` — optimized rank→node mappings, keyed on the
-  matrix content key, the topology fingerprint, and ``(method, seed)``
-  (a sweep evaluates the same mapping against several routings and
-  bandwidths; spectral/bisection optimization dwarfs everything else at
-  scale, so recomputing it per cell dominated sweep time).  The expensive
-  part, the topology-independent rank→slot assignment, is shared: it is
-  keyed on the matrix content key and ``method`` only, and each
-  topology's entry is just its placement;
-- :func:`cached_route_incidence` — route incidences, keyed on the topology
-  fingerprint (:meth:`repro.topology.base.Topology.fingerprint`), the
-  routing policy's :meth:`~repro.routing.base.RoutingPolicy.cache_token`
-  (policy name, plus the seed for randomized policies), and a BLAKE2 digest
-  of the queried ``(src, dst)`` pair arrays — extended with the per-pair
-  weights when a load-aware policy (UGAL) routes on them;
-- :func:`cached_route_summary` — route summaries (per-pair hop counts,
-  the used-link count, dragonfly global-link flags), under the same key as
-  the incidence they summarize.  The static model and the critical-path
-  costs read only these, so route rows are held only for the consumers
-  that walk them (the simulators, interference, validation).
+:data:`REGIONS` declares each region once: its entry and byte bounds, its
+disk form and whether a miss frees memory before it builds.  The keys are
+declared by the producers themselves (:func:`cached_trace`,
+:func:`cached_matrix`, :func:`cached_mapping`, :func:`cached_node_pairs`,
+:func:`cached_route_incidence`, :func:`cached_route_summary`,
+:func:`cached_critpath_dag`, :func:`cached_critpath_result`,
+:func:`model_key`); a producer with an input that has no content key
+(a foreign trace without provenance, a topology without a fingerprint)
+passes ``key=None`` and bypasses the cache.  Artifacts later keys are
+derived from carry their own key as provenance (:func:`provenance`).
 
-In-memory regions (``stats()``, ``memory()``, ``clear()`` and
-``configure()`` cover each), with their bounds from :data:`REGIONS`
-(entries; bytes for the regions that hold arrays):
-
-- ``trace`` (64; 128 MiB), ``matrix`` (128; 256 MiB), ``mapping`` (256;
-  4 MiB), ``incidence`` (128; 32 MiB), ``summary`` (1024; 16 MiB) — the
-  producers above (``mapping`` also holds the shared slot assignments);
-- ``pairs`` (64; 1 MiB) — node-pair aggregates (:func:`cached_node_pairs`),
-  held only while a sweep still re-reads them;
-- ``digests`` (1024) — query-array digests memoized under provenance
-  tokens;
-- ``critpath`` (1024; 256 MiB) — happens-before DAGs with their level
-  schedules (:func:`cached_critpath_dag`);
-- ``critpath_result`` (4096) — the small frozen results of whole
-  critical-path analyses (:func:`cached_critpath_result`), looked up
-  before any DAG;
-- ``model`` (4096) — the bandwidth-free static-model results
-  (:func:`cached_network_analysis`, keyed by :func:`model_key`), looked
-  up before any node-pair aggregate or route summary.
-
-Two tiers: a per-process in-memory LRU (always on) and an optional on-disk
-cache enabled with :func:`configure` or the ``REPRO_CACHE_DIR`` environment
-variable / ``repro --cache-dir``.  Traces persist as chunked spill
-directories of per-column ``.npy`` segments (warm hits memory-map the
-segments, so a cached trace costs address space rather than RSS; traces
-that cannot be expressed that way fall back to pickle), matrices as
-pickle, incidences and summaries as ``.npz``.  Keys are pure content
-keys, so the disk cache never needs invalidation for same-version runs; bump
-:data:`CACHE_VERSION` when a generator or routing algorithm changes
-semantics.
+Two tiers: a per-process in-memory LRU per region (always on) and an
+optional on-disk cache enabled with :func:`configure` or the
+``REPRO_CACHE_DIR`` environment variable / ``repro --cache-dir``.  Disk
+entries are named ``v{CACHE_VERSION}-{region}-{key digest}{suffix}``; keys
+are pure content keys, so the disk cache never needs invalidation for
+same-version runs.  Bump :data:`CACHE_VERSION` when a generator, routing
+algorithm or on-disk layout changes semantics
+(``tests/test_cache_entries.py`` pins the entry names of a small run).
+Warm trace hits memory-map their spilled columns, so a cached trace costs
+address space rather than RSS.
 
 Cached integer columns are stored narrow, each in the dtype
 :data:`repro.core.blocks.CACHED_COLUMNS` declares: trace columns in
@@ -84,15 +52,17 @@ consumes, so instrumented and plain runs share the same cached artifacts
 from __future__ import annotations
 
 import hashlib
+import importlib
 import itertools
 import logging
 import os
 import pickle
 import tempfile
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -107,6 +77,8 @@ __all__ = [
     "memory",
     "count_memo",
     "REGIONS",
+    "provenance",
+    "set_provenance",
     "cached_trace",
     "cached_matrix",
     "cached_mapping",
@@ -174,6 +146,9 @@ class CacheStats:
         return {"hits": self.hits, "misses": self.misses, "disk_hits": self.disk_hits}
 
 
+_MISS = object()
+
+
 class _LRU:
     """A small OrderedDict-based LRU with per-region statistics.
 
@@ -205,12 +180,12 @@ class _LRU:
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(self, key: Any) -> Any:
+    def get(self, key: Any, default: Any = _MISS) -> Any:
         try:
             value = self._data[key]
         except KeyError:
             self.stats.misses += 1
-            return _MISS
+            return default
         self._data.move_to_end(key)
         self.stats.hits += 1
         return value
@@ -321,8 +296,6 @@ def _arrays(value: Any) -> dict[int, int]:
     return found
 
 
-_MISS = object()
-
 _store_count = itertools.count()
 
 _log = logging.getLogger("repro.cache")
@@ -356,16 +329,150 @@ def _evict_corrupt(path: Path, exc: Exception) -> None:
         pass  # already gone, or read-only cache dir: stays a plain miss
 
 
-class Bounds(NamedTuple):
-    """One in-memory region's bounds: entries, and bytes if it holds arrays."""
+# ------------------------------------------------------------------ disk tier
+
+
+def _atomic_write(path: Path, write_fn) -> None:
+    """Write via a temp file + fsync + rename so readers never see a torn entry.
+
+    Concurrent writers of the same key are safe: each writes its own
+    ``mkstemp`` file and the ``os.replace`` is atomic, so readers observe
+    either a complete entry or a miss, never a partial file — last rename
+    wins, and both writers produced identical bytes for a content key.  The
+    ``fsync`` before the rename closes the power-loss window where the
+    rename is durable but the data is not (the classic torn-entry source on
+    journaled filesystems); ``tests/test_cache_concurrency.py`` hammers one
+    key from eight processes to pin the concurrent-writer behaviour down.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write_fn(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def _load(path: Path, read) -> Any:
+    """``read(path)`` of an existing entry; a miss if absent or unreadable."""
+    if not path.exists():
+        return _MISS
+    try:
+        return read(path)
+    except Exception as exc:
+        # Truncated files, foreign bytes and stale class layouts surface as
+        # arbitrary pickle/zip/JSON/value errors: all of them are a miss.
+        _evict_corrupt(path, exc)
+        return _MISS
+
+
+def _read_pickle(path: Path) -> Any:
+    with path.open("rb") as fh:
+        return pickle.load(fh)
+
+
+def _load_pickle(stem: str) -> Any:
+    return _load(Path(stem + ".pkl"), _read_pickle)
+
+
+def _store_pickle(stem: str, value: Any) -> None:
+    _atomic_write(
+        Path(stem + ".pkl"),
+        lambda fh: pickle.dump(value, fh, pickle.HIGHEST_PROTOCOL),
+    )
+
+
+def _read_npz(cls: str, path: Path) -> Any:
+    """The dataclass ``cls`` (``"module:Class"``) of an ``.npz`` entry: one
+    array per field, a 0-d array read back as its scalar."""
+    module, name = cls.split(":")
+    build = getattr(importlib.import_module(module), name)
+    with np.load(path) as data:
+        arrays = {field: data[field] for field in data.files}
+    return build(**{k: v.item() if v.ndim == 0 else v for k, v in arrays.items()})
+
+
+def _store_npz(stem: str, value: Any) -> None:
+    """Each field of the dataclass ``value`` that is not ``None``."""
+    arrays = {f.name: getattr(value, f.name) for f in fields(value)}
+    _atomic_write(
+        Path(stem + ".npz"),
+        lambda fh: np.savez(fh, **{k: v for k, v in arrays.items() if v is not None}),
+    )
+
+
+def _load_trace(stem: str) -> Any:
+    """A spilled trace with memory-mapped columns, else a pickled one.
+
+    Warm hits map the segment files instead of reading them: the returned
+    trace's column arrays are paged in on demand and reclaimable under
+    memory pressure, so a warm cache never charges trace-sized RSS.
+    """
+    from .core.stream import load_spill_trace
+
+    value = _load(Path(stem + ".spill"), partial(load_spill_trace, mmap=True))
+    return _load_pickle(stem) if value is _MISS else value
+
+
+def _store_trace(stem: str, trace) -> None:
+    """Persist a trace's blocks as a chunked spill directory.
+
+    The blocks are re-sliced to the default chunk budget first, so every
+    segment file stays bounded regardless of trace size.  A trace that is
+    not spill-representable (committed derived layouts, sub-communicators)
+    is pickled instead.
+    """
+    from .core.stream import BlockStream, write_spill
+
+    stream = BlockStream.from_trace(trace).rechunk()
+    if write_spill(stream, Path(stem + ".spill")) is None:
+        _store_pickle(stem, trace)
+
+
+class Disk(NamedTuple):
+    """A region's disk form: ``load(stem)`` (``_MISS`` when absent or
+    corrupt) and ``store(stem, value)``, where ``stem`` is the entry's path
+    without its suffix."""
+
+    load: Callable[[str], Any]
+    store: Callable[[str, Any], None]
+
+
+_PICKLE = Disk(_load_pickle, _store_pickle)
+_SPILL = Disk(_load_trace, _store_trace)
+
+
+def _npz(cls: str) -> Disk:
+    """Entries of the dataclass ``cls`` (``"module:Class"``) as ``.npz``."""
+    return Disk(
+        lambda stem: _load(Path(stem + ".npz"), partial(_read_npz, cls)), _store_npz
+    )
+
+
+# ------------------------------------------------------------------ regions
+
+
+class Region(NamedTuple):
+    """One cache region, declared once: its entry bound, its byte bound if
+    it holds arrays, its disk form (``None``: memory only) and whether a
+    miss first drops an entry held past the byte bound (``shed``)."""
 
     entries: int
     max_bytes: int | None = None
+    disk: Disk | None = None
+    shed: bool = False
 
 
 _MiB = 1 << 20
 
-#: Every in-memory region and its bounds, declared once: the LRUs,
+#: Every cache region, declared once: the LRUs, :func:`_memo`,
 #: :func:`memory` and the ``--timings`` memory line derive from this table.
 #: Each region that holds arrays has a byte bound; the others hold small
 #: Python objects only.  Byte bounds sit above each region's high-water
@@ -383,17 +490,30 @@ _MiB = 1 << 20
 #: - ``critpath``: happens-before DAGs range from kilobytes to ~0.7 GB
 #:   (BigFFT@1024, 33.6 M edges, at the report's clamp); the bound pins the
 #:   many small ones, and a larger one alone, until the next DAG is built.
-REGIONS: dict[str, Bounds] = {
-    "trace": Bounds(64, 128 * _MiB),
-    "matrix": Bounds(128, 256 * _MiB),
-    "incidence": Bounds(128, 32 * _MiB),
-    "summary": Bounds(1024, 16 * _MiB),
-    "mapping": Bounds(256, 4 * _MiB),
-    "pairs": Bounds(64, 1 * _MiB),
-    "digests": Bounds(1024),
-    "critpath": Bounds(1024, 256 * _MiB),
-    "critpath_result": Bounds(4096),
-    "model": Bounds(4096),
+#:
+#: Both shed: a miss drops the entry held past the bound before it builds
+#: the next.  Node-pair aggregates and DAGs stay off disk: they are
+#: matrix- or expansion-sized, so spilling them costs more than the
+#: argsort or expansion they save.  Traces spill to memory-mapped ``.npy``
+#: segments (pickled when a trace cannot be expressed that way), matrices
+#: and mappings (with the topology-independent slot assignments they are
+#: placed from) pickle, and route incidences and summaries persist as
+#: ``.npz``.
+REGIONS: dict[str, Region] = {
+    "trace": Region(64, 128 * _MiB, disk=_SPILL),
+    "matrix": Region(128, 256 * _MiB, disk=_PICKLE),
+    "incidence": Region(
+        128, 32 * _MiB, disk=_npz("repro.topology.base:RouteIncidence")
+    ),
+    "summary": Region(
+        1024, 16 * _MiB, disk=_npz("repro.routing.summary:RouteSummary")
+    ),
+    "mapping": Region(256, 4 * _MiB, disk=_PICKLE),
+    "pairs": Region(64, 1 * _MiB, shed=True),
+    "digests": Region(1024),
+    "critpath": Region(1024, 256 * _MiB, shed=True),
+    "critpath_result": Region(4096),
+    "model": Region(4096),
 }
 
 #: How many held entries, over every region, reach each array (by ``id``).
@@ -403,7 +523,8 @@ _held: dict[int, int] = {}
 _entry_of: dict[int, tuple[_LRU, Any]] = {}
 
 _regions: dict[str, _LRU] = {
-    name: _LRU(*bounds) for name, bounds in REGIONS.items()
+    name: _LRU(region.entries, region.max_bytes)
+    for name, region in REGIONS.items()
 }
 
 _disk_dir: Path | None = (
@@ -532,6 +653,27 @@ def memory_summary() -> str:
 # ------------------------------------------------------------------ keys
 
 
+def provenance(obj: Any) -> tuple | None:
+    """The content key ``obj`` carries as provenance, or ``None``.
+
+    Artifacts this module produces (traces, matrices, mappings) carry the
+    key they are cached under, and deterministic constructors
+    (:meth:`repro.mapping.base.Mapping.consecutive`, composed traces)
+    carry their arguments, so keys derived from them cost nothing.
+    """
+    return getattr(obj, "_repro_cache_key", None)
+
+
+def set_provenance(obj: Any, key: tuple) -> Any:
+    """Attach ``key`` to ``obj`` as its provenance; returns ``obj``.
+
+    Rides outside the fields of frozen dataclasses (``CommMatrix``,
+    ``Mapping``), so it never changes their equality or their repr.
+    """
+    object.__setattr__(obj, "_repro_cache_key", key)
+    return obj
+
+
 def array_digest(*arrays: np.ndarray) -> str:
     """BLAKE2 content digest of one or more arrays (dtype/shape included)."""
     h = hashlib.blake2b(digest_size=16)
@@ -547,16 +689,15 @@ def trace_content_key(trace: Any) -> tuple:
     """A stable content key for a trace.
 
     Traces produced by :func:`cached_trace` carry their generation key as
-    provenance (``_repro_cache_key``), making this free.  Foreign traces
-    (e.g. converted dumpi recordings) fall back to a digest of everything
-    that decides their bytes — exact but O(records): the decoded record
-    columns (insensitive to block partitioning; names hashed as UTF-8
-    text), the size of every datatype the records reference, and every
-    communicator's members.
+    provenance, making this free.  Foreign traces (e.g. converted dumpi
+    recordings) fall back to a digest of everything that decides their
+    bytes — exact but O(records): the decoded record columns (insensitive
+    to block partitioning; names hashed as UTF-8 text), the size of every
+    datatype the records reference, and every communicator's members.
     """
     from .core.blocks import decoded_columns
 
-    key = getattr(trace, "_repro_cache_key", None)
+    key = provenance(trace)
     if key is not None:
         return key
     meta = trace.meta
@@ -581,11 +722,10 @@ def matrix_content_key(matrix: Any) -> tuple:
     """A stable content key for a traffic matrix.
 
     Matrices produced by :func:`cached_matrix` carry their generation key as
-    provenance (``_repro_cache_key``), making this free.  Foreign matrices
-    fall back to a digest of the five parallel pair columns — exact but
-    O(pairs).
+    provenance, making this free.  Foreign matrices fall back to a digest
+    of the five parallel pair columns — exact but O(pairs).
     """
-    key = getattr(matrix, "_repro_cache_key", None)
+    key = provenance(matrix)
     if key is not None:
         return key
     digest = array_digest(
@@ -599,119 +739,48 @@ def _key_digest(key: tuple) -> str:
     return hashlib.blake2b(raw, digest_size=16).hexdigest()
 
 
-# ------------------------------------------------------------------ disk tier
+# ------------------------------------------------------------------ the lookup
 
 
-def _disk_path(region: str, key: tuple, suffix: str) -> Path | None:
-    if _disk_dir is None:
-        return None
-    return _disk_dir / f"v{CACHE_VERSION}-{region}-{_key_digest(key)}{suffix}"
+def _memo(
+    region: str,
+    key: tuple | None,
+    compute: Callable[[], Any],
+    keyed: bool = False,
+) -> Any:
+    """``compute()``, memoized in ``region`` under ``key``.
 
-
-def _atomic_write(path: Path, write_fn) -> None:
-    """Write via a temp file + fsync + rename so readers never see a torn entry.
-
-    Concurrent writers of the same key are safe: each writes its own
-    ``mkstemp`` file and the ``os.replace`` is atomic, so readers observe
-    either a complete entry or a miss, never a partial file — last rename
-    wins, and both writers produced identical bytes for a content key.  The
-    ``fsync`` before the rename closes the power-loss window where the
-    rename is durable but the data is not (the classic torn-entry source on
-    journaled filesystems); ``tests/test_cache_concurrency.py`` hammers one
-    key from eight processes to pin the concurrent-writer behaviour down.
+    The one lookup of every region: the memory tier, then the region's
+    disk form (a load counts a disk hit), then ``compute()`` — after
+    shedding, in a region declared ``shed`` — whose value the disk form
+    stores.  The value is held under ``key``; with ``keyed``, it carries
+    ``key`` as its :func:`provenance`, attached after the disk store.
+    ``key=None`` bypasses the region: the value is computed, and neither
+    stored nor held.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            write_fn(fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _disk_load_pickle(path: Path | None) -> Any:
-    if path is None or not path.is_file():
-        return _MISS
-    try:
-        with path.open("rb") as fh:
-            return pickle.load(fh)
-    except Exception as exc:
-        # Any unreadable entry (truncated, foreign bytes, stale class layout)
-        # is a miss: pickle surfaces arbitrary exception types on bad input.
-        _evict_corrupt(path, exc)
-        return _MISS
-
-
-def _disk_store_pickle(path: Path | None, value: Any) -> None:
-    if path is None:
-        return
-    _atomic_write(path, lambda fh: pickle.dump(value, fh, pickle.HIGHEST_PROTOCOL))
-
-
-def _disk_load_npz(path: Path | None, build) -> Any:
-    """``build(archive)`` of an ``.npz`` entry (miss if absent or corrupt)."""
-    if path is None or not path.is_file():
-        return _MISS
-    try:
-        with np.load(path) as data:
-            return build(data)
-    except Exception as exc:
-        # np.load raises zipfile/pickle/value errors on corrupt archives;
-        # treat any of them as a miss and recompute.
-        _evict_corrupt(path, exc)
-        return _MISS
-
-
-def _disk_store_npz(path: Path | None, **arrays) -> None:
-    if path is not None:
-        _atomic_write(path, lambda fh: np.savez(fh, **arrays))
-
-
-# ------------------------------------------------ trace <-> spill directories
-
-
-def _disk_store_trace_spill(path: Path | None, trace) -> bool:
-    """Persist a trace's blocks as a chunked spill directory.
-
-    Delegates to :func:`repro.core.stream.write_spill` after re-slicing the
-    trace's blocks to the default chunk budget, so every segment file stays
-    bounded regardless of trace size.  Returns ``False`` when the trace is
-    not spill-representable (committed derived layouts, sub-communicators —
-    the caller falls back to pickle).
-    """
-    if path is None:
-        return False
-    from .core.stream import BlockStream, write_spill
-
-    stream = BlockStream.from_trace(trace).rechunk()
-    return write_spill(stream, path) is not None
-
-
-def _disk_load_trace_spill(path: Path | None) -> Any:
-    """Load a spilled trace with memory-mapped columns (miss if absent).
-
-    Warm hits map the segment files instead of reading them: the returned
-    trace's column arrays are paged in on demand and reclaimable under
-    memory pressure, so a warm cache never charges trace-sized RSS.
-    """
-    if path is None or not path.is_dir():
-        return _MISS
-    from .core.stream import load_spill_trace
-
-    try:
-        return load_spill_trace(path, mmap=True)
-    except Exception as exc:
-        # Corrupt/foreign spills surface JSON, key, or value errors; all of
-        # them mean "miss" and the trace is regenerated.
-        _evict_corrupt(path, exc)
-        return _MISS
+    lru = _regions[region]
+    if key is not None:
+        value = lru.get(key)
+        if value is not _MISS:
+            return value
+    spec = REGIONS[region]
+    stem = None
+    if key is not None and spec.disk is not None and _disk_dir is not None:
+        stem = str(_disk_dir / f"v{CACHE_VERSION}-{region}-{_key_digest(key)}")
+    value = _MISS if stem is None else spec.disk.load(stem)
+    if value is not _MISS:
+        lru.stats.disk_hits += 1
+    else:
+        if spec.shed:
+            lru.shed()
+        value = compute()
+        if stem is not None:
+            spec.disk.store(stem, value)
+    if key is not None:
+        if keyed:
+            set_provenance(value, key)
+        lru.put(key, value)
+    return value
 
 
 # ------------------------------------------------------------------ producers
@@ -724,32 +793,20 @@ def cached_trace(
     seed: int = 0,
     emit_receives: bool = False,
 ):
-    """Memoized :func:`repro.apps.registry.generate_trace`."""
+    """Memoized :func:`repro.apps.registry.generate_trace`, keyed on its
+    whole determinism domain."""
     from .apps.registry import generate_trace
 
     key = ("trace", name, ranks, variant, seed, emit_receives)
-    region = _regions["trace"]
-    value = region.get(key)
-    if value is not _MISS:
-        return value
-    spill_path = _disk_path("trace", key, ".spill")
-    pkl_path = _disk_path("trace", key, ".pkl")
-    value = _disk_load_trace_spill(spill_path)
-    if value is _MISS:
-        value = _disk_load_pickle(pkl_path)
-    if value is not _MISS:
-        region.stats.disk_hits += 1
-    else:
-        value = generate_trace(
+
+    def compute():
+        trace = generate_trace(
             name, ranks, variant=variant, seed=seed, emit_receives=emit_receives
         )
-        value._repro_cache_key = key  # provenance: makes trace_content_key free
-        if not _disk_store_trace_spill(spill_path, value):
-            _disk_store_pickle(pkl_path, value)
-    if getattr(value, "_repro_cache_key", None) is None:
-        value._repro_cache_key = key
-    region.put(key, value)
-    return value
+        # Before the disk store, so a pickled trace carries its key.
+        return set_provenance(trace, key)
+
+    return _memo("trace", key, compute, keyed=True)
 
 
 def cached_matrix(
@@ -779,28 +836,18 @@ def cached_matrix(
         payload,
         engine.cache_token(),
     )
-    region = _regions["matrix"]
-    value = region.get(key)
-    if value is not _MISS:
-        return value
-    path = _disk_path("matrix", key, ".pkl")
-    value = _disk_load_pickle(path)
-    if value is not _MISS:
-        region.stats.disk_hits += 1
-    else:
-        value = matrix_from_trace(
+    return _memo(
+        "matrix",
+        key,
+        lambda: matrix_from_trace(
             trace,
             include_p2p=include_p2p,
             include_collectives=include_collectives,
             payload=payload,
             collective=engine,
-        )
-        _disk_store_pickle(path, value)
-    if getattr(value, "_repro_cache_key", None) is None:
-        # CommMatrix is frozen; provenance rides outside the dataclass fields.
-        object.__setattr__(value, "_repro_cache_key", key)
-    region.put(key, value)
-    return value
+        ),
+        keyed=True,
+    )
 
 
 def cached_mapping(matrix, topology, method: str = "greedy", seed: int = 0):
@@ -811,11 +858,11 @@ def cached_mapping(matrix, topology, method: str = "greedy", seed: int = 0):
     spectral, recursive bisection) is the single most expensive per-cell
     stage at scale — so unlike the other producers this one is hot even
     *within* a single sweep.  ``consecutive`` mappings are returned directly
-    (an ``arange`` is cheaper than a cache probe); topologies without a
-    structural fingerprint bypass the cache like route incidences do.
+    (an ``arange`` is cheaper than a cache probe).
 
     A miss places the matrix's slot assignment (:func:`_cached_slots`),
-    which every topology and seed of one ``(matrix, method)`` shares.
+    which every topology and seed of one ``(matrix, method)`` shares, so a
+    topology without a structural fingerprint bypasses only the placement.
     """
     from .mapping.optimized import optimize_mapping, place_slots
 
@@ -823,25 +870,15 @@ def cached_mapping(matrix, topology, method: str = "greedy", seed: int = 0):
         # Carries its own provenance (Mapping.consecutive declares it).
         return optimize_mapping(matrix, topology, method=method, seed=seed)
     fingerprint = topology.fingerprint()
-    if fingerprint is None:
+    key = None
+    if fingerprint is not None:
+        key = ("mapping", matrix_content_key(matrix), fingerprint, method, seed)
+
+    def compute():
         with timings.stage("mapping"):
-            return optimize_mapping(matrix, topology, method=method, seed=seed)
-    key = ("mapping", matrix_content_key(matrix), fingerprint, method, seed)
-    region = _regions["mapping"]
-    value = region.get(key)
-    if value is not _MISS:
-        return value
-    path = _disk_path("mapping", key, ".pkl")
-    value = _disk_load_pickle(path)
-    if value is not _MISS:
-        region.stats.disk_hits += 1
-    else:
-        with timings.stage("mapping"):
-            value = place_slots(_cached_slots(matrix, method), topology)
-        _disk_store_pickle(path, value)
-    _set_provenance(value, key)
-    region.put(key, value)
-    return value
+            return place_slots(_cached_slots(matrix, method), topology)
+
+    return _memo("mapping", key, compute, keyed=True)
 
 
 def _cached_slots(matrix, method: str) -> np.ndarray:
@@ -854,25 +891,7 @@ def _cached_slots(matrix, method: str) -> np.ndarray:
     from .mapping.optimized import optimized_slots
 
     key = ("mapping-slots", matrix_content_key(matrix), method)
-    region = _regions["mapping"]
-    value = region.get(key)
-    if value is not _MISS:
-        return value
-    path = _disk_path("mapping", key, ".pkl")
-    value = _disk_load_pickle(path)
-    if value is not _MISS:
-        region.stats.disk_hits += 1
-    else:
-        value = optimized_slots(matrix, method)
-        _disk_store_pickle(path, value)
-    region.put(key, value)
-    return value
-
-
-def _set_provenance(value, key) -> None:
-    """Attach a content key to a (frozen) artifact for derived-cache keys."""
-    if getattr(value, "_repro_cache_key", None) is None:
-        object.__setattr__(value, "_repro_cache_key", key)
+    return _memo("mapping", key, lambda: optimized_slots(matrix, method))
 
 
 def cached_node_pairs(matrix, mapping):
@@ -881,33 +900,17 @@ def cached_node_pairs(matrix, mapping):
     :func:`repro.model.engine.analyze_network` starts every run by folding
     the rank-pair matrix onto node pairs — an argsort-and-reduce over the
     whole matrix that a sweep repeats identically for every routing policy
-    and bandwidth sharing one placement.  When both inputs carry provenance
-    content keys (i.e. came from :func:`cached_matrix` /
-    :func:`cached_mapping`), the aggregate is memoized under them; ad-hoc
-    matrices or mappings fall through to a plain computation.
-
-    Memory-only by design: at one rank per node the aggregate is the size
-    of the matrix itself, so spilling it to disk costs more in fsync'd I/O
-    than the argsort it saves — recompute is the cheaper miss path.  For
-    the same reason the region is bounded to the reuse a sweep has
-    (:data:`REGIONS`): an aggregate larger than its byte bound is held
-    alone, and a miss drops it before folding the next one.
+    and bandwidth sharing one placement.  Keyed on both inputs' provenance;
+    ad-hoc matrices or mappings bypass the region.  Memory-only and bounded
+    to the reuse a sweep has (:data:`REGIONS`).
     """
     from .model.engine import _node_pair_aggregate
 
-    matrix_key = getattr(matrix, "_repro_cache_key", None)
-    mapping_key = getattr(mapping, "_repro_cache_key", None)
-    if matrix_key is None or mapping_key is None:
-        return _node_pair_aggregate(matrix, mapping)
-    key = ("pairs", matrix_key, mapping_key)
-    region = _regions["pairs"]
-    value = region.get(key)
-    if value is not _MISS:
-        return value
-    region.shed()
-    value = _node_pair_aggregate(matrix, mapping)
-    region.put(key, value)
-    return value
+    matrix_key, mapping_key = provenance(matrix), provenance(mapping)
+    key = None
+    if matrix_key is not None and mapping_key is not None:
+        key = ("pairs", matrix_key, mapping_key)
+    return _memo("pairs", key, lambda: _node_pair_aggregate(matrix, mapping))
 
 
 def cached_critpath_dag(trace, max_repeat: int | None = None, collective: str = "flat"):
@@ -918,35 +921,31 @@ def cached_critpath_dag(trace, max_repeat: int | None = None, collective: str = 
     DAG depends only on the trace content, the repeat clamp, and the
     collective engine (tree schedules change the happens-before shape), so
     it is keyed on the trace's generation provenance plus the engine's
-    ``cache_token()``.  Foreign traces (no provenance) fall through to a
-    plain build — hashing the event stream would cost as much as the
-    expansion it saves.
+    ``cache_token()``.  Foreign traces (no provenance) bypass the region —
+    hashing the event stream would cost as much as the expansion it saves.
 
     The DAG is returned with its level schedule built (a cyclic graph
     raises :class:`~repro.critpath.dag.CycleError` here), so the region
     bounds the bytes the DAG will hold: ``REGIONS["critpath"].max_bytes``
     in all.  A larger DAG evicts every other one and is kept only until the
-    next miss, which drops it before building, so analyses of one large
-    trace on several topologies or mappings in a row still share it.
-    Memory-only by design: the arrays are expansion-sized.
+    next build, which drops it first, so analyses of one large trace on
+    several topologies or mappings in a row still share it.
     """
     from .collectives.registry import get_algorithm
     from .critpath.dag import build_dag
 
     engine = get_algorithm(collective)
-    trace_key = getattr(trace, "_repro_cache_key", None)
-    region = _regions["critpath"]
-    key = ("critpath-dag", trace_key, max_repeat, engine.cache_token())
+    trace_key = provenance(trace)
+    key = None
     if trace_key is not None:
-        value = region.get(key)
-        if value is not _MISS:
-            return value
-    region.shed()
-    value = build_dag(trace, max_repeat=max_repeat, collective=engine)
-    value.level_schedule()
-    if trace_key is not None:
-        region.put(key, value)
-    return value
+        key = ("critpath-dag", trace_key, max_repeat, engine.cache_token())
+
+    def compute():
+        dag = build_dag(trace, max_repeat=max_repeat, collective=engine)
+        dag.level_schedule()
+        return dag
+
+    return _memo("critpath", key, compute)
 
 
 def cached_critpath_result(
@@ -971,39 +970,35 @@ def cached_critpath_result(
     the collective engine's ``cache_token()``, the LogGP ``params``,
     ``fd_check`` and the ``routing`` label; with a ``topology``, also its
     class and ``fingerprint()``, the mapping's provenance and the routing
-    ``policy``'s ``cache_token()``, which covers its seed.  A trace or mapping without
-    provenance, or a topology without a fingerprint, bypasses the region.
+    ``policy``'s ``cache_token()``, which covers its seed.  A trace or
+    mapping without provenance, or a topology without a fingerprint,
+    bypasses the region.
     """
-    trace_key = getattr(trace, "_repro_cache_key", None)
-    if trace_key is None:
-        return compute()
-    key = (
-        "critpath-result",
-        trace_key,
-        max_repeat,
-        engine.cache_token(),
-        params,
-        fd_check,
-        routing,
-    )
-    if topology is not None:
-        fingerprint = topology.fingerprint()
-        mapping_key = getattr(mapping, "_repro_cache_key", None)
-        if fingerprint is None or mapping_key is None:
-            return compute()
-        key += (
-            type(topology).__name__,
-            fingerprint,
-            mapping_key,
-            policy.cache_token(),
+    trace_key = provenance(trace)
+    key = None
+    if trace_key is not None:
+        key = (
+            "critpath-result",
+            trace_key,
+            max_repeat,
+            engine.cache_token(),
+            params,
+            fd_check,
+            routing,
         )
-    region = _regions["critpath_result"]
-    value = region.get(key)
-    if value is not _MISS:
-        return value
-    value = compute()
-    region.put(key, value)
-    return value
+    if key is not None and topology is not None:
+        fingerprint = topology.fingerprint()
+        mapping_key = provenance(mapping)
+        if fingerprint is None or mapping_key is None:
+            key = None
+        else:
+            key += (
+                type(topology).__name__,
+                fingerprint,
+                mapping_key,
+                policy.cache_token(),
+            )
+    return _memo("critpath_result", key, compute)
 
 
 def model_key(
@@ -1021,8 +1016,8 @@ def model_key(
     query bypasses the region — when the matrix or mapping has no
     provenance or the topology no fingerprint.
     """
-    matrix_key = getattr(matrix, "_repro_cache_key", None)
-    mapping_key = getattr(mapping, "_repro_cache_key", None)
+    matrix_key = provenance(matrix)
+    mapping_key = provenance(mapping)
     fingerprint = topology.fingerprint()
     if matrix_key is None or mapping_key is None or fingerprint is None:
         return None
@@ -1043,20 +1038,13 @@ def cached_network_analysis(
 ):
     """Memoized static-model result: ``compute()`` under :func:`model_key`.
 
-    The region holds each query's result as first computed; a hit is that
-    result with this call's ``execution_time`` and ``bandwidth``, so a
+    The region holds each query's result as first computed; the answer is
+    that result with this call's ``execution_time`` and ``bandwidth``, so a
     sweep's extra bandwidths and every warm Table-3 row cost one lookup.
     Memory-only: the entries hold no arrays.  ``key=None`` bypasses it.
     """
-    if key is None:
-        return compute()
-    region = _regions["model"]
-    value = region.get(key)
-    if value is not _MISS:
-        return replace(value, execution_time=execution_time, bandwidth=bandwidth)
-    value = compute()
-    region.put(key, value)
-    return value
+    value = _memo("model", key, compute)
+    return replace(value, execution_time=execution_time, bandwidth=bandwidth)
 
 
 def _route_key(
@@ -1074,20 +1062,17 @@ def _route_key(
     if fingerprint is None:
         return None
     load_aware = policy.load_aware and pair_weights is not None
+
+    def digest():
+        arrays = [np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)]
+        if load_aware:
+            arrays.append(np.asarray(pair_weights, dtype=np.float64))
+        return array_digest(*arrays)
+
     token_key = None
     if content_token is not None:
         token_key = ("incidence-digest", content_token, load_aware)
-        digest = _regions["digests"].get(token_key)
-        if digest is not _MISS:
-            return (fingerprint, policy.cache_token(), digest)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if load_aware:
-        digest = array_digest(src, dst, np.asarray(pair_weights, dtype=np.float64))
-    else:
-        digest = array_digest(src, dst)
-    if token_key is not None:
-        _regions["digests"].put(token_key, digest)
+    digest = _memo("digests", token_key, digest)
     return (fingerprint, policy.cache_token(), digest)
 
 
@@ -1139,31 +1124,18 @@ def cached_route_incidence(
     stay digest-keyed so the cross-provenance aliasing above is preserved.
     """
     from .routing import get_policy
-    from .topology.base import RouteIncidence
 
     policy = get_policy(routing, seed=seed)
     route_key = _route_key(topology, src, dst, policy, pair_weights, content_token)
-    if route_key is None:
-        return _walk_routes(policy, topology, src, dst, pair_weights)
-    key = ("incidence",) + route_key
-    region = _regions["incidence"]
-    value = region.get(key)
-    if value is not _MISS:
-        return value
-    path = _disk_path("incidence", key, ".npz")
-    value = _disk_load_npz(
-        path, lambda data: RouteIncidence(data["pair_index"], data["link_id"])
-    )
-    if value is not _MISS:
-        region.stats.disk_hits += 1
-    else:
-        # Stored narrow (CACHED_COLUMNS): the walk's int64 rows are dropped.
-        value = _walk_routes(policy, topology, src, dst, pair_weights).compacted(
+    key = None if route_key is None else ("incidence",) + route_key
+    # Stored narrow (CACHED_COLUMNS): the walk's int64 rows are dropped.
+    return _memo(
+        "incidence",
+        key,
+        lambda: _walk_routes(policy, topology, src, dst, pair_weights).compacted(
             len(src)
-        )
-        _disk_store_npz(path, pair_index=value.pair_index, link_id=value.link_id)
-    region.put(key, value)
-    return value
+        ),
+    )
 
 
 def cached_route_summary(
@@ -1182,40 +1154,21 @@ def cached_route_summary(
     its incidence would hold.  A miss derives the summary from the rows
     when the ``incidence`` region already holds them (the simulator
     stored them); otherwise it walks the routes through the policy and
-    keeps only the summary.  The disk tier stores summaries as ``.npz``.
+    keeps only the summary.
     """
     from .routing import get_policy
-    from .routing.summary import RouteSummary, summarize_routes
+    from .routing.summary import summarize_routes
 
     policy = get_policy(routing, seed=seed)
     route_key = _route_key(topology, src, dst, policy, pair_weights, content_token)
-    if route_key is None:
-        rows = _walk_routes(policy, topology, src, dst, pair_weights)
-        return summarize_routes(rows, len(src), topology)
-    key = ("summary",) + route_key
-    region = _regions["summary"]
-    value = region.get(key)
-    if value is not _MISS:
-        return value
-    path = _disk_path("summary", key, ".npz")
-    value = _disk_load_npz(
-        path,
-        lambda data: RouteSummary(
-            int(data["used_links"]),
-            data["pair_hops"],
-            data["pair_global"] if "pair_global" in data else None,
-        ),
-    )
-    if value is not _MISS:
-        region.stats.disk_hits += 1
-    else:
-        rows = _regions["incidence"].get(("incidence",) + route_key)
-        if rows is _MISS:
+
+    def compute():
+        rows = None
+        if route_key is not None:
+            rows = _regions["incidence"].get(("incidence",) + route_key, None)
+        if rows is None:
             rows = _walk_routes(policy, topology, src, dst, pair_weights)
-        value = summarize_routes(rows, len(src), topology)
-        flags = {} if value.pair_global is None else {"pair_global": value.pair_global}
-        _disk_store_npz(
-            path, used_links=value.used_links, pair_hops=value.pair_hops, **flags
-        )
-    region.put(key, value)
-    return value
+        return summarize_routes(rows, len(src), topology)
+
+    key = None if route_key is None else ("summary",) + route_key
+    return _memo("summary", key, compute)

@@ -36,7 +36,8 @@ them per function.
 Cartesian/sub-communicator calls cannot be reconstructed from dumpi output
 (the paper excludes such traces, §4.3); records referencing a communicator
 other than ``MPI_COMM_WORLD``/``MPI_COMM_SELF`` raise
-:class:`UnsupportedCommunicatorError` unless ``strict=False``.
+:class:`UnsupportedCommunicatorError`, or with ``strict=False`` are skipped
+and counted in the same warning, as ``<func> (sub-communicator)``.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def _undecoded(func: str) -> bool:
 
 
 def _warn_skipped(skipped: Counter, source: object) -> None:
-    """One warning per load for the undecoded calls ``strict=False`` skipped."""
+    """One warning per load for the records ``strict=False`` skipped."""
     if skipped:
         counts = ", ".join(f"{func} x{n}" for func, n in sorted(skipped.items()))
         _log.warning(
@@ -248,8 +249,9 @@ def _first(record: _Record, *keys: str, default: int | None = None) -> int | Non
     return default
 
 
-def _check_comm(record: _Record, strict: bool) -> bool:
-    """True when the record may be translated; raises/False otherwise."""
+def _check_comm(record: _Record, strict: bool, skipped: Counter) -> bool:
+    """True when the record may be translated; raises, or counts the skip
+    into ``skipped`` and returns False, otherwise."""
     comm_name = record.names.get("comm", "MPI_COMM_WORLD")
     if comm_name in _WORLD_COMMS:
         return True
@@ -258,6 +260,7 @@ def _check_comm(record: _Record, strict: bool) -> bool:
             f"{record.func} uses communicator {comm_name!r}; dumpi traces do "
             "not carry sub-communicator rank mappings (paper §4.3 exclusion)"
         )
+    skipped[f"{record.func} (sub-communicator)"] += 1
     return False
 
 
@@ -270,8 +273,9 @@ def _parse_columns(
 ) -> tuple[float, float]:
     """Decode one rank's dumpi2ascii text into ``columns``.
 
-    ``source`` names the rank file in errors; undecoded calls that
-    ``strict=False`` lets through are counted into ``skipped``.  Returns
+    ``source`` names the rank file in errors; undecoded calls and
+    sub-communicator records that ``strict=False`` lets through are counted
+    into ``skipped``.  Returns
     ``(first_walltime, last_walltime)``.
     """
     t_min = float("inf")
@@ -290,7 +294,7 @@ def _parse_columns(
             current.t_leave = float(ret.group(2))
             t_max = max(t_max, current.t_leave)
             if not _undecoded(current.func):
-                _translate(current, columns, strict)
+                _translate(current, columns, strict, skipped)
             elif strict:
                 raise UndecodedCallError(
                     f"{source}:{current.line}: {current.func} carries traffic "
@@ -332,11 +336,13 @@ def parse_rank_stream(
     return columns.to_block(rank).to_events(), t_min, t_max
 
 
-def _translate(record: _Record, columns: _Columns, strict: bool) -> None:
+def _translate(
+    record: _Record, columns: _Columns, strict: bool, skipped: Counter
+) -> None:
     """Decode one assembled record into the columns (or skip it)."""
     func = record.func
     if func in P2P_CALLS:
-        if not _check_comm(record, strict):
+        if not _check_comm(record, strict, skipped):
             return
         direction = P2P_CALLS[func]
         peer_key = "dest" if direction is Direction.SEND else "source"
@@ -357,7 +363,7 @@ def _translate(record: _Record, columns: _Columns, strict: bool) -> None:
         return
     op = _COLLECTIVE_BY_NAME.get(func)
     if op is not None:
-        if not _check_comm(record, strict):
+        if not _check_comm(record, strict, skipped):
             return
         count = _first(
             record, "sendcount", "count", "recvcount", "sendcounts", default=0

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..cache import set_provenance
+
 __all__ = ["Mapping"]
 
 
@@ -49,7 +51,7 @@ class Mapping:
         """Paper-style consecutive mapping: rank r -> node r // ranks_per_node.
 
         Deterministic in its arguments, so it carries them as its
-        provenance key (``_repro_cache_key``, see :mod:`repro.cache`).
+        provenance key (:func:`repro.cache.provenance`).
         """
         if ranks_per_node < 1:
             raise ValueError("ranks_per_node must be >= 1")
@@ -60,8 +62,9 @@ class Mapping:
                 f"{num_ranks} ranks at {ranks_per_node}/node need {needed} nodes, "
                 f"topology has {num_nodes}"
             )
-        return Mapping(nodes, num_nodes)._keyed(
-            ("mapping-consecutive", num_ranks, num_nodes, ranks_per_node)
+        return set_provenance(
+            Mapping(nodes, num_nodes),
+            ("mapping-consecutive", num_ranks, num_nodes, ranks_per_node),
         )
 
     @staticmethod
@@ -94,14 +97,12 @@ class Mapping:
         key like :meth:`consecutive`.
         """
         rng = np.random.default_rng(seed)
-        return Mapping.from_permutation(
-            rng.permutation(num_ranks), num_nodes, ranks_per_node
-        )._keyed(("mapping-random", num_ranks, num_nodes, ranks_per_node, seed))
-
-    def _keyed(self, key: tuple) -> "Mapping":
-        # Frozen dataclass: provenance rides outside the fields.
-        object.__setattr__(self, "_repro_cache_key", key)
-        return self
+        return set_provenance(
+            Mapping.from_permutation(
+                rng.permutation(num_ranks), num_nodes, ranks_per_node
+            ),
+            ("mapping-random", num_ranks, num_nodes, ranks_per_node, seed),
+        )
 
     # -- queries ------------------------------------------------------------
 

@@ -37,6 +37,7 @@ from ..cache import (
     cached_node_pairs,
     cached_route_summary,
     model_key,
+    provenance,
 )
 
 # Not called here: perfbench's traced run wraps this module's binding by
@@ -230,8 +231,8 @@ def _analyze(
         else:
             wire_bytes = network_bytes
 
-        matrix_key = getattr(matrix, "_repro_cache_key", None)
-        mapping_key = getattr(mapping, "_repro_cache_key", None)
+        matrix_key = provenance(matrix)
+        mapping_key = provenance(mapping)
         content_token = (
             (matrix_key, mapping_key)
             if matrix_key is not None and mapping_key is not None

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..apps.base import SyntheticApp
 from ..apps.registry import get_app
+from ..cache import set_provenance
 from ..comm.matrix import CommMatrix
 from ..core.blocks import KIND_COLLECTIVE, EventBlock
 from ..core.communicator import (
@@ -280,7 +281,7 @@ def compose_workload(
         # the trace can carry cheap cache provenance (repro.cache uses it
         # instead of digesting the event stream).  Custom app instances
         # have unhashable tuning — those traces fall back to the digest.
-        trace._repro_cache_key = (
+        key = (
             "composed-trace",
             allocation,
             alloc_seed,
@@ -290,6 +291,7 @@ def compose_workload(
             ),
             len(app_specs),
         )
+        set_provenance(trace, key)
     workload = ComposedWorkload(
         trace=trace,
         jobs=placements,

@@ -178,9 +178,14 @@ class TestParseRankStream:
         with pytest.raises(UnsupportedCommunicatorError):
             parse(SUBCOMM, strict=True)
 
-    def test_unknown_communicator_lenient_skips(self):
-        events, _, _ = parse(SUBCOMM + SEND, strict=False)
+    def test_unknown_communicator_lenient_skips(self, caplog):
+        with caplog.at_level("WARNING", logger="repro.dumpi.ascii_dumpi"):
+            events, _, _ = parse(SUBCOMM + SEND + SUBCOMM, strict=False)
         assert [ev.func for ev in events] == ["MPI_Send"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipped 2 traffic-bearing records the converter does not decode in "
+            "<rank 0 stream>: MPI_Bcast (sub-communicator) x2"
+        ]
 
     def test_empty_stream(self):
         events, lo, hi = parse("")
