@@ -16,8 +16,10 @@ declared by the producers themselves (:func:`cached_trace`,
 :func:`cached_critpath_dag`, :func:`cached_critpath_result`,
 :func:`model_key`); a producer with an input that has no content key
 (a foreign trace without provenance, a topology without a fingerprint)
-passes ``key=None`` and bypasses the cache.  Artifacts later keys are
-derived from carry their own key as provenance (:func:`provenance`).
+passes ``key=None`` and bypasses the cache.  What only a miss needs is
+imported inside the producer's compute function, so a hit costs one key
+tuple and one LRU lookup.  Artifacts later keys are derived from carry
+their own key as provenance (:func:`provenance`).
 
 Two tiers: a per-process in-memory LRU per region (always on) and an
 optional on-disk cache enabled with :func:`configure` or the
@@ -695,11 +697,11 @@ def trace_content_key(trace: Any) -> tuple:
     to block partitioning; names hashed as UTF-8 text), the size of every
     datatype the records reference, and every communicator's members.
     """
-    from .core.blocks import decoded_columns
-
     key = provenance(trace)
     if key is not None:
         return key
+    from .core.blocks import decoded_columns
+
     meta = trace.meta
     columns = decoded_columns(trace.blocks())
     h = hashlib.blake2b(digest_size=16)
@@ -795,11 +797,11 @@ def cached_trace(
 ):
     """Memoized :func:`repro.apps.registry.generate_trace`, keyed on its
     whole determinism domain."""
-    from .apps.registry import generate_trace
-
     key = ("trace", name, ranks, variant, seed, emit_receives)
 
     def compute():
+        from .apps.registry import generate_trace
+
         trace = generate_trace(
             name, ranks, variant=variant, seed=seed, emit_receives=emit_receives
         )
@@ -822,10 +824,10 @@ def cached_matrix(
     engines (flat, binomial, ring, ...) ever alias one entry.
     """
     from .collectives.registry import get_algorithm
-    from .comm.matrix import matrix_from_trace
-    from .core.packets import MAX_PAYLOAD_BYTES
 
     if payload is None:
+        from .core.packets import MAX_PAYLOAD_BYTES
+
         payload = MAX_PAYLOAD_BYTES
     engine = get_algorithm(collective)
     key = (
@@ -836,18 +838,19 @@ def cached_matrix(
         payload,
         engine.cache_token(),
     )
-    return _memo(
-        "matrix",
-        key,
-        lambda: matrix_from_trace(
+
+    def compute():
+        from .comm.matrix import matrix_from_trace
+
+        return matrix_from_trace(
             trace,
             include_p2p=include_p2p,
             include_collectives=include_collectives,
             payload=payload,
             collective=engine,
-        ),
-        keyed=True,
-    )
+        )
+
+    return _memo("matrix", key, compute, keyed=True)
 
 
 def cached_mapping(matrix, topology, method: str = "greedy", seed: int = 0):
@@ -864,9 +867,9 @@ def cached_mapping(matrix, topology, method: str = "greedy", seed: int = 0):
     which every topology and seed of one ``(matrix, method)`` shares, so a
     topology without a structural fingerprint bypasses only the placement.
     """
-    from .mapping.optimized import optimize_mapping, place_slots
-
     if method == "consecutive":
+        from .mapping.optimized import optimize_mapping
+
         # Carries its own provenance (Mapping.consecutive declares it).
         return optimize_mapping(matrix, topology, method=method, seed=seed)
     fingerprint = topology.fingerprint()
@@ -875,6 +878,8 @@ def cached_mapping(matrix, topology, method: str = "greedy", seed: int = 0):
         key = ("mapping", matrix_content_key(matrix), fingerprint, method, seed)
 
     def compute():
+        from .mapping.optimized import place_slots
+
         with timings.stage("mapping"):
             return place_slots(_cached_slots(matrix, method), topology)
 
@@ -888,10 +893,14 @@ def _cached_slots(matrix, method: str) -> np.ndarray:
     is ``(matrix content key, method)``; entries share the ``mapping``
     region and its disk tier with the placed mappings.
     """
-    from .mapping.optimized import optimized_slots
-
     key = ("mapping-slots", matrix_content_key(matrix), method)
-    return _memo("mapping", key, lambda: optimized_slots(matrix, method))
+
+    def compute():
+        from .mapping.optimized import optimized_slots
+
+        return optimized_slots(matrix, method)
+
+    return _memo("mapping", key, compute)
 
 
 def cached_node_pairs(matrix, mapping):
@@ -904,13 +913,17 @@ def cached_node_pairs(matrix, mapping):
     ad-hoc matrices or mappings bypass the region.  Memory-only and bounded
     to the reuse a sweep has (:data:`REGIONS`).
     """
-    from .model.engine import _node_pair_aggregate
-
     matrix_key, mapping_key = provenance(matrix), provenance(mapping)
     key = None
     if matrix_key is not None and mapping_key is not None:
         key = ("pairs", matrix_key, mapping_key)
-    return _memo("pairs", key, lambda: _node_pair_aggregate(matrix, mapping))
+
+    def compute():
+        from .model.engine import _node_pair_aggregate
+
+        return _node_pair_aggregate(matrix, mapping)
+
+    return _memo("pairs", key, compute)
 
 
 def cached_critpath_dag(trace, max_repeat: int | None = None, collective: str = "flat"):
@@ -932,7 +945,6 @@ def cached_critpath_dag(trace, max_repeat: int | None = None, collective: str = 
     several topologies or mappings in a row still share it.
     """
     from .collectives.registry import get_algorithm
-    from .critpath.dag import build_dag
 
     engine = get_algorithm(collective)
     trace_key = provenance(trace)
@@ -941,6 +953,8 @@ def cached_critpath_dag(trace, max_repeat: int | None = None, collective: str = 
         key = ("critpath-dag", trace_key, max_repeat, engine.cache_token())
 
     def compute():
+        from .critpath.dag import build_dag
+
         dag = build_dag(trace, max_repeat=max_repeat, collective=engine)
         dag.level_schedule()
         return dag
@@ -1157,12 +1171,13 @@ def cached_route_summary(
     keeps only the summary.
     """
     from .routing import get_policy
-    from .routing.summary import summarize_routes
 
     policy = get_policy(routing, seed=seed)
     route_key = _route_key(topology, src, dst, policy, pair_weights, content_token)
 
     def compute():
+        from .routing.summary import summarize_routes
+
         rows = None
         if route_key is not None:
             rows = _regions["incidence"].get(("incidence",) + route_key, None)
